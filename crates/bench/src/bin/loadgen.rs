@@ -18,10 +18,12 @@
 //! like a disciplined client instead of re-slamming a saturated queue in
 //! lockstep. Every request carries a deterministically minted `X-Trace-Id`
 //! header and checks that the daemon echoes it back, so any retained
-//! sample can be looked up at `/jobs/<trace-id>` afterwards. Per-request
-//! latency goes into a lock-free log-bucketed histogram (every request, no
-//! sampling); the report's percentiles are derived from it. Reports
-//! throughput, latency percentiles, retries, and status/cache breakdowns,
+//! sample can be looked up at `/jobs/<trace-id>` afterwards. The latency
+//! of every `200` goes into a lock-free log-bucketed histogram (no
+//! sampling); the report's percentiles are derived from it, and throughput
+//! counts `200`s only, so shed or failed requests never make the daemon
+//! look faster. Reports goodput, latency percentiles, retries, and
+//! status/cache breakdowns,
 //! with failures classified by kind — `shed` (429), `5xx`, `connect`,
 //! `timeout`, `transport` — because each calls for a different reaction
 //! (back off / inspect jobs / restart daemon / raise deadline / check the
@@ -338,13 +340,11 @@ fn run_batch(args: &Args, count: usize, phase: u64) -> Vec<(Result<Sample, Reque
     })
 }
 
-/// Latency percentiles of one phase's successful requests.
+/// Latency percentiles of one phase's successful (`200`) requests.
 fn phase_latency(results: &[(Result<Sample, RequestError>, usize)]) -> (Duration, Duration, u64) {
     let hist = Histogram::new();
-    for (r, _) in results {
-        if let Ok(s) = r {
-            hist.observe_duration(s.latency);
-        }
+    for s in results.iter().filter_map(|(r, _)| r.as_ref().ok()).filter(|s| s.status == 200) {
+        hist.observe_duration(s.latency);
     }
     let snap = hist.snapshot();
     (snap.percentile_duration(50.0), snap.percentile_duration(99.0), snap.count)
@@ -382,9 +382,10 @@ fn main() -> ExitCode {
     let results: Vec<&(Result<Sample, RequestError>, usize)> =
         cold_results.iter().chain(warm_results.iter()).collect();
 
-    // Every completed request's latency lands in the histogram — no
-    // sampling, fixed memory — and the reported percentiles come straight
-    // out of its buckets (≤6.25% relative error).
+    // Every 200's latency lands in the histogram — no sampling, fixed
+    // memory — and the reported percentiles come straight out of its
+    // buckets (≤6.25% relative error). A 429 or 5xx answers fast precisely
+    // because no work was done, so it is counted below but not timed.
     let latency_hist = Histogram::new();
     let mut ok = 0usize;
     // Failure classes, kept apart because each calls for a different
@@ -404,9 +405,11 @@ fn main() -> ExitCode {
         retries += tries;
         match r {
             Ok(s) => {
-                latency_hist.observe_duration(s.latency);
                 match s.status {
-                    200 => ok += 1,
+                    200 => {
+                        ok += 1;
+                        latency_hist.observe_duration(s.latency);
+                    }
                     429 => shed += 1,
                     500..=599 => server_5xx += 1,
                     _ => other_status += 1,
@@ -432,10 +435,11 @@ fn main() -> ExitCode {
         latency.percentile_duration(99.0),
         latency.percentile_duration(99.9),
     );
-    let throughput = results.len() as f64 / elapsed.as_secs_f64().max(1e-9);
+    // Goodput: only 200s count as served.
+    let throughput = ok as f64 / elapsed.as_secs_f64().max(1e-9);
 
     eprintln!(
-        "loadgen: {} requests in {:.2?} over {} conns -> {:.1} req/s",
+        "loadgen: {} requests in {:.2?} over {} conns -> {:.1} ok req/s",
         results.len(),
         elapsed,
         args.conns,

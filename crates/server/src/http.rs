@@ -262,7 +262,9 @@ pub fn write_response_with_headers(
     body: &str,
 ) -> std::io::Result<()> {
     use std::fmt::Write as _;
-    let mut head = format!(
+    // Head and body go out in one write: one syscall, and no second small
+    // segment for Nagle's algorithm to hold back.
+    let mut out = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
         status,
         reason(status),
@@ -270,11 +272,11 @@ pub fn write_response_with_headers(
         body.len(),
     );
     for (name, value) in extra_headers {
-        let _ = write!(head, "{name}: {value}\r\n");
+        let _ = write!(out, "{name}: {value}\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str("\r\n");
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 

@@ -57,10 +57,17 @@ pub struct JobSpec {
     pub opts: RepairOptions,
     /// Content address (see [`crate::cache::content_key`]).
     pub key: String,
+}
+
+impl JobSpec {
     /// Structural fingerprint for near-key lookups in the disk store: a
     /// resubmitted spec that differs in a few actions can find its nearest
-    /// cached neighbor and warm-start from its artifacts.
-    pub fingerprint: SpecFingerprint,
+    /// cached neighbor and warm-start from its artifacts. Computed on
+    /// demand, since only the miss paths (warm lookup, store write) read
+    /// it and a cache hit should not pay for it.
+    pub fn fingerprint(&self) -> SpecFingerprint {
+        SpecFingerprint::of(&self.ast)
+    }
 }
 
 /// Options rendered into a short stable string for the content address.
@@ -145,8 +152,7 @@ pub fn prepare(source: &str, mode: Mode, opts: RepairOptions) -> Result<JobSpec,
     let ast = ftrepair_lang::parse(source).map_err(|e| format!("parse error: {e}"))?;
     let canonical = ftrepair_lang::unparse(&ast);
     let key = crate::cache::content_key(&canonical, &options_fingerprint(mode, &opts));
-    let fingerprint = SpecFingerprint::of(&ast);
-    Ok(JobSpec { name: ast.name.clone(), canonical, ast, mode, opts, key, fingerprint })
+    Ok(JobSpec { name: ast.name.clone(), canonical, ast, mode, opts, key })
 }
 
 /// Everything `/simulate` needs, explicit and manager-free so it can live

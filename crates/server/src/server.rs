@@ -488,6 +488,48 @@ fn bind_reusable(addr: &str) -> io::Result<TcpListener> {
     TcpListener::bind(addr)
 }
 
+/// Longest the accept loop waits for a connection before it re-checks the
+/// shutdown flag: the bound on SIGTERM and `ServerHandle::shutdown`
+/// latency for an idle daemon.
+const ACCEPT_RECHECK: Duration = Duration::from_millis(5);
+
+/// Block until the listener has a pending connection or `timeout` passes,
+/// through `poll(2)` on its fd (declared directly; the workspace links no
+/// third-party crates). The listener stays non-blocking, so a spurious
+/// wake only costs one more `accept` try.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::fd::AsRawFd;
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type Nfds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 1;
+    let mut pfd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: one valid pollfd, and `listener` keeps the fd open.
+    if unsafe { poll(&mut pfd, 1, ms) } < 0 {
+        // A failing poll must not turn the loop into a busy spin.
+        std::thread::sleep(timeout);
+    }
+}
+
+/// Non-unix fallback: wait out the timeout; the next `accept` finds any
+/// connection that arrived meanwhile.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
+
 impl Server {
     /// Bind the listener and set up queue, cache, and telemetry.
     pub fn bind(config: &ServerConfig) -> io::Result<Server> {
@@ -616,6 +658,11 @@ impl Server {
 
     /// Run until shutdown is requested (signal or handle), then drain
     /// in-flight jobs, write the summary report, and return.
+    ///
+    /// The accept loop sleeps in `poll(2)` on the listener, so a new
+    /// connection is accepted as soon as it is ready rather than on a
+    /// timer tick. The wait times out every `ACCEPT_RECHECK` (5 ms), so
+    /// an idle daemon still notices a shutdown request within that bound.
     pub fn run(self) -> io::Result<()> {
         let Server { listener, shared, recovery } = self;
         listener.set_nonblocking(true)?;
@@ -679,7 +726,7 @@ impl Server {
                         }
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
+                        wait_for_connection(&listener, ACCEPT_RECHECK);
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => {
@@ -1511,7 +1558,8 @@ fn warm_lookup(shared: &Shared, spec: &job::JobSpec) -> Option<job::WarmInfo> {
     }
     let warm = shared
         .with_store(|store| {
-            store.nearest(&spec.fingerprint, WARM_MAX_DISTANCE).and_then(|(neighbor, distance)| {
+            let fingerprint = spec.fingerprint();
+            store.nearest(&fingerprint, WARM_MAX_DISTANCE).and_then(|(neighbor, distance)| {
                 let donor = store.peek(&neighbor)?;
                 let mut invariant = None;
                 let mut span = None;
@@ -1587,7 +1635,7 @@ fn finalize_success(
                 case: spec.name.clone(),
                 mode: spec.mode.as_str().to_string(),
                 warm_start: result.warm_used,
-                fingerprint: spec.fingerprint.clone(),
+                fingerprint: spec.fingerprint(),
                 response: result.response.clone(),
                 artifacts,
             };

@@ -3,8 +3,10 @@
 //! The workspace links no third-party crates, so the handler is installed
 //! through libc's `signal(2)` directly (libc itself is always linked on the
 //! platforms we target). The handler does the only async-signal-safe thing
-//! worth doing: it sets a flag the accept loop polls, which turns delivery
-//! of either signal into a graceful drain-and-exit.
+//! worth doing: it sets a flag, which turns delivery of either signal into
+//! a graceful drain-and-exit. The accept loop waits for connections with
+//! `poll(2)` on the listener and re-checks the flag after each accept and
+//! at least every 5 ms while idle, so the drain starts within that bound.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -467,7 +467,7 @@ fn repair_stored(source: &str, path: &str, flags: &[String]) -> ExitCode {
     // Miss: look for a warm-start donor before computing from scratch.
     if warm.is_none() && mode == job::Mode::Lazy {
         if let Some(store) = &store {
-            warm = store.nearest(&spec.fingerprint, 16).and_then(|(neighbor, distance)| {
+            warm = store.nearest(&spec.fingerprint(), 16).and_then(|(neighbor, distance)| {
                 let donor = store.peek(&neighbor)?;
                 let mut invariant = None;
                 let mut span = None;
@@ -552,7 +552,7 @@ fn repair_stored(source: &str, path: &str, flags: &[String]) -> ExitCode {
             case: spec.name.clone(),
             mode: mode.as_str().to_string(),
             warm_start: result.warm_used,
-            fingerprint: spec.fingerprint.clone(),
+            fingerprint: spec.fingerprint(),
             response: result.response.clone(),
             artifacts,
         };

@@ -149,6 +149,55 @@ fn identical_posts_hit_the_cache_and_metrics_show_it() {
 }
 
 #[test]
+fn cache_hits_do_not_wait_on_an_accept_timer() {
+    let (addr, handle, join) = start(test_config());
+    let toggle = spec("toggle_pair.ftr");
+    let (status, body) = request(addr, "POST", "/repair", &toggle);
+    assert_eq!(status, 200, "{body}");
+
+    // Sequential hits, each on a fresh connection. An accept loop that
+    // sleeps a fixed 5 ms whenever nothing is pending makes every one of
+    // them wait out most of that sleep.
+    let mut latencies: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t = std::time::Instant::now();
+            let (status, body) = request(addr, "POST", "/repair", &toggle);
+            let elapsed = t.elapsed();
+            assert_eq!(status, 200, "{body}");
+            assert_eq!(body.get("cached").and_then(Json::as_bool), Some(true), "{body}");
+            elapsed
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(median < Duration::from_micros(2500), "median hit latency {median:?}");
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn idle_server_shuts_down_promptly() {
+    let server = Server::bind(&test_config()).expect("bind 127.0.0.1:0");
+    let handle = server.handle();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let join = std::thread::spawn(move || {
+        server.run().expect("server run");
+        let _ = done_tx.send(());
+    });
+    std::thread::sleep(Duration::from_millis(50));
+
+    // An accept loop that blocks until the next connection would never see
+    // the flag on a daemon nobody talks to.
+    handle.shutdown();
+    assert!(
+        done_rx.recv_timeout(Duration::from_millis(500)).is_ok(),
+        "idle server did not stop within 500 ms of shutdown"
+    );
+    join.join().unwrap();
+}
+
+#[test]
 fn malformed_specs_get_400_and_the_server_stays_up() {
     let (addr, handle, join) = start(test_config());
 
