@@ -1,9 +1,9 @@
 //! Serialization (manager-independent DAG form) and Graphviz export.
 //!
-//! [`SerializedBdd`] is how BDDs travel between managers: the parallel
-//! Step 2 of lazy repair gives each worker thread its own manager and ships
-//! the per-process transition predicates across as serialized DAGs. With
-//! dynamic reordering each manager's variable order can diverge, so the blob
+//! [`SerializedBdd`] is how BDDs travel between managers: the disk store
+//! and the mid-repair checkpoints persist repaired relations in this form,
+//! and a later job imports them into its own manager. With dynamic
+//! reordering each manager's variable order can diverge, so the blob
 //! records the source order explicitly; import replays the fast `mk` path
 //! when the orders agree (on the function's support) and falls back to an
 //! `ite`-based rebuild when they do not.

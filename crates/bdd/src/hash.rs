@@ -68,7 +68,7 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for [`FxHasher`].
+/// `BuildHasher` for `FxHasher`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` using the fast `fx` hash.

@@ -23,9 +23,9 @@
 //!   (`reorder.rs`); node ids and functions survive a reorder, only the
 //!   order (and the node count) changes,
 //! * a portable serialized DAG form ([`SerializedBdd`]) used to ship BDDs
-//!   between managers (e.g. to per-thread managers in the parallel Step 2 of
-//!   the lazy-repair algorithm), recording the source variable order so
-//!   managers with diverged orders can still exchange functions.
+//!   between managers (e.g. from the disk store or a checkpoint into a new
+//!   job's manager), recording the source variable order so managers with
+//!   diverged orders can still exchange functions.
 //!
 //! There are **no complemented edges**: plain canonical nodes keep invariants
 //! simple enough to property-test exhaustively against a truth-table oracle

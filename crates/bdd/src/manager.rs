@@ -520,7 +520,7 @@ impl Manager {
     /// Keeps every node reachable from `roots` or from a
     /// [`Manager::protect`]ed root; all other slots go to the free list and
     /// node ids of survivors remain stable. Memo entries touching a dead
-    /// node are dropped; the rest stay (see [`Caches::retain_live`]), so a
+    /// node are dropped; the rest stay (see `Caches::retain_live`), so a
     /// GC mid-fixpoint does not force the next iteration to recompute
     /// everything from scratch.
     pub fn gc<I: IntoIterator<Item = NodeId>>(&mut self, roots: I) {

@@ -17,7 +17,7 @@ use ftrepair_bench::{
     ablation_reorder, ablation_warm_start, measure, render, render_reorder, render_warm_start,
     table1, table1_lazy_only, table2, table3, Row,
 };
-use ftrepair_casestudies::{byzantine_agreement, stabilizing_chain};
+use ftrepair_casestudies::stabilizing_chain;
 use ftrepair_core::RepairOptions;
 use std::path::PathBuf;
 
@@ -111,8 +111,6 @@ fn run_table3(large: bool, huge: bool) -> Vec<Row> {
 }
 
 fn run_ablations(large: bool) -> Vec<Row> {
-    let n = if large { 5 } else { 4 };
-
     // Ablation A: the reachable-states heuristic (paper: "pure lazy repair
     // does not improve the performance"). On the fail-stop model the
     // difference is qualitative: without the heuristic the outer loop
@@ -167,25 +165,7 @@ fn run_ablations(large: bool) -> Vec<Row> {
         )
     );
 
-    // Ablation C: parallel Step 2 (ours).
-    let seq = measure(
-        format!("BA^{n} sequential"),
-        || byzantine_agreement(n).0,
-        &RepairOptions::default(),
-        false,
-    );
-    let par = measure(
-        format!("BA^{n} parallel"),
-        || byzantine_agreement(n).0,
-        &RepairOptions { parallel_step2: true, ..Default::default() },
-        false,
-    );
-    println!(
-        "{}",
-        render(&[seq.clone(), par.clone()], "Ablation C — parallel Step 2 (per-process workers)")
-    );
-
-    vec![with, without, closed, iter_expand, iter_plain, seq, par]
+    vec![with, without, closed, iter_expand, iter_plain]
 }
 
 /// Ablation E: warm-start repair from the disk store. A one-action edit of

@@ -10,8 +10,7 @@
 //!   times at state counts that grow by roughly a decade per row.
 //!
 //! plus the ablations the paper's narrative calls for (the
-//! reachable-states heuristic, `ExpandGroup`/closed-form Step 2, and our
-//! parallel Step 2).
+//! reachable-states heuristic and `ExpandGroup`/closed-form Step 2).
 //!
 //! Every measured repair is re-verified (masking + realizability) before a
 //! row is reported; rows carry the measured reachable-state counts so the

@@ -51,38 +51,29 @@ pub fn add_masking(
     restrict_to_reachable: bool,
     token: &Token,
 ) -> Result<AddMaskingResult, RepairAborted> {
-    add_masking_traced(prog, invariant, safety, restrict_to_reachable, &Telemetry::off(), token)
-}
-
-/// [`add_masking`] with telemetry: a span around the Phase 1 `ms` fixpoint
-/// (carrying its iteration count as a structured field) and one span per
-/// Phase 4 joint-fixpoint iteration (carrying the iteration index), so a
-/// Chrome trace of a repair shows exactly where a slow Step 1 spends its
-/// time.
-pub fn add_masking_traced(
-    prog: &mut DistributedProgram,
-    invariant: NodeId,
-    safety: &Safety,
-    restrict_to_reachable: bool,
-    tele: &Telemetry,
-    token: &Token,
-) -> Result<AddMaskingResult, RepairAborted> {
     add_masking_seeded(
         prog,
         invariant,
         safety,
         restrict_to_reachable,
-        tele,
+        &Telemetry::off(),
         token,
         &WarmSeeds::none(),
     )
 }
 
-/// [`add_masking_traced`] with warm-start seeds: Phase 3's forward
-/// reachability starts from `s1 ∪ (seed ∩ universe)` instead of `s1`. Any
-/// seed is sound — the span stays within `universe − ms` (the
-/// non-heuristic mode's span) and Phase 4 shrinks it to the same fixpoint;
-/// see [`crate::warm`]. Empty seeds reproduce the cold path bit-for-bit.
+/// [`add_masking`] with telemetry and warm-start seeds.
+///
+/// Telemetry adds a span around the Phase 1 `ms` fixpoint (carrying its
+/// iteration count as a structured field) and one span per Phase 4
+/// joint-fixpoint iteration (carrying the iteration index), so a Chrome
+/// trace of a repair shows exactly where a slow Step 1 spends its time.
+///
+/// With seeds, Phase 3's forward reachability starts from
+/// `s1 ∪ (seed ∩ universe)` instead of `s1`. Any seed is sound — the span
+/// stays within `universe − ms` (the non-heuristic mode's span) and Phase 4
+/// shrinks it to the same fixpoint; see [`crate::warm`]. Empty seeds
+/// reproduce the cold path bit-for-bit.
 pub fn add_masking_seeded(
     prog: &mut DistributedProgram,
     invariant: NodeId,

@@ -45,8 +45,7 @@ impl std::error::Error for RepairAborted {}
 /// A cancellation/deadline token: an optional shared flag (raised by
 /// whoever wants the run gone — a signal handler, a server draining its
 /// queue) plus an optional absolute deadline. Cloning shares the flag, so
-/// one raise cancels every sibling — the parallel Step 2 hands a clone to
-/// each worker.
+/// one raise cancels every clone.
 /// A token may also carry a [`Checkpointer`]; the repair loops offer their
 /// fixpoint state to it at the same boundaries they poll the token, so an
 /// abort (drain, deadline, node budget) leaves a resume point behind.

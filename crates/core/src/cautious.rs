@@ -9,10 +9,11 @@
 //! cycle breaking removes a transition (removing one member means removing
 //! the whole group, which can strand states, which shrinks the span, which
 //! restarts the fixpoint…). The model being repaired is realizable at every
-//! step — that is the property [2] maintains — and the price is exactly the
-//! per-iteration group work this module does.
+//! step — that is the property the paper's reference \[2\] maintains — and
+//! the price is exactly the per-iteration group work this module does.
 
 use crate::cancel::{RepairAborted, Token};
+use crate::lazy::LazyOutcome;
 use crate::options::RepairOptions;
 use crate::stats::RepairStats;
 use crate::step2::{partition_for, with_outside_span};
@@ -21,30 +22,15 @@ use ftrepair_program::{semantics, DistributedProgram, Process};
 use ftrepair_telemetry::Telemetry;
 use std::time::Instant;
 
-/// Output of cautious repair; same shape as [`crate::lazy::LazyOutcome`].
-#[derive(Clone, Debug)]
-pub struct CautiousOutcome {
-    /// Per-process realizable transition predicates.
-    pub processes: Vec<Process>,
-    /// The repaired invariant `S'`.
-    pub invariant: NodeId,
-    /// The fault-span `T'`.
-    pub span: NodeId,
-    /// `δ_P'` — union of the per-process predicates.
-    pub trans: NodeId,
-    /// True iff the heuristics could not produce a repair.
-    pub failed: bool,
-    /// Counters; all time is recorded in `step1_time` (cautious has no
-    /// separate Step 2).
-    pub stats: RepairStats,
-}
-
 /// Run cautious repair on `prog`. Returns `Err(RepairAborted)` once
-/// [`RepairOptions::deadline`] (if set) expires.
+/// [`RepairOptions::deadline`] (if set) expires. The outcome has the same
+/// shape as lazy repair's; `failed` means the heuristics could not produce
+/// a repair, and all time is recorded in `stats.step1_time` (cautious has
+/// no separate Step 2).
 pub fn cautious_repair(
     prog: &mut DistributedProgram,
     opts: &RepairOptions,
-) -> Result<CautiousOutcome, RepairAborted> {
+) -> Result<LazyOutcome, RepairAborted> {
     cautious_repair_traced(prog, opts, &Telemetry::off())
 }
 
@@ -56,7 +42,7 @@ pub fn cautious_repair_traced(
     prog: &mut DistributedProgram,
     opts: &RepairOptions,
     tele: &Telemetry,
-) -> Result<CautiousOutcome, RepairAborted> {
+) -> Result<LazyOutcome, RepairAborted> {
     cautious_repair_cancellable(prog, opts, tele, &Token::from_options(opts))
 }
 
@@ -68,7 +54,7 @@ pub fn cautious_repair_cancellable(
     opts: &RepairOptions,
     tele: &Telemetry,
     token: &Token,
-) -> Result<CautiousOutcome, RepairAborted> {
+) -> Result<LazyOutcome, RepairAborted> {
     let r = cautious_repair_inner(prog, opts, tele, token);
     if let Ok(out) = &r {
         let roots: Vec<NodeId> = [out.invariant, out.span, out.trans]
@@ -86,7 +72,7 @@ fn cautious_repair_inner(
     opts: &RepairOptions,
     tele: &Telemetry,
     token: &Token,
-) -> Result<CautiousOutcome, RepairAborted> {
+) -> Result<LazyOutcome, RepairAborted> {
     token.check()?;
     let auto_reorder = crate::reorder::configure(prog, opts);
     let started = Instant::now();
@@ -173,7 +159,7 @@ fn cautious_repair_inner(
     let h_group = tele.histogram("cautious.group_enforcement.seconds");
 
     let mut iterations = 0usize;
-    let fail = |stats: RepairStats| CautiousOutcome {
+    let fail = |stats: RepairStats| LazyOutcome {
         processes: Vec::new(),
         invariant: FALSE,
         span: FALSE,
@@ -337,7 +323,7 @@ fn cautious_repair_inner(
             trans,
         })
         .collect();
-    Ok(CautiousOutcome { processes, invariant: s1, span: t1, trans: p1, failed: false, stats })
+    Ok(LazyOutcome { processes, invariant: s1, span: t1, trans: p1, failed: false, stats })
 }
 
 #[cfg(test)]
@@ -372,7 +358,7 @@ mod tests {
         b.build()
     }
 
-    fn as_lazy(out: &CautiousOutcome) -> LazyOutcome {
+    fn as_lazy(out: &LazyOutcome) -> LazyOutcome {
         LazyOutcome {
             processes: out.processes.clone(),
             invariant: out.invariant,

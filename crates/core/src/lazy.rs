@@ -5,7 +5,6 @@
 use crate::add_masking::add_masking_seeded;
 use crate::cancel::{RepairAborted, Token};
 use crate::options::RepairOptions;
-use crate::parallel::step2_parallel_cancellable;
 use crate::stats::RepairStats;
 use crate::step2::step2_cancellable;
 use crate::warm::WarmSeeds;
@@ -53,26 +52,17 @@ pub fn lazy_repair_traced(
     opts: &RepairOptions,
     tele: &Telemetry,
 ) -> Result<LazyOutcome, RepairAborted> {
-    lazy_repair_cancellable(prog, opts, tele, &Token::from_options(opts))
+    lazy_repair_warm(prog, opts, tele, &Token::from_options(opts), &WarmSeeds::none())
 }
 
-/// [`lazy_repair_traced`] against an externally owned [`Token`], so a
-/// server can cancel or deadline a run it did not configure via options.
-/// The token is checked on entry (an already-expired deadline aborts
-/// before any transition is added) and at every fixpoint iteration of both
-/// steps and the outer loop.
-pub fn lazy_repair_cancellable(
-    prog: &mut DistributedProgram,
-    opts: &RepairOptions,
-    tele: &Telemetry,
-    token: &Token,
-) -> Result<LazyOutcome, RepairAborted> {
-    lazy_repair_warm(prog, opts, tele, token, &WarmSeeds::none())
-}
-
-/// [`lazy_repair_cancellable`] with warm-start seeds: a cached neighbor's
-/// invariant/fault-span BDDs (already imported into `prog`'s manager) seed
-/// the first outer iteration's Step 1 reachability. Deadlock retries run
+/// [`lazy_repair_traced`] against an externally owned [`Token`], with
+/// warm-start seeds. The token lets a server cancel or deadline a run it
+/// did not configure via options; it is checked on entry (an
+/// already-expired deadline aborts before any transition is added) and at
+/// every fixpoint iteration of both steps and the outer loop. The seeds —
+/// a cached neighbor's invariant/fault-span BDDs, already imported into
+/// `prog`'s manager — seed the first outer iteration's Step 1
+/// reachability. Deadlock retries run
 /// unseeded — their whole point is to shrink what the first pass grew. With
 /// empty seeds this *is* the cold path. The caller is responsible for
 /// verifying the outcome (e.g. `verify::verify_outcome`) exactly as for a
@@ -225,11 +215,7 @@ fn lazy_repair_inner(
         let t1 = Instant::now();
         let r2 = {
             let _s = tele.span("step2");
-            if opts.parallel_step2 {
-                step2_parallel_cancellable(prog, r1.trans, r1.span, opts, tele, token)
-            } else {
-                step2_cancellable(prog, r1.trans, r1.span, opts, tele, token)
-            }
+            step2_cancellable(prog, r1.trans, r1.span, opts, tele, token)
         };
         let step2_elapsed = t1.elapsed();
         stats.step2_time += step2_elapsed;
@@ -459,6 +445,15 @@ mod tests {
         assert_eq!(snap.counter("step2.picks"), 0);
     }
 
+    /// Default-options repair under an external token and seeds.
+    fn run_under(
+        p: &mut DistributedProgram,
+        token: &Token,
+        seeds: &WarmSeeds,
+    ) -> Result<LazyOutcome, RepairAborted> {
+        lazy_repair_warm(p, &RepairOptions::default(), &Telemetry::off(), token, seeds)
+    }
+
     #[test]
     fn checkpoint_offers_fire_and_seed_a_resumed_run() {
         use crate::checkpoint::{CheckpointImage, CheckpointPolicy, Checkpointer};
@@ -476,9 +471,7 @@ mod tests {
         }));
         let mut p = partial_view();
         let token = Token::unbounded().with_checkpointer(Arc::clone(&ck));
-        let out =
-            lazy_repair_cancellable(&mut p, &RepairOptions::default(), &Telemetry::off(), &token)
-                .unwrap();
+        let out = run_under(&mut p, &token, &WarmSeeds::none()).unwrap();
         assert!(!out.failed);
         assert!(ck.writes() >= 1, "every hooked boundary should have written");
 
@@ -490,14 +483,7 @@ mod tests {
             invariant: Some(q.cx.mgr().try_import(&last.invariant).expect("invariant imports")),
             span: Some(q.cx.mgr().try_import(&last.span).expect("span imports")),
         };
-        let resumed = lazy_repair_warm(
-            &mut q,
-            &RepairOptions::default(),
-            &Telemetry::off(),
-            &Token::unbounded(),
-            &seeds,
-        )
-        .unwrap();
+        let resumed = run_under(&mut q, &Token::unbounded(), &seeds).unwrap();
         assert!(!resumed.failed);
         let (masking, realizability) = verify_outcome(&mut q, &resumed);
         assert!(masking.ok(), "{masking:?}");
@@ -530,8 +516,7 @@ mod tests {
         let mut p = partial_view();
         let token =
             Token::unbounded().with_flag(Arc::clone(&flag)).with_checkpointer(Arc::clone(&ck));
-        let r =
-            lazy_repair_cancellable(&mut p, &RepairOptions::default(), &Telemetry::off(), &token);
+        let r = run_under(&mut p, &token, &WarmSeeds::none());
         assert_eq!(r.unwrap_err(), RepairAborted::Cancelled);
         assert_eq!(ck.writes(), 1, "exactly the snapshot that triggered the cancel");
     }
@@ -541,8 +526,7 @@ mod tests {
         let mut p = partial_view();
         let flag = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         let token = Token::unbounded().with_flag(flag);
-        let r =
-            lazy_repair_cancellable(&mut p, &RepairOptions::default(), &Telemetry::off(), &token);
+        let r = run_under(&mut p, &token, &WarmSeeds::none());
         assert_eq!(r.unwrap_err(), RepairAborted::Cancelled);
     }
 }

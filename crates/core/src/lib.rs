@@ -3,34 +3,29 @@
 //! The paper's contribution, implemented symbolically over
 //! [`ftrepair_bdd`] / [`ftrepair_symbolic`]:
 //!
-//! * [`add_masking`](crate::add_masking::add_masking) — **Step 1**: the
-//!   polynomial Add-Masking algorithm of Kulkarni & Arora, *ignoring*
-//!   realizability constraints, optionally restricted to the states the
-//!   fault-intolerant program reaches in the presence of faults (the
-//!   heuristic that makes lazy repair win — Section V-A).
-//! * [`step2`](crate::step2) — **Step 2** (Algorithm 2): enforce the
-//!   read/write realizability constraints *only by removing transitions*
-//!   (plus adding harmless transitions that start outside the fault-span),
-//!   group by group, with the exponential-savings `ExpandGroup`
-//!   optimization (Section V-B).
-//! * [`lazy`](crate::lazy) — **Algorithm 1**: the outer loop gluing the two
-//!   steps, outlawing transitions into any deadlock created by Step 2 and
+//! * [`add_masking()`] — **Step 1**: the polynomial Add-Masking algorithm
+//!   of Kulkarni & Arora, *ignoring* realizability constraints, optionally
+//!   restricted to the states the fault-intolerant program reaches in the
+//!   presence of faults (the heuristic that makes lazy repair win —
+//!   Section V-A).
+//! * [`step2()`] — **Step 2** (Algorithm 2): enforce the read/write
+//!   realizability constraints *only by removing transitions* (plus adding
+//!   harmless transitions that start outside the fault-span), group by
+//!   group, with the exponential-savings `ExpandGroup` optimization
+//!   (Section V-B).
+//! * [`lazy`] — **Algorithm 1**: the outer loop gluing the two steps,
+//!   outlawing transitions into any deadlock created by Step 2 and
 //!   re-running until quiescence.
-//! * [`cautious`](crate::cautious) — the **baseline** of Section IV: the
-//!   same fixpoints, but with group closure and group-conflict resolution
-//!   applied inside *every* iteration, the cost lazy repair amortizes away.
-//! * [`parallel`](crate::parallel) — a parallel Step 2 (one worker per
-//!   process, each with its own BDD manager, shipped
-//!   [`ftrepair_bdd::SerializedBdd`]s) — our HPC extension; an ablation
-//!   bench quantifies it.
-//! * [`checkpoint`](crate::checkpoint) — mid-repair snapshots offered at
-//!   the same loop boundaries the cancellation [`Token`] polls, so a
-//!   drained, timed-out, or budget-killed run leaves a resume point a
-//!   later run can warm-start from.
-//! * [`report`](crate::report) — the JSONL run-report builder shared by the
-//!   CLI's `--metrics-out` and the bench tables; every algorithm above has
-//!   a `_traced` variant taking an [`ftrepair_telemetry::Telemetry`] handle
-//!   that feeds it.
+//! * [`cautious`] — the **baseline** of Section IV: the same fixpoints, but
+//!   with group closure and group-conflict resolution applied inside
+//!   *every* iteration, the cost lazy repair amortizes away.
+//! * [`checkpoint`] — mid-repair snapshots offered at the same loop
+//!   boundaries the cancellation [`Token`] polls, so a drained, timed-out,
+//!   or budget-killed run leaves a resume point a later run can warm-start
+//!   from.
+//! * [`report`] — the JSONL run-report builder shared by the CLI's
+//!   `--metrics-out` and the bench tables; the repair entry points take an
+//!   [`ftrepair_telemetry::Telemetry`] handle that feeds it.
 //!
 //! Every public entry point returns enough of the intermediate state
 //! (`ms`, `mt`, invariant, fault-span, per-process relations) for the
@@ -44,7 +39,6 @@ pub mod cautious;
 pub mod checkpoint;
 pub mod lazy;
 pub mod options;
-pub mod parallel;
 pub mod ranking;
 mod reorder;
 pub mod report;
@@ -55,15 +49,11 @@ pub mod warm;
 
 pub use add_masking::{add_masking, add_masking_seeded, AddMaskingResult};
 pub use cancel::{RepairAborted, Token};
-pub use cautious::{
-    cautious_repair, cautious_repair_cancellable, cautious_repair_traced, CautiousOutcome,
-};
+pub use cautious::{cautious_repair, cautious_repair_cancellable, cautious_repair_traced};
 pub use checkpoint::{CheckpointImage, CheckpointPolicy, Checkpointer};
-pub use lazy::{
-    lazy_repair, lazy_repair_cancellable, lazy_repair_traced, lazy_repair_warm, LazyOutcome,
-};
+pub use lazy::{lazy_repair, lazy_repair_traced, lazy_repair_warm, LazyOutcome};
 pub use options::{ReorderMode, RepairOptions, AUTO_REORDER_THRESHOLD};
 pub use report::build_run_report;
 pub use stats::RepairStats;
-pub use step2::{step2, step2_cancellable, step2_traced, Step2Result};
+pub use step2::{step2, step2_cancellable, Step2Result};
 pub use warm::WarmSeeds;

@@ -78,9 +78,6 @@ pub struct RepairOptions {
     /// many sibling groups per iteration. Only meaningful for the
     /// iterative strategy (`step2_closed_form = false`).
     pub use_expand_group: bool,
-    /// Run Step 2's per-process loop on worker threads (one BDD manager
-    /// per process). Our HPC extension; not part of the paper.
-    pub parallel_step2: bool,
     /// Accept states that lose *all* their transitions inside the repaired
     /// invariant as legal termination points (Definition 18 stutters them).
     /// Sound whenever the specification has no leads-to liveness inside the
@@ -123,7 +120,6 @@ impl Default for RepairOptions {
             restrict_to_reachable: true,
             step2_closed_form: true,
             use_expand_group: true,
-            parallel_step2: false,
             allow_new_terminal_inside: true,
             max_outer_iterations: 32,
             deadline: None,
@@ -163,7 +159,6 @@ mod tests {
         assert!(o.restrict_to_reachable);
         assert!(o.step2_closed_form);
         assert!(o.use_expand_group);
-        assert!(!o.parallel_step2);
         assert!(o.allow_new_terminal_inside);
         assert_eq!(o.max_outer_iterations, 32);
         assert!(o.deadline.is_none(), "no deadline unless a caller opts in");

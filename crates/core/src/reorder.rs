@@ -1,11 +1,10 @@
 //! Wiring between [`ReorderMode`](crate::options::ReorderMode) and the BDD
 //! manager's dynamic-reordering machinery.
 //!
-//! Only the repair entry points (`lazy_repair_cancellable`,
-//! `cautious_repair_cancellable`, and the parallel Step 2 workers) enable
-//! reordering; the standalone building blocks (`add_masking`, `step2`) keep
-//! the manager's defaults, so their checkpoint calls are no-ops unless a
-//! caller armed the trigger. The checkpoints themselves live at the same
+//! Only the repair entry points (`lazy_repair_warm` and
+//! `cautious_repair_cancellable`) enable reordering; the standalone
+//! building blocks (`add_masking`, `step2`) keep the manager's defaults,
+//! so their checkpoint calls are no-ops unless a caller armed the trigger. The checkpoints themselves live at the same
 //! safe boundaries where the cancellation token is polled — between BDD
 //! operations, with every live local passed as a root.
 

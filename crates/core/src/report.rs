@@ -53,7 +53,9 @@ fn options_json(opts: &RepairOptions) -> Json {
     o.set("restrict_to_reachable", opts.restrict_to_reachable.into());
     o.set("step2_closed_form", opts.step2_closed_form.into());
     o.set("use_expand_group", opts.use_expand_group.into());
-    o.set("parallel_step2", opts.parallel_step2.into());
+    // Always false: the parallel Step 2 was removed, and the field stays
+    // so run reports and `/repair` documents keep their shape.
+    o.set("parallel_step2", false.into());
     o.set("allow_new_terminal_inside", opts.allow_new_terminal_inside.into());
     o.set("reorder", opts.reorder.as_str().into());
     o

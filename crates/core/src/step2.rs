@@ -31,24 +31,14 @@ pub fn step2(
     span: NodeId,
     opts: &RepairOptions,
 ) -> Result<Step2Result, RepairAborted> {
-    step2_traced(prog, trans, span, opts, &Telemetry::off())
+    step2_cancellable(prog, trans, span, opts, &Telemetry::off(), &Token::from_options(opts))
 }
 
-/// [`step2`] with telemetry: group pick/keep/drop/expand decisions are
-/// counted into `tele` alongside the [`RepairStats`] fields (same events,
-/// same numbers — run reports and returned stats must agree).
-pub fn step2_traced(
-    prog: &mut DistributedProgram,
-    trans: NodeId,
-    span: NodeId,
-    opts: &RepairOptions,
-    tele: &Telemetry,
-) -> Result<Step2Result, RepairAborted> {
-    step2_cancellable(prog, trans, span, opts, tele, &Token::from_options(opts))
-}
-
-/// [`step2_traced`] against an externally owned [`Token`] — how Algorithm
-/// 1 shares one deadline across both steps.
+/// [`step2`] with telemetry, against an externally owned [`Token`] — how
+/// Algorithm 1 shares one deadline across both steps. Group
+/// pick/keep/drop/expand decisions are counted into `tele` alongside the
+/// [`RepairStats`] fields (same events, same numbers — run reports and
+/// returned stats must agree).
 pub fn step2_cancellable(
     prog: &mut DistributedProgram,
     trans: NodeId,
@@ -113,13 +103,12 @@ pub(crate) fn process_partition(
     partition_for(&mut prog.cx, &read, &write, delta, opts, keep, stats, tele, token)
 }
 
-/// Standalone form of the per-process loop: everything it needs is the
-/// context and the process's read/write sets, so the parallel Step 2 can
-/// run it on a forked context in a worker thread. Checks `token` before
-/// each group-operation batch: once per closed-form pass, once per pick in
-/// the iterative loop. `keep` lists the caller's live BDD roots — the
-/// reorder checkpoints here (same boundaries as the token checks) pass
-/// them through so a mid-partition sift cannot collect them.
+/// The loop behind [`process_partition`], over just the context and the
+/// process's read/write sets, so the cautious baseline runs it too. Checks
+/// `token` before each group-operation batch: once per closed-form pass,
+/// once per pick in the iterative loop. `keep` lists the caller's live BDD
+/// roots — the reorder checkpoints here (same boundaries as the token
+/// checks) pass them through so a mid-partition sift cannot collect them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn partition_for(
     cx: &mut SymbolicContext,
@@ -404,7 +393,7 @@ mod tests {
         let opts =
             RepairOptions { deadline: Some(std::time::Duration::ZERO), ..Default::default() };
         let tele = Telemetry::new();
-        let r = step2_traced(&mut p, t, TRUE, &opts, &tele);
+        let r = step2_cancellable(&mut p, t, TRUE, &opts, &tele, &Token::from_options(&opts));
         assert_eq!(r.unwrap_err(), RepairAborted::Timeout);
         assert_eq!(tele.snapshot().counter("step2.picks"), 0, "no pick before the abort");
     }

@@ -80,17 +80,6 @@ fn heuristic_off_explores_a_larger_span() {
 }
 
 #[test]
-fn parallel_step2_reproduces_sequential_on_byzantine() {
-    let (mut p, _) = byzantine_agreement(2);
-    let seq = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
-    let par =
-        lazy_repair(&mut p, &RepairOptions { parallel_step2: true, ..Default::default() }).unwrap();
-    assert!(!seq.failed && !par.failed);
-    assert_eq!(seq.trans, par.trans);
-    assert_eq!(seq.invariant, par.invariant);
-}
-
-#[test]
 fn tiny_node_budget_aborts_with_resource_exhausted() {
     // A budget far below the program's own BDDs cannot be rescued by any
     // GC: the first governance checkpoint latches exhaustion and the next

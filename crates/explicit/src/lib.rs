@@ -14,7 +14,7 @@
 //! `ftrepair-core` and at the workspace root hold them to that.
 //!
 //! The crate also contains a reference implementation of Add-Masking
-//! (Kulkarni & Arora) in [`add_masking`], with the same
+//! (Kulkarni & Arora) in [`add_masking`](mod@add_masking), with the same
 //! reachable-restriction heuristic switch the paper's Step 1 uses.
 
 pub mod add_masking;

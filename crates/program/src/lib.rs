@@ -24,7 +24,7 @@
 //!   double-check every repaired program.
 //!
 //! The three-transition examples of the paper's Figures 3–5 appear verbatim
-//! as unit tests in [`realizability`](crate::realizability).
+//! as unit tests in [`realizability`].
 
 pub mod decompile;
 pub mod model;

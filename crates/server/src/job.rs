@@ -1,20 +1,26 @@
-//! The repair job pipeline shared by the HTTP handlers and the CLI's
-//! `simulate` subcommand: canonicalize a spec, address it, run the repair,
+//! The repair job pipeline shared by the daemon's requests, its journal
+//! replay, and the CLI's `repair` and `simulate`: canonicalize a spec,
+//! address it, seed it from the store tiers, run and verify the repair,
 //! and (for small instances) build the explicit bundle that fault-injection
 //! simulation replays.
 
 use ftrepair_bdd::{NodeId, SerializedBdd};
 use ftrepair_core::{
     build_run_report, cautious_repair_cancellable, lazy_repair_warm, verify::verify_outcome,
-    LazyOutcome, ReorderMode, RepairAborted, RepairOptions, RepairStats, Token, WarmSeeds,
+    CheckpointPolicy, Checkpointer, LazyOutcome, ReorderMode, RepairAborted, RepairOptions,
+    RepairStats, Token, WarmSeeds,
 };
 use ftrepair_explicit::extract::{bdd_to_edges, bdd_to_states, ExplicitProgram};
 use ftrepair_explicit::simulate::{simulate, SimConfig, SimFailure, SimReport};
 use ftrepair_lang::ast::Program as Ast;
 use ftrepair_program::Process;
-use ftrepair_store::{find_artifact, SpecFingerprint, ART_INVARIANT, ART_SPAN, ART_TRANS};
+use ftrepair_store::{
+    find_artifact, CheckpointStore, DiskStore, NewEntry, SpecFingerprint, ART_INVARIANT, ART_MS,
+    ART_SPAN, ART_TRANS,
+};
 use ftrepair_telemetry::{Json, RunReport, Telemetry};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Largest state space the simulation bundle is built for. The explicit
 /// extraction is quadratic in the number of states, so it is reserved for
@@ -70,27 +76,24 @@ impl JobSpec {
     }
 }
 
-/// Options rendered into a short stable string for the content address.
-/// `RepairOptions::deadline` is deliberately left out: a deadline changes
-/// whether the repair *finishes*, never what it computes, and aborted runs
-/// are never cached — so two clients differing only in timeout share one
-/// entry.
+/// The options half of the content key, a short stable string. It is an
+/// *explicit* field list, not a derive over the whole struct: `deadline`
+/// and `max_nodes` bound whether a job finishes, never what it computes,
+/// and aborted runs are never cached — including them would fragment the
+/// cache, and the same spec run under ten budgets would compute the same
+/// repair ten times.
 /// `reorder` IS part of the address: all modes compute a semantically
 /// identical repair, but the rendered guarded commands enumerate cubes in
 /// BDD-structure order, so the cached *text* can differ between orders.
-/// The options half of the content key. Deliberately an *explicit* field
-/// list, not a derive over the whole struct: `deadline` and `max_nodes`
-/// bound whether a job finishes, never what it computes, so including them
-/// would fragment the cache — the same spec run under ten budgets would
-/// compute the same repair ten times.
+/// `p0` is the retired parallel-Step-2 flag, always off: it stays in the
+/// text so stores and journals written before its removal keep their keys.
 pub fn options_fingerprint(mode: Mode, o: &RepairOptions) -> String {
     format!(
-        "{}:r{}c{}e{}p{}t{}m{}:{}",
+        "{}:r{}c{}e{}p0t{}m{}:{}",
         mode.as_str(),
         o.restrict_to_reachable as u8,
         o.step2_closed_form as u8,
         o.use_expand_group as u8,
-        o.parallel_step2 as u8,
         o.allow_new_terminal_inside as u8,
         o.max_outer_iterations,
         o.reorder.as_str(),
@@ -103,7 +106,8 @@ pub fn options_fingerprint(mode: Mode, o: &RepairOptions) -> String {
 /// fingerprint, not the options struct, so the two stay in lockstep by
 /// construction (see the roundtrip test). Budgets (`deadline`,
 /// `max_nodes`) are not in the fingerprint; the caller re-applies the
-/// server's own limits.
+/// server's own limits. A `p1` (parallel Step 2, since removed) does not
+/// parse: that job cannot be rerun under the key it was recorded with.
 pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
     fn flag(rest: &str, tag: char) -> Option<(bool, &str)> {
         let rest = rest.strip_prefix(tag)?;
@@ -128,7 +132,7 @@ pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
     let (restrict_to_reachable, rest) = flag(flags, 'r')?;
     let (step2_closed_form, rest) = flag(rest, 'c')?;
     let (use_expand_group, rest) = flag(rest, 'e')?;
-    let (parallel_step2, rest) = flag(rest, 'p')?;
+    let rest = rest.strip_prefix("p0")?;
     let (allow_new_terminal_inside, rest) = flag(rest, 't')?;
     let max_outer_iterations = rest.strip_prefix('m')?.parse().ok()?;
     Some((
@@ -137,7 +141,6 @@ pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
             restrict_to_reachable,
             step2_closed_form,
             use_expand_group,
-            parallel_step2,
             allow_new_terminal_inside,
             max_outer_iterations,
             reorder,
@@ -228,8 +231,12 @@ pub struct JobResult {
     pub report: RunReport,
     /// Did the algorithm declare failure (no repair exists)?
     pub failed: bool,
-    /// Did the output pass the independent verifiers?
-    pub verified: bool,
+    /// Did the output pass the independent masking verifier? (`false` when
+    /// `failed`.)
+    pub masking: bool,
+    /// Did the output pass the independent realizability verifier?
+    /// (`false` when `failed`.)
+    pub realizable: bool,
     /// Explicit bundle for simulation, or the reason there is none.
     pub sim: SimStatus,
     /// Repair statistics (iterations, phase times) for job introspection.
@@ -242,7 +249,29 @@ pub struct JobResult {
     pub warm_used: bool,
 }
 
-/// A cached neighbor's artifacts, handed to [`execute_store`] to seed the
+impl JobResult {
+    /// Did the output pass both independent verifiers?
+    pub fn verified(&self) -> bool {
+        self.masking && self.realizable
+    }
+
+    /// The disk-store write for this result, taking its artifacts — `None`
+    /// unless the repair was verified and artifacts were exported.
+    pub fn take_store_entry(&mut self, spec: &JobSpec) -> Option<NewEntry> {
+        let artifacts = self.artifacts.take()?;
+        Some(NewEntry {
+            key: spec.key.clone(),
+            case: spec.name.clone(),
+            mode: spec.mode.as_str().to_string(),
+            warm_start: self.warm_used,
+            fingerprint: spec.fingerprint(),
+            response: self.response.clone(),
+            artifacts,
+        })
+    }
+}
+
+/// A cached neighbor's artifacts, handed to [`execute`] to seed the
 /// repair's first reachability fixpoint.
 #[derive(Debug)]
 pub struct WarmInfo {
@@ -257,14 +286,82 @@ pub struct WarmInfo {
     pub span: SerializedBdd,
 }
 
+/// Fingerprint distance (differing action hashes) up to which a stored
+/// neighbor is close enough to donate warm-start seeds. One edited action
+/// costs 2 (one hash removed, one added), so this admits a handful of
+/// action edits — beyond that the seed's head start fades and the lookup
+/// is just wasted imports.
+pub const WARM_MAX_DISTANCE: usize = 16;
+
+/// This key's own mid-repair checkpoint slot, repackaged as warm-start
+/// seeds at distance 0: a resumed run seeds Step 1 from where the
+/// interrupted one stopped instead of from zero. Returns the slot's
+/// iteration beside the seeds. Lazy mode only — the cautious baseline has
+/// no seedable phase.
+pub fn checkpoint_seed(ckpts: &CheckpointStore, spec: &JobSpec) -> Option<(u64, WarmInfo)> {
+    if spec.mode != Mode::Lazy {
+        return None;
+    }
+    let slot = ckpts.get(&spec.key)?;
+    let invariant = find_artifact(&slot.artifacts, ART_INVARIANT)?.clone();
+    let span = find_artifact(&slot.artifacts, ART_SPAN)?.clone();
+    let neighbor = format!("checkpoint@{}", slot.iteration);
+    Some((slot.iteration, WarmInfo { neighbor, distance: 0, invariant, span }))
+}
+
+/// The nearest stored neighbor within [`WARM_MAX_DISTANCE`], as warm-start
+/// seeds: a resubmitted spec differing in a few actions imports the
+/// neighbor's invariant and fault-span and seeds the first reachability
+/// fixpoint. Lazy mode only.
+pub fn neighbor_seed(store: &DiskStore, spec: &JobSpec) -> Option<WarmInfo> {
+    if spec.mode != Mode::Lazy {
+        return None;
+    }
+    let (neighbor, distance) = store.nearest(&spec.fingerprint(), WARM_MAX_DISTANCE)?;
+    let mut artifacts = store.peek(&neighbor)?.artifacts;
+    let mut take = |name: &str| {
+        let i = artifacts.iter().position(|(n, _)| n == name)?;
+        Some(artifacts.swap_remove(i).1)
+    };
+    let invariant = take(ART_INVARIANT)?;
+    let span = take(ART_SPAN)?;
+    Some(WarmInfo { neighbor, distance, invariant, span })
+}
+
+/// The checkpoint sink for one job: every policy-approved offer from the
+/// repair loops (and the forced final offer when an abort is imminent)
+/// lands the job's current `(invariant, span, ms)` in its slot —
+/// crash-safely, so the slot is always the previous or the new snapshot,
+/// never a torn one. `written` hears the key and how each write went.
+pub fn checkpoint_sink(
+    ckpts: &Arc<CheckpointStore>,
+    key: &str,
+    written: impl Fn(&str, std::io::Result<()>) + Send + Sync + 'static,
+) -> Arc<Checkpointer> {
+    let ckpts = Arc::clone(ckpts);
+    let key = key.to_string();
+    Arc::new(Checkpointer::new(CheckpointPolicy::default(), move |img| {
+        let result = ckpts.put(
+            &key,
+            img.iteration,
+            &[
+                (ART_INVARIANT.to_string(), img.invariant.clone()),
+                (ART_SPAN.to_string(), img.span.clone()),
+                (ART_MS.to_string(), img.ms.clone()),
+            ],
+        );
+        written(&key, result)
+    }))
+}
+
 /// Why a job produced no result.
 #[derive(Debug)]
 pub enum ExecError {
     /// The spec is semantically broken ("compile error: …") — a client
     /// error, ready to serve as an HTTP 400 body.
     Invalid(String),
-    /// The job's deadline or cancellation token fired mid-repair — a
-    /// transient server condition (503), never cached.
+    /// The job's deadline, node budget, or cancellation token fired
+    /// mid-repair — a transient server condition (503), never cached.
     Aborted(RepairAborted),
 }
 
@@ -275,26 +372,6 @@ impl std::fmt::Display for ExecError {
             ExecError::Aborted(why) => write!(f, "{why}"),
         }
     }
-}
-
-/// Compile and repair a prepared job. [`ExecError::Invalid`] carries a
-/// compile-time semantic error ("compile error: …"); the deadline (from
-/// [`RepairOptions::deadline`]) surfaces as [`ExecError::Aborted`].
-/// `build_sim` additionally extracts the explicit bundle when the state
-/// space is at most [`SIM_STATE_CAP`] states.
-pub fn execute(spec: &JobSpec, tele: &Telemetry, build_sim: bool) -> Result<JobResult, ExecError> {
-    execute_cancellable(spec, tele, build_sim, &Token::from_options(&spec.opts))
-}
-
-/// [`execute`] against an externally owned token — the server arms one per
-/// job with its `--job-timeout` and drain flag.
-pub fn execute_cancellable(
-    spec: &JobSpec,
-    tele: &Telemetry,
-    build_sim: bool,
-    token: &Token,
-) -> Result<JobResult, ExecError> {
-    execute_store(spec, tele, build_sim, token, None, false)
 }
 
 /// Compile, optionally warm-start, and run one repair. Seeds are accepted
@@ -314,24 +391,22 @@ fn run_repair(
             Ok((out, !seeds.is_empty()))
         }
         Mode::Cautious => {
-            let c = cautious_repair_cancellable(prog, &spec.opts, tele, token)
+            let out = cautious_repair_cancellable(prog, &spec.opts, tele, token)
                 .map_err(ExecError::Aborted)?;
-            Ok((
-                LazyOutcome {
-                    processes: c.processes,
-                    invariant: c.invariant,
-                    span: c.span,
-                    trans: c.trans,
-                    failed: c.failed,
-                    stats: c.stats,
-                },
-                false,
-            ))
+            Ok((out, false))
         }
     }
 }
 
-/// The full store-aware pipeline behind [`execute_cancellable`].
+/// Compile, repair, and independently verify a prepared job — the one
+/// execution path behind every front end.
+///
+/// `token` bounds the run (deadline, node budget, cancel flag, and an
+/// optional checkpoint sink); a fired token surfaces as
+/// [`ExecError::Aborted`], a compile-time semantic error ("compile error:
+/// …") as [`ExecError::Invalid`]. `build_sim` additionally extracts the
+/// explicit bundle when the state space is at most [`SIM_STATE_CAP`]
+/// states.
 ///
 /// `warm` carries a cached neighbor's invariant/fault-span artifacts; when
 /// they import cleanly (and the mode is lazy) they seed Step 1's first
@@ -342,7 +417,7 @@ fn run_repair(
 /// cold from a fresh compile. `export_artifacts` additionally serializes
 /// the repaired transition relation, invariant, and fault-span for the
 /// disk store (verified successful repairs only).
-pub fn execute_store(
+pub fn execute(
     spec: &JobSpec,
     tele: &Telemetry,
     build_sim: bool,
@@ -374,50 +449,42 @@ pub fn execute_store(
 
     let (mut out, mut warm_used) = run_repair(&mut prog, spec, tele, token, &seeds)?;
 
-    // Snapshot the report before the verifier pollutes cache hit rates
-    // (same ordering as the CLI).
-    let mut report = build_run_report(
-        &spec.name,
-        spec.mode.as_str(),
-        &spec.opts,
-        &out.stats,
-        out.failed,
-        tele,
-        &prog.cx,
-    );
-
-    let mut verified = false;
-    if !out.failed {
-        let (m, r) = verify_outcome(&mut prog, &out);
-        verified = m.ok() && r.ok();
-        if !verified && warm_used {
-            // Warm seeding is proven sound, but a cached artifact is still
-            // external input: if the seeded run somehow fails the
-            // independent verifiers, distrust the seed and redo the job
-            // cold from scratch rather than serving an unverified repair.
-            tele.add("repair.warm_verify_failures", 1);
-            prog = ftrepair_lang::compile(&spec.ast)
-                .map_err(|e| ExecError::Invalid(format!("compile error: {e}")))?;
-            let (cold, _) = run_repair(&mut prog, spec, tele, token, &WarmSeeds::none())?;
-            out = cold;
-            warm_used = false;
-            report = build_run_report(
-                &spec.name,
-                spec.mode.as_str(),
-                &spec.opts,
-                &out.stats,
-                out.failed,
-                tele,
-                &prog.cx,
-            );
-            verified = if out.failed {
-                false
-            } else {
-                let (m, r) = verify_outcome(&mut prog, &out);
-                m.ok() && r.ok()
-            };
+    // Snapshot the report before the verifier pollutes cache hit rates.
+    let report_for = |out: &LazyOutcome, prog: &ftrepair_program::DistributedProgram| {
+        build_run_report(
+            &spec.name,
+            spec.mode.as_str(),
+            &spec.opts,
+            &out.stats,
+            out.failed,
+            tele,
+            &prog.cx,
+        )
+    };
+    let mut report = report_for(&out, &prog);
+    let verify = |prog: &mut ftrepair_program::DistributedProgram, out: &LazyOutcome| {
+        if out.failed {
+            return (false, false);
         }
+        let (m, r) = verify_outcome(prog, out);
+        (m.ok(), r.ok())
+    };
+
+    let (mut masking, mut realizable) = verify(&mut prog, &out);
+    if warm_used && !(out.failed || masking && realizable) {
+        // Warm seeding is proven sound, but a cached artifact is still
+        // external input: if the seeded run somehow fails the independent
+        // verifiers, distrust the seed and redo the job cold from scratch
+        // rather than serving an unverified repair.
+        tele.add("repair.warm_verify_failures", 1);
+        prog = ftrepair_lang::compile(&spec.ast)
+            .map_err(|e| ExecError::Invalid(format!("compile error: {e}")))?;
+        (out, _) = run_repair(&mut prog, spec, tele, token, &WarmSeeds::none())?;
+        warm_used = false;
+        report = report_for(&out, &prog);
+        (masking, realizable) = verify(&mut prog, &out);
     }
+    let verified = masking && realizable;
 
     let mut response = Json::obj();
     response.set("ok", true.into());
@@ -460,7 +527,8 @@ pub fn execute_store(
         response,
         report,
         failed: out.failed,
-        verified,
+        masking,
+        realizable,
         sim,
         stats: out.stats,
         artifacts,
@@ -614,9 +682,10 @@ mod tests {
     #[test]
     fn execute_repairs_verifies_and_builds_sim_bundle() {
         let spec = prepare(TOGGLE, Mode::Lazy, RepairOptions::default()).unwrap();
-        let result = execute(&spec, &Telemetry::off(), true).unwrap();
+        let token = Token::from_options(&spec.opts);
+        let result = execute(&spec, &Telemetry::off(), true, &token, None, false).unwrap();
         assert!(!result.failed);
-        assert!(result.verified);
+        assert!(result.masking && result.realizable);
         assert_eq!(result.response.get("ok").unwrap().as_bool(), Some(true));
         assert!(result.response.get("program").unwrap().as_str().unwrap().contains("(x = 2) ->"));
 
@@ -669,7 +738,6 @@ mod tests {
             RepairOptions::pure_lazy(),
             RepairOptions {
                 step2_closed_form: false,
-                parallel_step2: true,
                 allow_new_terminal_inside: false,
                 max_outer_iterations: 7,
                 reorder: ReorderMode::Sift,
@@ -690,6 +758,15 @@ mod tests {
                 assert_eq!(options_fingerprint(mode2, &opts2), fp, "roundtrip: {fp}");
             }
         }
+        // The default options' key text is pinned: stores and journals
+        // written by earlier builds must keep addressing the same entries.
+        assert_eq!(
+            options_fingerprint(Mode::Lazy, &RepairOptions::default()),
+            "lazy:r1c1e1p0t1m32:auto"
+        );
+        // A record submitted with the removed parallel Step 2 cannot be
+        // replayed under the key it was journaled with.
+        assert!(options_from_fingerprint("lazy:r1c1e1p1t1m32:auto").is_none(), "retired p1");
         assert!(options_from_fingerprint("lazy:r1c1e1p0t1m32").is_none(), "missing reorder part");
         assert!(options_from_fingerprint("eager:r1c1e1p0t1m32:auto").is_none(), "unknown mode");
         assert!(options_from_fingerprint("lazy:r1c1e1p0t9m32:auto").is_none(), "bad flag bit");
@@ -703,7 +780,8 @@ mod tests {
             RepairOptions::default(),
         )
         .unwrap();
-        let err = execute(&spec, &Telemetry::off(), false).unwrap_err();
+        let token = Token::from_options(&spec.opts);
+        let err = execute(&spec, &Telemetry::off(), false, &token, None, false).unwrap_err();
         let msg = err.to_string();
         assert!(matches!(err, ExecError::Invalid(_)), "{err:?}");
         assert!(msg.starts_with("compile error:"), "{msg}");
@@ -715,7 +793,8 @@ mod tests {
         let opts =
             RepairOptions { deadline: Some(std::time::Duration::ZERO), ..RepairOptions::default() };
         let spec = prepare(TOGGLE, Mode::Lazy, opts).unwrap();
-        let err = execute(&spec, &Telemetry::off(), false).unwrap_err();
+        let token = Token::from_options(&spec.opts);
+        let err = execute(&spec, &Telemetry::off(), false, &token, None, false).unwrap_err();
         assert!(matches!(err, ExecError::Aborted(RepairAborted::Timeout)), "{err:?}");
         // The deadline is not part of the content address.
         let plain = prepare(TOGGLE, Mode::Lazy, RepairOptions::default()).unwrap();

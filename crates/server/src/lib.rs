@@ -16,7 +16,7 @@
 //!
 //! | Endpoint | Meaning |
 //! |---|---|
-//! | `POST /repair` | body = `.ftr` spec; returns repaired guarded commands + run report (JSON). Query: `mode=lazy\|cautious`, `pure-lazy`, `iterative-step2`, `parallel`, `strict-terminal`. |
+//! | `POST /repair` | body = `.ftr` spec; returns repaired guarded commands + run report (JSON). Query: `mode=lazy\|cautious`, `pure-lazy`, `iterative-step2`, `strict-terminal`, `reorder=none\|sift\|auto`, `max-nodes=N`. |
 //! | `POST /simulate` | same body/query, plus `runs=N`, `max-faults=K`, `seed=S`; replays fault-injection batches against the (cached) repair. |
 //! | `GET /healthz` | liveness + uptime + degraded/ok verdict; the `store` block reports the disk tier's entry count, I/O errors, and circuit-breaker state, and each poll doubles as the breaker's half-open probe. |
 //! | `GET /metrics` | telemetry registry snapshot (cache hits/misses, queue depth, per-status counts, span times, latency histograms). `?format=prometheus` renders the Prometheus 0.0.4 text exposition instead of JSON. |
@@ -27,6 +27,12 @@
 //! `X-Trace-Id` header or minted server-side — echoed back in the
 //! `X-Trace-Id` response header and in `/repair` / `/simulate` bodies,
 //! and used as the `/jobs` key.
+//!
+//! One lifecycle serves every job, whether a request or a journal replay
+//! at boot: poison check, memory cache, single-flight, store tier,
+//! journal, warm seed, the guarded [`job::execute`], and one
+//! classification of how it ended. The CLI's `repair` and `simulate` run
+//! the same [`job::prepare`] → [`job::execute`] pipeline.
 //!
 //! Backpressure: the job queue is bounded; when it is full new connections
 //! are answered `429` immediately. Shutdown: SIGTERM/ctrl-c stops the
@@ -49,7 +55,7 @@
 //! `/healthz` re-enable it when the volume heals. `GET /healthz` stays
 //! 200 but reports `"degraded"` while a worker died or the queue
 //! saturated within the last [`ServerConfig::degraded_window`], and
-//! reports the store degraded while the breaker is open. The [`chaos`]
+//! reports the store degraded while the breaker is open. The `chaos`
 //! module (tests and the `chaos` cargo feature only) injects panics,
 //! delays, queue-full conditions, and — via the chaos-gated
 //! `ServerConfig::store_vfs` hook — disk faults, to exercise all of this

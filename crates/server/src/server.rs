@@ -17,14 +17,13 @@ use crate::cache::{CacheEntry, PoisonList, ResultCache};
 use crate::flight::InFlight;
 use crate::http::{self, Request};
 use crate::introspect::{JobRecord, JobRing, JobStatus, JOB_RING_CAP};
-use crate::job::{self, Mode, SimStatus};
+use crate::job::{self, ExecError, Mode, SimStatus};
 use crate::queue::{JobQueue, PushError};
 use crate::signal;
-use ftrepair_core::{CheckpointPolicy, Checkpointer, RepairAborted, RepairOptions, Token};
+use ftrepair_core::{RepairAborted, RepairOptions, Token};
 use ftrepair_explicit::simulate::SimConfig;
 use ftrepair_store::{
-    find_artifact, CheckpointStore, DiskStore, JobJournal, JournalRecord, NewEntry as StoreWrite,
-    ART_INVARIANT, ART_MS, ART_SPAN,
+    CheckpointStore, DiskStore, JobJournal, JournalRecord, NewEntry as StoreWrite,
 };
 use ftrepair_telemetry::report::set_snapshot_fields;
 use ftrepair_telemetry::trace::{format_trace_id, mint_trace_id, parse_trace_id};
@@ -144,13 +143,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// Fingerprint distance (differing action hashes) up to which a cached
-/// neighbor is considered close enough to donate warm-start seeds. One
-/// edited action costs 2 (one hash removed, one added), so this admits a
-/// handful of action edits — beyond that the seed's head start fades and
-/// the lookup is just wasted imports.
-const WARM_MAX_DISTANCE: usize = 16;
-
 struct Shared {
     /// Accepted connections, each paired with its enqueue instant so the
     /// worker that pops it can record the queue wait.
@@ -221,11 +213,47 @@ impl Shared {
     }
 
     /// The cancellation token one repair job runs under: the server-wide
-    /// cancel flag plus this job's deadline.
-    fn job_token(&self) -> Token {
-        Token::unbounded()
+    /// cancel flag plus this job's deadline, and the key's checkpoint sink
+    /// whenever checkpoint slots have a durable home.
+    fn job_token(&self, key: &str) -> Token {
+        let token = Token::unbounded()
             .with_flag(Arc::clone(&self.cancel_jobs))
-            .with_deadline_in(self.job_timeout)
+            .with_deadline_in(self.job_timeout);
+        let Some(ckpts) = &self.ckpts else {
+            return token;
+        };
+        let tele = self.tele.clone();
+        token.with_checkpointer(job::checkpoint_sink(
+            ckpts,
+            key,
+            move |key, written| match written {
+                Ok(()) => tele.add("server.jobs.checkpoints_written", 1),
+                Err(e) => {
+                    tele.add("telemetry.write_errors", 1);
+                    eprintln!("ftrepair-server: checkpoint write for {key} failed: {e}");
+                }
+            },
+        ))
+    }
+
+    /// The best warm-start seed for a full miss: the checkpoint slot of an
+    /// interrupted run of this exact key (distance 0 — resume, don't
+    /// restart), else the nearest stored neighbor's artifacts.
+    fn warm_seed(&self, spec: &job::JobSpec) -> Option<job::WarmInfo> {
+        if let Some((_, seed)) = self.ckpts.as_ref().and_then(|c| job::checkpoint_seed(c, spec)) {
+            self.tele.add("server.jobs.checkpoint_resumes", 1);
+            return Some(seed);
+        }
+        // A cautious job has no seedable phase, so it never touches the
+        // store (or its breaker) looking for one.
+        if !self.warm_start || spec.mode != Mode::Lazy {
+            return None;
+        }
+        let warm = self.with_store(|store| job::neighbor_seed(store, spec)).flatten();
+        if warm.is_some() {
+            self.tele.add("store.warm_lookups", 1);
+        }
+        warm
     }
 
     /// Run one read-path operation against the store under the breaker:
@@ -283,53 +311,6 @@ impl Shared {
                 eprintln!("ftrepair-server: journal done for {key} failed: {e}");
             }
         }
-    }
-
-    /// The checkpoint sink for one job: every policy-approved offer from
-    /// the repair loops lands the job's current `(invariant, span, ms)` in
-    /// its slot — crash-safely, so the slot is always the previous or the
-    /// new snapshot, never a torn one.
-    fn checkpointer_for(&self, key: &str) -> Option<Arc<Checkpointer>> {
-        let ckpts = Arc::clone(self.ckpts.as_ref()?);
-        let key = key.to_string();
-        let tele = self.tele.clone();
-        Some(Arc::new(Checkpointer::new(CheckpointPolicy::default(), move |img| {
-            match ckpts.put(
-                &key,
-                img.iteration,
-                &[
-                    (ART_INVARIANT.to_string(), img.invariant.clone()),
-                    (ART_SPAN.to_string(), img.span.clone()),
-                    (ART_MS.to_string(), img.ms.clone()),
-                ],
-            ) {
-                Ok(()) => tele.add("server.jobs.checkpoints_written", 1),
-                Err(e) => {
-                    tele.add("telemetry.write_errors", 1);
-                    eprintln!("ftrepair-server: checkpoint write for {key} failed: {e}");
-                }
-            }
-        })))
-    }
-
-    /// A previous incarnation's mid-repair snapshot for this exact key,
-    /// repackaged as warm-start seeds (distance 0): a resumed run seeds
-    /// Step 1 from where the interrupted one stopped instead of from zero.
-    /// Lazy mode only — the cautious baseline has no seedable phase.
-    fn checkpoint_resume(&self, spec: &job::JobSpec) -> Option<job::WarmInfo> {
-        if spec.mode != Mode::Lazy {
-            return None;
-        }
-        let slot = self.ckpts.as_ref()?.get(&spec.key)?;
-        let invariant = find_artifact(&slot.artifacts, ART_INVARIANT)?.clone();
-        let span = find_artifact(&slot.artifacts, ART_SPAN)?.clone();
-        self.tele.add("server.jobs.checkpoint_resumes", 1);
-        Some(job::WarmInfo {
-            neighbor: format!("checkpoint@{}", slot.iteration),
-            distance: 0,
-            invariant,
-            span,
-        })
     }
 
     fn note_worker_fault(&self) {
@@ -847,7 +828,7 @@ fn supervise_worker(shared: &Shared) {
             Ok(WorkerExit::Recycle) => {}
             Err(payload) => {
                 // A panic that escaped the per-job boundary (i.e. not a
-                // repair panic — those are absorbed in `cached_repair`).
+                // repair panic — those are absorbed in `run_job`).
                 shared.tele.add("server.workers.panics", 1);
                 shared.note_worker_fault();
                 eprintln!(
@@ -952,11 +933,11 @@ fn drain_with_deadline(shared: &Shared) {
     // the rest.
 }
 
-/// Replay the journal's pending records. A key already durable in the
-/// disk store completes as `recovered` without recompute; the rest
-/// re-execute (`replayed`), seeded from their checkpoint slot when the
-/// previous incarnation left one. Shutdown mid-recovery stops cleanly:
-/// untouched records stay pending for the next boot.
+/// Replay the journal's pending records. A key some tier already holds
+/// completes as `recovered` without recompute; the rest re-execute
+/// (`replayed`), seeded from their checkpoint slot when the previous
+/// incarnation left one. Shutdown mid-recovery stops cleanly: untouched
+/// records stay pending for the next boot.
 fn recover_jobs(shared: &Shared, pending: Vec<JournalRecord>) {
     let _active = ActiveGuard::enter(&shared.active);
     for rec in pending {
@@ -969,9 +950,9 @@ fn recover_jobs(shared: &Shared, pending: Vec<JournalRecord>) {
     }
 }
 
-/// Re-run one journaled job exactly as it was submitted: same canonical
+/// Re-run one journaled job exactly as it was submitted — same canonical
 /// spec, same options (re-parsed from the fingerprint), fresh trace
-/// honoring the recorded ID.
+/// honoring the recorded ID — through the same lifecycle as a request.
 fn replay_job(shared: &Shared, rec: &JournalRecord) {
     let trace_id = parse_trace_id(&rec.trace_id).unwrap_or_else(mint_trace_id);
     let Some((mode, opts)) = job::options_from_fingerprint(&rec.opts) else {
@@ -1008,84 +989,19 @@ fn replay_job(shared: &Shared, rec: &JournalRecord) {
     let record =
         JobRecord::new(trace_id, &spec.name, spec.mode.as_str(), &spec.key, Duration::ZERO);
     shared.jobs.push(Arc::clone(&record));
-
-    if shared.poison.contains(&spec.key) {
-        record.finish(JobStatus::Quarantined);
-        shared.journal_done(&spec.key, "quarantined");
-        return;
-    }
-    // Already durable? Recovery completes without recompute — the crash
-    // happened after the result landed but before the done record did.
-    if shared.cache.get(&spec.key).is_some()
-        || shared.with_store(|store| store.get(&spec.key)).flatten().is_some()
-    {
-        record.finish(JobStatus::Recovered);
-        shared.journal_done(&spec.key, "recovered-cached");
-        return;
-    }
-
-    let _lead = loop {
-        if shared.cache.get(&spec.key).is_some() {
-            // A live client raced us to this key and completed it.
+    match run_job(shared, &spec, &record, Origin::Replay) {
+        // Already in a tier: the crash came after the result landed but
+        // before the done record did, or a live client raced the replay.
+        Ok((_, Tier::Memory | Tier::Disk)) => {
             record.finish(JobStatus::Recovered);
             shared.journal_done(&spec.key, "recovered-cached");
-            return;
         }
-        match shared.inflight.begin(&spec.key) {
-            Some(guard) => break guard,
-            None => continue,
-        }
-    };
-
-    shared.replayed.fetch_add(1, Ordering::Relaxed);
-    shared.tele.add("server.jobs.replayed", 1);
-    let warm = shared.checkpoint_resume(&spec).or_else(|| warm_lookup(shared, &spec));
-
-    let job_tele = Telemetry::new();
-    let mut token = shared.job_token();
-    if let Some(ckpt) = shared.checkpointer_for(&spec.key) {
-        token = token.with_checkpointer(ckpt);
-    }
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        job::execute_store(&spec, &job_tele, true, &token, warm.as_ref(), shared.store.is_some())
-    }));
-    let job_snap = job_tele.snapshot();
-    shared.tele.absorb_snapshot(&job_snap);
-    match run {
-        Err(payload) => {
-            record.finish(JobStatus::Panicked);
-            shared.quarantine(&spec, &panic_message(payload.as_ref()));
-            // Retired, not left pending: replaying a deterministic panic
-            // at every boot would be a crash loop, not fault tolerance.
-            shared.journal_done(&spec.key, "panicked");
-        }
-        Ok(Err(job::ExecError::Invalid(message))) => {
-            record.finish(JobStatus::Invalid);
-            eprintln!("ftrepair-server: replay of {} failed to compile ({message})", spec.key);
-            shared.journal_done(&spec.key, "invalid");
-        }
-        Ok(Err(job::ExecError::Aborted(why))) => match why {
-            RepairAborted::Cancelled => {
-                // Shutdown mid-replay: the forced checkpoint is on disk
-                // and the record stays pending — the next boot resumes.
-                record.finish(JobStatus::Cancelled);
-                shared.tele.add("server.jobs.cancelled", 1);
-            }
-            RepairAborted::Timeout => {
-                record.finish(JobStatus::Timeout);
-                shared.tele.add("server.jobs.timed_out", 1);
-                shared.journal_done(&spec.key, "timeout");
-            }
-            RepairAborted::ResourceExhausted => {
-                record.finish(JobStatus::Exhausted);
-                shared.tele.add("server.jobs.exhausted", 1);
-                shared.journal_done(&spec.key, "exhausted");
-            }
-        },
-        Ok(Ok(result)) => {
-            let failed = result.failed;
-            finalize_success(shared, &spec, &record, result, &job_snap);
-            shared.journal_done(&spec.key, if failed { "unrepairable" } else { "completed" });
+        Ok((_, Tier::Computed)) => {}
+        Err(reply) => {
+            eprintln!(
+                "ftrepair-server: replay of {} ended {} {}",
+                spec.key, reply.status, reply.body
+            )
         }
     }
 }
@@ -1351,7 +1267,6 @@ fn job_params(
     let opts = RepairOptions {
         restrict_to_reachable: !req.query_flag("pure-lazy"),
         step2_closed_form: !req.query_flag("iterative-step2"),
-        parallel_step2: req.query_flag("parallel"),
         allow_new_terminal_inside: !req.query_flag("strict-terminal"),
         max_nodes,
         reorder,
@@ -1360,50 +1275,79 @@ fn job_params(
     Ok((mode, opts))
 }
 
-/// Why `cached_repair` could not produce a cache entry.
-struct JobFailure {
-    status: u16,
-    message: String,
-    /// The job panicked (absorbed); the worker recycles after replying.
-    panicked: bool,
+/// Who submitted a job.
+#[derive(Clone, Copy)]
+enum Origin {
+    /// A live `/repair` or `/simulate` request, with its trace ID. It is
+    /// journaled once it is about to execute.
+    Request(u64),
+    /// Boot recovery re-running a journal record that is already pending.
+    Replay,
 }
 
-fn refuse(status: u16, message: impl Into<String>) -> JobFailure {
-    JobFailure { status, message: message.into(), panicked: false }
+/// Which tier answered a job.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    Memory,
+    Disk,
+    Computed,
 }
 
-impl JobFailure {
-    fn reply(&self) -> Reply {
-        Reply {
-            status: self.status,
-            content_type: JSON,
-            body: error_body(&self.message),
-            job_panicked: self.panicked,
-        }
-    }
+/// How a job ended without a result.
+enum Ending {
+    /// The key is quarantined: the spec once panicked the engine.
+    Quarantined,
+    /// The engine panicked, with this message.
+    Panicked(String),
+    /// `job::execute` refused the spec or was aborted.
+    Failed(ExecError),
 }
 
-/// Run a spec through the cache: prepare, look up, execute on miss. Returns
-/// the entry plus whether it was served from cache, or an HTTP failure.
-/// Every request that survives `prepare` — cache hits included — gets a
-/// [`JobRecord`] in the introspection ring under its own trace ID.
+/// Run a request through the cache: parse and prepare, record, then the
+/// shared lifecycle. Returns the entry plus whether a tier served it, or
+/// the error reply. Every request that survives `prepare` — cache hits
+/// included — gets a [`JobRecord`] in the introspection ring under its own
+/// trace ID.
 fn cached_repair(
     shared: &Shared,
     req: &Request,
     ctx: &ReqCtx,
-) -> Result<(Arc<CacheEntry>, bool), JobFailure> {
+) -> Result<(Arc<CacheEntry>, bool), Reply> {
     let source =
-        std::str::from_utf8(&req.body).map_err(|_| refuse(400, "spec must be UTF-8 text"))?;
+        std::str::from_utf8(&req.body).map_err(|_| Reply::error(400, "spec must be UTF-8 text"))?;
     if source.trim().is_empty() {
-        return Err(refuse(400, "empty request body: POST the .ftr spec text"));
+        return Err(Reply::error(400, "empty request body: POST the .ftr spec text"));
     }
     let (mode, opts) = job_params(req, shared.default_reorder, shared.job_max_nodes)
-        .map_err(|m| refuse(400, m))?;
-    let spec = job::prepare(source, mode, opts).map_err(|m| refuse(400, m))?;
+        .map_err(|m| Reply::error(400, &m))?;
+    let spec = job::prepare(source, mode, opts).map_err(|m| Reply::error(400, &m))?;
 
     let record =
         JobRecord::new(ctx.trace_id, &spec.name, spec.mode.as_str(), &spec.key, ctx.queue_wait);
     shared.jobs.push(Arc::clone(&record));
+    let (entry, tier) = run_job(shared, &spec, &record, Origin::Request(ctx.trace_id))?;
+    match tier {
+        Tier::Memory => record.finish(JobStatus::CacheHit),
+        Tier::Disk => record.finish(JobStatus::DiskHit),
+        Tier::Computed => {}
+    }
+    Ok((entry, tier != Tier::Computed))
+}
+
+/// The one job lifecycle, shared by requests and journal replay: poison
+/// check, memory cache, single-flight, poison re-check, store tier,
+/// journal start, warm seed, token, the guarded `job::execute`, one
+/// classification of how it ended, and `finalize_success`. A tier hit is
+/// returned for the caller to record; every other ending is recorded here.
+fn run_job(
+    shared: &Shared,
+    spec: &job::JobSpec,
+    record: &JobRecord,
+    origin: Origin,
+) -> Result<(Arc<CacheEntry>, Tier), Reply> {
+    // A replayed record is pending in the journal already, so every ending
+    // settles it there; a request is journaled only once it executes.
+    let journaled = matches!(origin, Origin::Replay);
 
     // Single-flight: the first request for a key becomes the leader and
     // runs the repair; concurrent requests for the same key block in
@@ -1416,12 +1360,10 @@ fn cached_repair(
         // every follower woken by a panicking leader — is refused here
         // without ever reaching a worker again.
         if shared.poison.contains(&spec.key) {
-            record.finish(JobStatus::Quarantined);
-            return Err(refuse(422, "quarantined: this spec previously crashed the repair engine"));
+            return Err(end_job(shared, spec, record, journaled, Ending::Quarantined));
         }
         if let Some(entry) = shared.cache.get(&spec.key) {
-            record.finish(JobStatus::CacheHit);
-            return Ok((entry, true));
+            return Ok((entry, Tier::Memory));
         }
         match shared.inflight.begin(&spec.key) {
             Some(guard) => break guard,
@@ -1433,8 +1375,7 @@ fn cached_repair(
     // flight right after that leader panicked — without this it would
     // re-execute the crashing spec once per such race.
     if shared.poison.contains(&spec.key) {
-        record.finish(JobStatus::Quarantined);
-        return Err(refuse(422, "quarantined: this spec previously crashed the repair engine"));
+        return Err(end_job(shared, spec, record, journaled, Ending::Quarantined));
     }
 
     // The durable tier: an exact key persisted by an earlier process
@@ -1451,144 +1392,129 @@ fn cached_repair(
             response: stored.response,
             sim,
         });
-        record.finish(JobStatus::DiskHit);
-        return Ok((entry, true));
+        return Ok((entry, Tier::Disk));
     }
 
-    // WAL: leadership is won and no tier has the result, so this job will
-    // execute. Journal it first — once the fsynced append returns, a crash
-    // at any later point (including mid-repair) leaves the job
-    // recoverable at the next boot.
-    shared.journal_start(&spec, ctx.trace_id);
+    match origin {
+        // WAL: leadership is won and no tier has the result, so this job
+        // will execute. Journal it first — once the fsynced append
+        // returns, a crash at any later point (including mid-repair)
+        // leaves the job recoverable at the next boot.
+        Origin::Request(trace_id) => shared.journal_start(spec, trace_id),
+        Origin::Replay => {
+            shared.replayed.fetch_add(1, Ordering::Relaxed);
+            shared.tele.add("server.jobs.replayed", 1);
+        }
+    }
 
-    // Full miss. A checkpoint slot from an interrupted run of this exact
-    // key is the best possible seed (distance 0 — resume, don't restart);
-    // failing that, ask the store for the nearest structural neighbor's
-    // artifacts.
-    let warm = shared.checkpoint_resume(&spec).or_else(|| warm_lookup(shared, &spec));
-
+    // Full miss: seed from a checkpoint slot or the nearest neighbor.
+    let warm = shared.warm_seed(spec);
     // Per-job telemetry keeps concurrent jobs' reports separate; the
     // snapshot is folded into the server registry afterwards so /metrics
     // still aggregates everything.
     let job_tele = Telemetry::new();
-    let mut token = shared.job_token();
-    if let Some(ckpt) = shared.checkpointer_for(&spec.key) {
-        token = token.with_checkpointer(ckpt);
-    }
+    let token = shared.job_token(&spec.key);
     // The per-job panic boundary: a crashing repair costs the client a 500
     // and the server one recycled worker — nothing more, and the response
     // is written by this (surviving) thread, so no connection is ever
     // dropped. `AssertUnwindSafe` is honest here: the job owns all of its
     // state (program, BDD manager, and telemetry are built inside
-    // `execute_cancellable` or are this job's own), and everything shared
-    // that we touch afterwards is lock-protected.
+    // `job::execute` or are this job's own), and everything shared that we
+    // touch afterwards is lock-protected.
     let run = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(any(test, feature = "chaos"))]
         if let Some(chaos) = &shared.chaos {
             chaos.before_execute(&spec.key, &token);
         }
-        job::execute_store(&spec, &job_tele, true, &token, warm.as_ref(), shared.store.is_some())
+        job::execute(spec, &job_tele, true, &token, warm.as_ref(), shared.store.is_some())
     }));
     let job_snap = job_tele.snapshot();
     shared.tele.absorb_snapshot(&job_snap);
-    let result = match run {
-        Err(payload) => {
-            record.finish(JobStatus::Panicked);
-            shared.quarantine(&spec, &panic_message(payload.as_ref()));
-            // Retired in the journal too: a deterministic panic replayed
-            // at every boot would be a crash loop, not fault tolerance.
-            shared.journal_done(&spec.key, "panicked");
-            return Err(JobFailure {
-                status: 500,
-                message: "internal error: repair engine panicked; spec quarantined".to_string(),
-                panicked: true,
-            });
+    let ending = match run {
+        Ok(Ok(result)) => {
+            let failed = result.failed;
+            let entry = finalize_success(shared, spec, record, result, &job_snap);
+            shared.journal_done(&spec.key, if failed { "unrepairable" } else { "completed" });
+            return Ok((entry, Tier::Computed));
         }
-        Ok(Err(job::ExecError::Invalid(message))) => {
-            record.finish(JobStatus::Invalid);
-            shared.journal_done(&spec.key, "invalid");
-            return Err(refuse(400, message));
-        }
-        Ok(Err(job::ExecError::Aborted(why))) => {
-            // Aborted runs are never cached: the next attempt may run
-            // under a larger budget (or after the cancel flag clears) and
-            // succeed, while a cached failure would pin the 503 forever.
-            // Deadline and budget aborts are journaled done (an identical
-            // replay would abort identically at every boot); a *cancel* is
-            // the shutdown drain, and stays pending on purpose — the
-            // forced checkpoint plus the pending record is exactly what
-            // the next boot resumes from.
-            let message = match why {
-                RepairAborted::Timeout => {
-                    record.finish(JobStatus::Timeout);
-                    shared.tele.add("server.jobs.timed_out", 1);
-                    shared.journal_done(&spec.key, "timeout");
-                    "timeout"
-                }
-                RepairAborted::Cancelled => {
-                    record.finish(JobStatus::Cancelled);
-                    shared.tele.add("server.jobs.cancelled", 1);
-                    "cancelled"
-                }
-                RepairAborted::ResourceExhausted => {
-                    record.finish(JobStatus::Exhausted);
-                    shared.tele.add("server.jobs.exhausted", 1);
-                    shared.journal_done(&spec.key, "exhausted");
-                    "node budget exhausted"
-                }
-            };
-            return Err(refuse(503, message));
-        }
-        Ok(Ok(result)) => result,
+        Ok(Err(e)) => Ending::Failed(e),
+        Err(payload) => Ending::Panicked(panic_message(payload.as_ref())),
     };
-
-    let failed = result.failed;
-    let entry = finalize_success(shared, &spec, &record, result, &job_snap);
-    shared.journal_done(&spec.key, if failed { "unrepairable" } else { "completed" });
-    Ok((entry, false))
+    Err(end_job(shared, spec, record, true, ending))
 }
 
-/// Ask the store for the nearest structural neighbor's artifacts: a
-/// resubmitted spec differing in a few actions imports the neighbor's
-/// invariant/fault-span BDDs and seeds the first reachability fixpoint
-/// (lazy mode only — the cautious baseline has no seedable phase).
-fn warm_lookup(shared: &Shared, spec: &job::JobSpec) -> Option<job::WarmInfo> {
-    if !shared.warm_start || spec.mode != Mode::Lazy {
-        return None;
+/// The one classification of a job that ended without a result: its
+/// `/jobs` status, its counter, how its journal record settles, and its
+/// HTTP reply, set together. `journaled` says whether the job has a
+/// journal record to settle.
+///
+/// Aborted runs are never cached: the next attempt may run under a larger
+/// budget (or after the cancel flag clears) and succeed, while a cached
+/// failure would pin the 503 forever. Deadline and budget aborts settle
+/// (an identical replay would abort identically at every boot); a
+/// *cancel* is the shutdown drain and stays pending on purpose — the
+/// forced checkpoint plus the pending record is exactly what the next
+/// boot resumes from. A panic settles too: replaying a deterministic
+/// panic at every boot would be a crash loop, not fault tolerance.
+fn end_job(
+    shared: &Shared,
+    spec: &job::JobSpec,
+    record: &JobRecord,
+    journaled: bool,
+    ending: Ending,
+) -> Reply {
+    let quarantined = "quarantined: this spec previously crashed the repair engine";
+    let (status, counter, settle, reply) = match ending {
+        Ending::Quarantined => {
+            (JobStatus::Quarantined, None, Some("quarantined"), Reply::error(422, quarantined))
+        }
+        Ending::Panicked(why) => {
+            shared.quarantine(spec, &why);
+            let message = "internal error: repair engine panicked; spec quarantined";
+            let reply = Reply { job_panicked: true, ..Reply::error(500, message) };
+            (JobStatus::Panicked, None, Some("panicked"), reply)
+        }
+        Ending::Failed(ExecError::Invalid(message)) => {
+            (JobStatus::Invalid, None, Some("invalid"), Reply::error(400, &message))
+        }
+        Ending::Failed(ExecError::Aborted(RepairAborted::Timeout)) => (
+            JobStatus::Timeout,
+            Some("server.jobs.timed_out"),
+            Some("timeout"),
+            Reply::error(503, "timeout"),
+        ),
+        Ending::Failed(ExecError::Aborted(RepairAborted::Cancelled)) => (
+            JobStatus::Cancelled,
+            Some("server.jobs.cancelled"),
+            None,
+            Reply::error(503, "cancelled"),
+        ),
+        Ending::Failed(ExecError::Aborted(RepairAborted::ResourceExhausted)) => (
+            JobStatus::Exhausted,
+            Some("server.jobs.exhausted"),
+            Some("exhausted"),
+            Reply::error(503, "node budget exhausted"),
+        ),
+    };
+    record.finish(status);
+    if let Some(counter) = counter {
+        shared.tele.add(counter, 1);
     }
-    let warm = shared
-        .with_store(|store| {
-            let fingerprint = spec.fingerprint();
-            store.nearest(&fingerprint, WARM_MAX_DISTANCE).and_then(|(neighbor, distance)| {
-                let donor = store.peek(&neighbor)?;
-                let mut invariant = None;
-                let mut span = None;
-                for (name, bdd) in donor.artifacts {
-                    match name.as_str() {
-                        ART_INVARIANT => invariant = Some(bdd),
-                        ART_SPAN => span = Some(bdd),
-                        _ => {}
-                    }
-                }
-                Some(job::WarmInfo { neighbor, distance, invariant: invariant?, span: span? })
-            })
-        })
-        .flatten();
-    if warm.is_some() {
-        shared.tele.add("store.warm_lookups", 1);
+    if let (true, Some(reason)) = (journaled, settle) {
+        shared.journal_done(&spec.key, reason);
     }
-    warm
+    reply
 }
 
 /// Everything a finished (non-aborted) execution does after the repair
-/// returns, shared by the request path and boot replay: introspection
-/// detail, the JSONL report, counters, checkpoint-slot retirement, the
-/// async store write-through, and the cache insert.
+/// returns: introspection detail, the JSONL report, counters,
+/// checkpoint-slot retirement, the async store write-through, and the
+/// cache insert.
 fn finalize_success(
     shared: &Shared,
     spec: &job::JobSpec,
     record: &JobRecord,
-    result: job::JobResult,
+    mut result: job::JobResult,
     job_snap: &ftrepair_telemetry::MetricsSnapshot,
 ) -> Arc<CacheEntry> {
     // The outcome document `/jobs` shows for this record: iteration and
@@ -1601,14 +1527,13 @@ fn finalize_success(
     detail.set("groups_kept", result.stats.groups_kept.into());
     detail.set("groups_dropped", result.stats.groups_dropped.into());
     detail.set("bdd_peak_live_nodes", job_snap.gauge("bdd.peak_live_nodes").into());
-    detail.set("verified", result.verified.into());
+    detail.set("verified", result.verified().into());
     detail.set("warm_start", result.warm_used.into());
     record.set_detail(detail);
     record.finish(if result.failed { JobStatus::Unrepairable } else { JobStatus::Done });
 
-    let mut report = result.report;
-    report.set("server_key", spec.key.as_str().into());
-    shared.append_report(&report);
+    result.report.set("server_key", spec.key.as_str().into());
+    shared.append_report(&result.report);
     shared.tele.add("server.jobs.completed", 1);
     if result.failed {
         shared.tele.add("server.jobs.unrepairable", 1);
@@ -1625,27 +1550,13 @@ fn finalize_success(
     }
 
     // Write-through: hand verified successful repairs (the only ones
-    // `execute_store` exports artifacts for) to the async writer. The
+    // `job::execute` exports artifacts for) to the async writer. The
     // response path never blocks on disk; a full queue drops the write and
     // counts it.
-    if shared.store.is_some() {
-        if let Some(artifacts) = result.artifacts {
-            let write = StoreWrite {
-                key: spec.key.clone(),
-                case: spec.name.clone(),
-                mode: spec.mode.as_str().to_string(),
-                warm_start: result.warm_used,
-                fingerprint: spec.fingerprint(),
-                response: result.response.clone(),
-                artifacts,
-            };
-            if shared.store_writes.try_push(write).is_err() {
-                shared.tele.add("telemetry.write_errors", 1);
-                eprintln!(
-                    "ftrepair-server: store write queue full; dropping write for {}",
-                    spec.key
-                );
-            }
+    if let Some(write) = result.take_store_entry(spec) {
+        if shared.store_writes.try_push(write).is_err() {
+            shared.tele.add("telemetry.write_errors", 1);
+            eprintln!("ftrepair-server: store write queue full; dropping write for {}", spec.key);
         }
     }
 
@@ -1664,7 +1575,7 @@ fn handle_repair(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
             body.set("trace_id", format_trace_id(ctx.trace_id).into());
             Reply::json(200, body.to_string())
         }
-        Err(failure) => failure.reply(),
+        Err(reply) => reply,
     }
 }
 
@@ -1687,7 +1598,7 @@ fn handle_simulate(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
 
     let (entry, cached) = match cached_repair(shared, req, ctx) {
         Ok(pair) => pair,
-        Err(failure) => return failure.reply(),
+        Err(reply) => return reply,
     };
     if entry.response.get("failed").and_then(Json::as_bool) == Some(true) {
         return Reply::error(422, "no repair exists for this spec; nothing to simulate");

@@ -220,19 +220,6 @@ impl SymbolicContext {
         self.m.current_order()
     }
 
-    /// A fresh context with the same variable layout but an empty manager.
-    ///
-    /// Used by the parallel Step 2 of lazy repair: each worker thread forks
-    /// the layout, imports the BDDs it needs (via
-    /// [`ftrepair_bdd::SerializedBdd`]) and works in isolation.
-    pub fn fork_layout(&self) -> SymbolicContext {
-        let mut cx = SymbolicContext::new();
-        for v in &self.vars {
-            cx.add_var(v.name.clone(), v.size);
-        }
-        cx
-    }
-
     /// Convenience: three-way conjunction.
     pub fn and3(
         &mut self,

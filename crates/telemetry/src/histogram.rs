@@ -1,7 +1,7 @@
 //! A lock-free log-bucketed latency histogram.
 //!
 //! HDR-style log-linear bucketing: every power-of-two range is split into
-//! [`SUBBUCKETS`] linear sub-buckets, so the relative width of any bucket is
+//! `SUBBUCKETS` (16) linear sub-buckets, so the relative width of any bucket is
 //! at most `1/SUBBUCKETS` (6.25%) of its value — percentiles read back from
 //! the buckets are always within one bucket of the exact sorted-sample
 //! percentile, at a fixed 7.6 KiB of memory per histogram no matter how

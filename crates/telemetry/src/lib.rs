@@ -51,9 +51,9 @@ struct Inner {
 
 /// Cheaply clonable handle to a metrics registry plus trace switch.
 ///
-/// Clones share the same registry, so handing a clone to each parallel
-/// Step 2 worker makes all workers feed one set of counters. The default
-/// handle is disabled and turns every call into a no-op.
+/// Clones share the same registry, so handing a clone to each thread makes
+/// them all feed one set of counters. The default handle is disabled and
+/// turns every call into a no-op.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Inner>>,

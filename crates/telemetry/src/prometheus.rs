@@ -9,7 +9,7 @@
 //!   `ftr_server_http_status_total{code="<code>"}` family;
 //! * gauges → `ftr_<name>` (`# TYPE gauge`);
 //! * accumulated span/phase times → `ftr_<name>_seconds_total`
-//!   (`# TYPE counter`), converted from [`Duration`] to seconds;
+//!   (`# TYPE counter`), converted from [`Duration`](std::time::Duration) to seconds;
 //! * histograms → the standard `_bucket{le=…}`/`_sum`/`_count` triplet
 //!   (`# TYPE histogram`). Histogram values are nanoseconds by workspace
 //!   convention, so bucket bounds and sums convert to seconds here; the

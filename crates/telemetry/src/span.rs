@@ -3,7 +3,7 @@
 //! `tele.span("step1")` times a region of code and, on drop, accumulates
 //! the elapsed wall time under `span.step1` plus a `span.step1.count`
 //! counter. With tracing on it also prints nested enter/exit lines to
-//! stderr, indented per thread so parallel Step 2 workers stay readable.
+//! stderr, indented per thread so concurrent threads stay readable.
 //!
 //! When the telemetry handle was built with span recording on
 //! ([`crate::Telemetry::with_spans`]), every span additionally logs a
@@ -12,8 +12,8 @@
 //! structured key/value fields attached via [`Span::field`]. Parent
 //! linkage is thread-local: a span opened while another span is live on
 //! the same thread becomes its child. Spans opened on a thread with no
-//! live span (e.g. parallel Step 2 workers) attach to the oldest live
-//! *root* span instead, so worker activity still lands inside the job's
+//! live span (e.g. a benchmark's client threads) attach to the oldest live
+//! *root* span instead, so their activity still lands inside the root's
 //! trace tree. The record log is bounded; overflow increments a
 //! `telemetry.spans_dropped` counter instead of growing without limit.
 

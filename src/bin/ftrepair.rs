@@ -1,17 +1,12 @@
 //! `ftrepair` — command-line front end, in the tradition of FTSyn/SYCRAFT.
 //!
 //! ```text
-//! ftrepair repair   <file.ftr> [--cautious] [--pure-lazy] [--iterative-step2]
-//!                              [--parallel] [--strict-terminal] [--timeout <secs>]
-//!                              [--max-nodes <n>] [--reorder none|sift|auto]
-//!                              [--store-dir <path>] [--metrics-out <path>]
+//! ftrepair repair   <file.ftr> [repair options] [--store-dir <path>]
 //!                              [--checkpoint-dir <path>] [--resume]
-//!                              [--trace] [--trace-out <path>]
+//!                              [--metrics-out <path>] [--trace] [--trace-out <path>]
+//! ftrepair simulate <file.ftr> [repair options] [--runs N] [--max-faults K] [--seed S]
 //! ftrepair check    <file.ftr>
 //! ftrepair info     <file.ftr>
-//! ftrepair simulate <file.ftr> [--cautious] [--runs N] [--max-faults K] [--seed S]
-//!                              [--timeout <secs>] [--max-nodes <n>]
-//!                              [--reorder none|sift|auto]
 //! ftrepair serve    [--addr host:port] [--workers N] [--queue-cap M]
 //!                   [--cache-cap C] [--job-timeout <secs>] [--job-max-nodes <n>]
 //!                   [--metrics-out <path>] [--reorder none|sift|auto]
@@ -21,66 +16,56 @@
 //! ftrepair store    <ls|verify|gc> --store-dir <path>
 //! ftrepair metrics-dump <reports.jsonl>
 //! ftrepair prom-lint    [<exposition.txt>|-]
+//!
+//! repair options: [--cautious] [--pure-lazy] [--iterative-step2]
+//!                 [--strict-terminal] [--timeout <secs>] [--max-nodes <n>]
+//!                 [--reorder none|sift|auto]
 //! ```
 //!
-//! `repair` adds masking fault-tolerance and prints the repaired program as
-//! guarded commands; `check` validates the input (invariant closure, spec
-//! inside the invariant, realizability as written); `info` summarizes the
-//! model; `simulate` repairs, then replays random fault-injection batches
-//! against the repaired program (the same code path as the daemon's
-//! `POST /simulate`); `serve` runs the repair-as-a-service daemon (see the
-//! README "Serving" section). `--metrics-out` appends one JSONL run report
-//! (phase timings, telemetry counters/gauges, per-iteration BDD sizes,
-//! op-cache hit rates, latency histograms) per repair; `--trace` streams
-//! span open/close events to stderr; `--trace-out` writes the run's full
-//! hierarchical span tree — outer iterations, Step 1/Step 2, fixpoint
-//! iterations, with structured fields — as Chrome `trace_event` JSON,
-//! viewable in Perfetto or `chrome://tracing`. `metrics-dump` merges a
-//! `--metrics-out` JSONL file into one snapshot and prints it in the
-//! Prometheus text exposition format; `prom-lint` validates such an
-//! exposition (from a file or stdin) and exits non-zero on violations.
-//! `--timeout` bounds the repair's wall clock — a run that
-//! exhausts it stops at the next cancellation checkpoint and exits 124
-//! (the `timeout(1)` convention); `serve --job-timeout` is the same budget
-//! applied per job (default 30s, `503 {"error":"timeout"}`). `--max-nodes`
-//! is the memory analogue: it bounds the BDD arena's live-node count, and
-//! a run that a garbage collection cannot bring back under it exits 125
-//! (`serve --job-max-nodes` per job, `503 {"error":"node budget
-//! exhausted"}`) instead of being OOM-killed. `--reorder`
-//! picks the BDD dynamic variable-reordering policy (default `auto`; see
-//! the README's "Performance" section); for `serve` it sets the default a
-//! job's `reorder` query parameter can override. `--store-dir` enables the
-//! persistent result store (see the README "Persistence" section): `serve`
-//! gains a durable tier under its memory cache plus warm-started repairs
-//! from near-key neighbors; `repair --store-dir` serves exact hits from
-//! disk and writes new repairs through; `store ls|verify|gc` inspect,
-//! checksum-verify, and clean a store directory. The daemon's store sits
-//! behind a circuit breaker: `--store-breaker-threshold` (default 3)
-//! consecutive I/O failures trip it into memory-only degraded mode, and
-//! half-open probes (full-jitter backoff from `--store-breaker-backoff`
-//! seconds, default 0.5) re-enable it when the volume heals (see the
-//! README "Robustness" section). `serve --journal` adds a durable job
-//! journal: every accepted repair is recorded before it executes, so a
-//! `kill -9` mid-repair loses no work — the next boot on the same journal
-//! replays whatever is incomplete (seeded from mid-repair checkpoint
-//! slots). `serve --drain-timeout` bounds the graceful shutdown: jobs
-//! still queued at the deadline are answered `503` instead of having
-//! their sockets dropped. `repair --checkpoint-dir` is the same
-//! checkpoint machinery offline: a run that exits 124/125 leaves a
-//! resume point behind, and rerunning with `--resume` continues from it
-//! instead of starting cold.
+//! Every subcommand accepts only the flags listed for it; anything else is
+//! a usage error (exit 2).
+//!
+//! * `repair` adds masking fault-tolerance. Stdout is the repaired program
+//!   as guarded commands — the daemon's `program` text; stderr carries the
+//!   summary (timings, both verification verdicts, invariant and
+//!   fault-span sizes). Every repair goes through one job pipeline, so the
+//!   flags combine freely: `--store-dir` serves an exact hit from disk (no
+//!   repair runs, no report is appended), warm-starts a miss from the
+//!   nearest stored neighbor, and writes verified results through;
+//!   `--checkpoint-dir` leaves a resume point when a run exits 124/125,
+//!   and `--resume` continues from it; `--metrics-out` appends one JSONL
+//!   run report per computed repair; `--trace` streams span open/close
+//!   events to stderr; `--trace-out` writes the span tree as Chrome
+//!   `trace_event` JSON (Perfetto, `chrome://tracing`).
+//! * `simulate` runs the same pipeline, then replays random
+//!   fault-injection batches against the repair, like the daemon's
+//!   `POST /simulate`.
+//! * `check` validates the input (invariant closure, spec inside the
+//!   invariant, realizability as written); `info` summarizes the model.
+//! * `serve` runs the repair-as-a-service daemon (README "Serving",
+//!   "Persistence", "Robustness", "Crash recovery"): `--store-dir` adds
+//!   the durable tier and neighbor warm starts behind a circuit breaker
+//!   (`--store-breaker-*`), `--journal` replays accepted jobs after a
+//!   crash, and `--drain-timeout` bounds the graceful shutdown.
+//! * `store ls|verify|gc` inspect, checksum-verify, and clean a store;
+//!   `metrics-dump` renders `--metrics-out` reports as a Prometheus
+//!   exposition, and `prom-lint` validates one.
+//!
+//! Budgets: `--timeout` bounds the wall clock (exit 124, the `timeout(1)`
+//! convention; per job `serve --job-timeout`, answered `503`), and
+//! `--max-nodes` the BDD arena's live nodes (exit 125 instead of an OOM
+//! kill; per job `serve --job-max-nodes`). `--reorder` picks the dynamic
+//! variable-reordering policy (default `auto`; README "Performance").
 
-use ftrepair::program::decompile::render_process;
 use ftrepair::program::{realizability, semantics, DistributedProgram};
-use ftrepair::repair::verify::verify_outcome;
-use ftrepair::repair::{
-    build_run_report, cautious_repair_traced, lazy_repair_traced, LazyOutcome, ReorderMode,
-    RepairOptions,
-};
-use ftrepair::server::{job, signal, Server, ServerConfig};
-use ftrepair::telemetry::Telemetry;
+use ftrepair::repair::{ReorderMode, RepairAborted, RepairOptions, Token};
+use ftrepair::server::job::{self, SimStatus};
+use ftrepair::server::{signal, Server, ServerConfig};
+use ftrepair::store::{CheckpointStore, DiskStore};
+use ftrepair::telemetry::{trace, Json, Telemetry};
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Exit code for a repair that exhausted `--timeout`, following the
@@ -94,9 +79,9 @@ const EXIT_TIMED_OUT: u8 = 124;
 const EXIT_EXHAUSTED: u8 = 125;
 
 /// Map an abort reason to its exit code (124 deadline, 125 node budget).
-fn abort_exit(why: ftrepair::repair::RepairAborted) -> ExitCode {
+fn abort_exit(why: RepairAborted) -> ExitCode {
     match why {
-        ftrepair::repair::RepairAborted::ResourceExhausted => ExitCode::from(EXIT_EXHAUSTED),
+        RepairAborted::ResourceExhausted => ExitCode::from(EXIT_EXHAUSTED),
         _ => ExitCode::from(EXIT_TIMED_OUT),
     }
 }
@@ -104,29 +89,91 @@ fn abort_exit(why: ftrepair::repair::RepairAborted) -> ExitCode {
 const USAGE: &str =
     "usage: ftrepair <repair|check|info|simulate|serve|store|metrics-dump|prom-lint> [<file>] [options]";
 
+/// A subcommand's flags: each name with its value placeholder, or `None`
+/// for a switch.
+type Flags = &'static [(&'static str, Option<&'static str>)];
+
+/// The repair options, one parser for `repair` and `simulate` — as the
+/// daemon's query parameters serve both `/repair` and `/simulate`.
+const JOB_FLAGS: Flags = &[
+    ("--cautious", None),
+    ("--pure-lazy", None),
+    ("--iterative-step2", None),
+    ("--strict-terminal", None),
+    ("--timeout", Some("<secs>")),
+    ("--max-nodes", Some("<n>")),
+    ("--reorder", Some("none|sift|auto")),
+];
+
+/// Where a `repair` looks for its result, leaves it, and reports on it.
+const REPAIR_FLAGS: Flags = &[
+    ("--store-dir", Some("<path>")),
+    ("--checkpoint-dir", Some("<path>")),
+    ("--resume", None),
+    ("--metrics-out", Some("<path>")),
+    ("--trace", None),
+    ("--trace-out", Some("<path>")),
+];
+
+const SIMULATE_FLAGS: Flags =
+    &[("--runs", Some("N")), ("--max-faults", Some("K")), ("--seed", Some("S"))];
+
+const SERVE_FLAGS: Flags = &[
+    ("--addr", Some("host:port")),
+    ("--workers", Some("N")),
+    ("--queue-cap", Some("M")),
+    ("--cache-cap", Some("C")),
+    ("--job-timeout", Some("<secs>")),
+    ("--job-max-nodes", Some("<n>")),
+    ("--metrics-out", Some("<path>")),
+    ("--reorder", Some("none|sift|auto")),
+    ("--store-dir", Some("<path>")),
+    ("--store-budget-mb", Some("N")),
+    ("--no-warm-start", None),
+    ("--store-breaker-threshold", Some("N")),
+    ("--store-breaker-backoff", Some("<secs>")),
+    ("--journal", Some("<path>")),
+    ("--drain-timeout", Some("<secs>")),
+];
+
+const STORE_FLAGS: Flags = &[("--store-dir", Some("<path>"))];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    if command == "serve" {
-        return serve(&args[1..]);
-    }
-    if command == "metrics-dump" {
-        return metrics_dump(&args[1..]);
-    }
-    if command == "prom-lint" {
-        return prom_lint(&args[1..]);
-    }
-    if command == "store" {
-        return store_cmd(&args[1..]);
-    }
-    if !matches!(command.as_str(), "info" | "check" | "repair" | "simulate") {
-        eprintln!("unknown command {command}");
+    let rest = &args[1..];
+    // Each subcommand: its synopsis, how many positional arguments lead
+    // its flags, and the flags it reads.
+    let (synopsis, positional, tables): (&str, usize, &[Flags]) = match command.as_str() {
+        "repair" => ("repair <file.ftr>", 1, &[JOB_FLAGS, REPAIR_FLAGS]),
+        "simulate" => ("simulate <file.ftr>", 1, &[JOB_FLAGS, SIMULATE_FLAGS]),
+        "check" => ("check <file.ftr>", 1, &[]),
+        "info" => ("info <file.ftr>", 1, &[]),
+        "serve" => ("serve", 0, &[SERVE_FLAGS]),
+        "store" => ("store <ls|verify|gc>", 1, &[STORE_FLAGS]),
+        "metrics-dump" => ("metrics-dump <reports.jsonl>", 1, &[]),
+        "prom-lint" => ("prom-lint [<file>|-]", 1, &[]),
+        _ => {
+            eprintln!("unknown command {command}");
+            return ExitCode::from(2);
+        }
+    };
+    if let Err(e) = check_flags(synopsis, rest.get(positional..).unwrap_or(&[]), tables) {
+        eprintln!("{e}");
         return ExitCode::from(2);
     }
-    let Some(path) = args.get(1) else {
+    match command.as_str() {
+        "serve" => return serve(rest),
+        "store" => return store_cmd(rest),
+        "metrics-dump" => return metrics_dump(rest),
+        "prom-lint" => return prom_lint(rest),
+        _ => {}
+    }
+
+    let Some(path) = rest.first() else {
         eprintln!("missing input file");
         return ExitCode::from(2);
     };
@@ -137,20 +184,20 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if command == "simulate" {
-        return simulate(&source, path, &args[2..]);
+    let flags = &rest[1..];
+    if command == "repair" {
+        return match run_job(&source, path, flags, false) {
+            Ok((response, _)) => {
+                if let Some(program) = response.get("program").and_then(Json::as_str) {
+                    print!("{program}");
+                }
+                ExitCode::SUCCESS
+            }
+            Err(code) => code,
+        };
     }
-    // `repair --store-dir` / `--checkpoint-dir` go through the store-aware
-    // job pipeline, which needs the raw source for content addressing —
-    // branch before `load`.
-    // (`--resume` goes there too so its missing-`--checkpoint-dir` case
-    // gets the proper usage error instead of being silently ignored.)
-    if command == "repair"
-        && args[2..]
-            .iter()
-            .any(|a| a == "--store-dir" || a == "--checkpoint-dir" || a == "--resume")
-    {
-        return repair_stored(&source, path, &args[2..]);
+    if command == "simulate" {
+        return simulate(&source, path, flags);
     }
     let mut prog = match ftrepair::lang::load(&source) {
         Ok(p) => p,
@@ -159,13 +206,35 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-
-    match command.as_str() {
-        "info" => info(&mut prog),
-        "check" => check(&mut prog),
-        "repair" => repair(&mut prog, &args[2..]),
-        _ => unreachable!("command validated above"),
+    if command == "info" {
+        info(&mut prog)
+    } else {
+        check(&mut prog)
     }
+}
+
+/// Reject every argument a subcommand does not read, so a typo fails
+/// loudly instead of running with defaults. A flag with a value
+/// placeholder takes the next argument unless that looks like a flag too;
+/// the flag's own parser then reports the missing value.
+fn check_flags(synopsis: &str, args: &[String], tables: &[Flags]) -> Result<(), String> {
+    let known = || tables.iter().flat_map(|t| t.iter());
+    let mut args = args.iter().peekable();
+    while let Some(arg) = args.next() {
+        let Some((_, value)) = known().find(|(name, _)| name == arg) else {
+            let listed: String = known()
+                .map(|(name, value)| match value {
+                    Some(v) => format!(" [{name} {v}]"),
+                    None => format!(" [{name}]"),
+                })
+                .collect();
+            return Err(format!("unknown flag {arg}\nusage: ftrepair {synopsis}{listed}"));
+        };
+        if value.is_some() && args.peek().is_some_and(|v| !v.starts_with("--")) {
+            args.next();
+        }
+    }
+    Ok(())
 }
 
 fn flag_value<'a>(flags: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
@@ -209,6 +278,22 @@ fn duration_flag(flags: &[String], name: &str) -> Result<Option<Duration>, Strin
         },
         None => Ok(None),
     }
+}
+
+/// Parse the repair options ([`JOB_FLAGS`]).
+fn job_options(flags: &[String]) -> Result<(job::Mode, RepairOptions), String> {
+    let has = |f: &str| flags.iter().any(|a| a == f);
+    let mode = if has("--cautious") { job::Mode::Cautious } else { job::Mode::Lazy };
+    let opts = RepairOptions {
+        restrict_to_reachable: !has("--pure-lazy"),
+        step2_closed_form: !has("--iterative-step2"),
+        allow_new_terminal_inside: !has("--strict-terminal"),
+        deadline: duration_flag(flags, "--timeout")?,
+        max_nodes: parsed_flag(flags, "--max-nodes", 0usize)?,
+        reorder: reorder_flag(flags)?,
+        ..Default::default()
+    };
+    Ok((mode, opts))
 }
 
 fn serve(flags: &[String]) -> ExitCode {
@@ -342,235 +427,6 @@ fn prom_lint(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repair --store-dir <path>`: the CLI end of the persistent tier. An
-/// exact content-key hit replays the stored response without recomputing;
-/// a miss repairs (warm-started from the nearest stored neighbor when one
-/// is close enough) and writes the verified result through synchronously,
-/// so a later `serve --store-dir` or `repair --store-dir` run finds it.
-///
-/// `--checkpoint-dir <path>` is the offline end of the daemon's mid-repair
-/// checkpointing: the repair loops snapshot their progress into a per-key
-/// slot, so a run killed by `--timeout` (exit 124) or `--max-nodes` (exit
-/// 125) leaves a resume point behind. Rerunning with `--resume` seeds the
-/// repair from that slot instead of starting cold; a verified success
-/// retires the slot.
-fn repair_stored(source: &str, path: &str, flags: &[String]) -> ExitCode {
-    use ftrepair::repair::{CheckpointPolicy, Checkpointer, Token};
-    use ftrepair::store::{
-        find_artifact, CheckpointStore, DiskStore, NewEntry, ART_INVARIANT, ART_MS, ART_SPAN,
-    };
-    use std::sync::Arc;
-
-    let has = |f: &str| flags.iter().any(|a| a == f);
-    type Params = (Option<PathBuf>, Option<PathBuf>, Option<Duration>, usize, ReorderMode);
-    let params = (|| -> Result<Params, String> {
-        Ok((
-            flag_value(flags, "--store-dir")?.map(PathBuf::from),
-            flag_value(flags, "--checkpoint-dir")?.map(PathBuf::from),
-            duration_flag(flags, "--timeout")?,
-            parsed_flag(flags, "--max-nodes", 0usize)?,
-            reorder_flag(flags)?,
-        ))
-    })();
-    let (store_dir, ckpt_dir, deadline, max_nodes, reorder) = match params {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    if has("--resume") && ckpt_dir.is_none() {
-        eprintln!("--resume requires --checkpoint-dir");
-        return ExitCode::from(2);
-    }
-    let mode = if has("--cautious") { job::Mode::Cautious } else { job::Mode::Lazy };
-    let opts = RepairOptions {
-        restrict_to_reachable: !has("--pure-lazy"),
-        step2_closed_form: !has("--iterative-step2"),
-        parallel_step2: has("--parallel"),
-        allow_new_terminal_inside: !has("--strict-terminal"),
-        deadline,
-        max_nodes,
-        reorder,
-        ..Default::default()
-    };
-
-    let spec = match job::prepare(source, mode, opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    let store = match &store_dir {
-        Some(dir) => match DiskStore::open(dir, 0, &Telemetry::off()) {
-            Ok(s) => Some(s),
-            Err(e) => {
-                eprintln!("cannot open store {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-    let ckpts = match &ckpt_dir {
-        Some(dir) => match CheckpointStore::open(dir) {
-            Ok(c) => Some(Arc::new(c)),
-            Err(e) => {
-                eprintln!("cannot open checkpoint dir {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
-    let print_response = |response: &ftrepair::telemetry::Json| {
-        if let Some(program) = response.get("program").and_then(|j| j.as_str()) {
-            print!("{program}");
-        }
-    };
-
-    if let (Some(store), Some(dir)) = (&store, &store_dir) {
-        if let Some(stored) = store.get(&spec.key) {
-            eprintln!("served from store {} (key {})", dir.display(), &spec.key[..16]);
-            if stored.response.get("failed").and_then(|j| j.as_bool()) == Some(true) {
-                // Never stored by this code (failures are not persisted), but a
-                // foreign entry could say so; honor it rather than lie.
-                eprintln!("no masking fault-tolerant repair exists under these inputs");
-                return ExitCode::from(1);
-            }
-            print_response(&stored.response);
-            return ExitCode::SUCCESS;
-        }
-    }
-
-    // `--resume`: this exact key's checkpoint slot beats any neighbor — it
-    // is the interrupted run's own progress, distance zero by definition.
-    let mut warm: Option<job::WarmInfo> = None;
-    if has("--resume") && mode == job::Mode::Lazy {
-        if let Some(ckpts) = &ckpts {
-            warm = ckpts.get(&spec.key).and_then(|slot| {
-                let invariant = find_artifact(&slot.artifacts, ART_INVARIANT)?.clone();
-                let span = find_artifact(&slot.artifacts, ART_SPAN)?.clone();
-                eprintln!("resuming from checkpoint at iteration {}", slot.iteration);
-                Some(job::WarmInfo {
-                    neighbor: format!("checkpoint@{}", slot.iteration),
-                    distance: 0,
-                    invariant,
-                    span,
-                })
-            });
-            if warm.is_none() {
-                eprintln!("no checkpoint for this spec; starting cold");
-            }
-        }
-    }
-    // Miss: look for a warm-start donor before computing from scratch.
-    if warm.is_none() && mode == job::Mode::Lazy {
-        if let Some(store) = &store {
-            warm = store.nearest(&spec.fingerprint(), 16).and_then(|(neighbor, distance)| {
-                let donor = store.peek(&neighbor)?;
-                let mut invariant = None;
-                let mut span = None;
-                for (name, bdd) in donor.artifacts {
-                    match name.as_str() {
-                        ART_INVARIANT => invariant = Some(bdd),
-                        ART_SPAN => span = Some(bdd),
-                        _ => {}
-                    }
-                }
-                Some(job::WarmInfo { neighbor, distance, invariant: invariant?, span: span? })
-            });
-        }
-    }
-
-    let tele = Telemetry::new();
-    let mut token = Token::from_options(&spec.opts);
-    if let Some(ckpts) = &ckpts {
-        // Same sink the daemon installs: policy-approved offers (and the
-        // forced final offer when an abort is imminent) land the loop's
-        // current (invariant, span, ms) in this key's slot, crash-safely.
-        let ckpts = Arc::clone(ckpts);
-        let key = spec.key.clone();
-        token = token.with_checkpointer(Arc::new(Checkpointer::new(
-            CheckpointPolicy::default(),
-            move |img| {
-                let arts = [
-                    (ART_INVARIANT.to_string(), img.invariant.clone()),
-                    (ART_SPAN.to_string(), img.span.clone()),
-                    (ART_MS.to_string(), img.ms.clone()),
-                ];
-                if let Err(e) = ckpts.put(&key, img.iteration, &arts) {
-                    eprintln!("warning: checkpoint write failed: {e}");
-                }
-            },
-        )));
-    }
-    let result = match job::execute_store(&spec, &tele, false, &token, warm.as_ref(), true) {
-        Ok(r) => r,
-        Err(job::ExecError::Aborted(why)) => {
-            eprintln!("{path}: {why}");
-            if let (Some(ckpts), Some(dir)) = (&ckpts, &ckpt_dir) {
-                if ckpts.get(&spec.key).is_some() {
-                    eprintln!(
-                        "checkpoint saved in {}; rerun with --resume to continue from it",
-                        dir.display()
-                    );
-                }
-            }
-            return abort_exit(why);
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    if result.warm_used {
-        if let Some(info) = &warm {
-            eprintln!(
-                "warm-started from neighbor {} (fingerprint distance {})",
-                &info.neighbor[..info.neighbor.len().min(16)],
-                info.distance,
-            );
-        }
-    }
-    if result.failed {
-        eprintln!("no masking fault-tolerant repair exists under these inputs");
-        return ExitCode::from(1);
-    }
-    eprintln!("repaired {} ({} mode), verified: {}", spec.name, mode.as_str(), result.verified);
-
-    // The run is complete: its resume point is stale, retire it.
-    if let Some(ckpts) = &ckpts {
-        let _ = ckpts.clear(&spec.key);
-    }
-
-    // Synchronous write-through (the CLI has no async writer to hand off
-    // to); only verified repairs carry artifacts.
-    if let (Some(store), Some(artifacts)) = (&store, result.artifacts) {
-        let entry = NewEntry {
-            key: spec.key.clone(),
-            case: spec.name.clone(),
-            mode: mode.as_str().to_string(),
-            warm_start: result.warm_used,
-            fingerprint: spec.fingerprint(),
-            response: result.response.clone(),
-            artifacts,
-        };
-        match store.put(&entry) {
-            Ok(true) => eprintln!("stored under key {}", &spec.key[..16]),
-            Ok(false) => {}
-            Err(e) => eprintln!("warning: store write failed: {e}"),
-        }
-    }
-    print_response(&result.response);
-    if result.verified {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("INTERNAL ERROR: output failed verification");
-        ExitCode::from(3)
-    }
-}
-
 /// `store <ls|verify|gc> --store-dir <path>` — offline store maintenance.
 fn store_cmd(args: &[String]) -> ExitCode {
     use ftrepair::store::DiskStore;
@@ -653,66 +509,30 @@ fn store_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-struct SimFlags {
-    runs: usize,
-    max_faults: usize,
-    seed: u64,
-    deadline: Option<Duration>,
-    max_nodes: usize,
-    reorder: ReorderMode,
-}
-
 fn simulate(source: &str, path: &str, flags: &[String]) -> ExitCode {
-    let has = |f: &str| flags.iter().any(|a| a == f);
-    let params = (|| -> Result<SimFlags, String> {
-        Ok(SimFlags {
+    let config = (|| -> Result<_, String> {
+        let config = ftrepair::explicit::simulate::SimConfig {
             runs: parsed_flag(flags, "--runs", 200usize)?,
             max_faults: parsed_flag(flags, "--max-faults", 3usize)?,
-            seed: parsed_flag(flags, "--seed", 0xF7_5EEDu64)?,
-            deadline: duration_flag(flags, "--timeout")?,
-            max_nodes: parsed_flag(flags, "--max-nodes", 0usize)?,
-            reorder: reorder_flag(flags)?,
-        })
+            ..Default::default()
+        };
+        Ok((config, parsed_flag(flags, "--seed", 0xF7_5EEDu64)?))
     })();
-    let SimFlags { runs, max_faults, seed, deadline, max_nodes, reorder } = match params {
-        Ok(p) => p,
+    let (config, seed) = match config {
+        Ok(c) => c,
         Err(e) => {
             eprintln!("{e}");
             return ExitCode::from(2);
         }
     };
-    let mode = if has("--cautious") { job::Mode::Cautious } else { job::Mode::Lazy };
-    let opts = RepairOptions { deadline, max_nodes, reorder, ..Default::default() };
-
-    let spec = match job::prepare(source, mode, opts) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(1);
-        }
+    let sim = match run_job(source, path, flags, true) {
+        Ok((_, sim)) => sim,
+        Err(code) => return code,
     };
-    let result = match job::execute(&spec, &Telemetry::off(), true) {
-        Ok(r) => r,
-        Err(job::ExecError::Aborted(why)) => {
-            eprintln!("{path}: {why}");
-            return abort_exit(why);
-        }
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(1);
-        }
-    };
-    if result.failed {
-        eprintln!("no masking fault-tolerant repair exists under these inputs");
-        return ExitCode::from(1);
-    }
-    eprintln!("repaired {} ({} mode), verified: {}", spec.name, mode.as_str(), result.verified);
-    let Some(bundle) = result.sim.ready() else {
-        eprintln!("{}", result.sim.refusal());
+    let Some(bundle) = sim.ready() else {
+        eprintln!("{}", sim.refusal());
         return ExitCode::from(1);
     };
-
-    let config = ftrepair::explicit::simulate::SimConfig { runs, max_faults, ..Default::default() };
     let report = job::run_simulation(bundle, &config, seed);
     println!("{}", job::sim_report_json(&report, seed));
     if report.ok() {
@@ -786,60 +606,95 @@ fn check(prog: &mut DistributedProgram) -> ExitCode {
     }
 }
 
-fn repair(prog: &mut DistributedProgram, flags: &[String]) -> ExitCode {
-    let has = |f: &str| flags.iter().any(|a| a == f);
-    let metrics_out: Option<PathBuf> = match flags.iter().position(|a| a == "--metrics-out") {
-        Some(i) => match flags.get(i + 1) {
-            Some(p) if !p.starts_with("--") => Some(PathBuf::from(p)),
-            _ => {
-                eprintln!("--metrics-out requires a path argument");
-                return ExitCode::from(2);
-            }
-        },
+/// The one CLI job, behind both `repair` and `simulate`: prepare → store
+/// tier → checkpoint or neighbor seed → `job::execute` → one
+/// classification → persist. Returns the response document and the
+/// simulation bundle (built only with `build_sim`), or the exit code.
+///
+/// `--store-dir`: an exact content-key hit is served from disk without
+/// running a repair (and appends no run report); a miss warm-starts from
+/// the nearest stored neighbor and writes its verified result through, so
+/// a later `serve --store-dir` or `repair --store-dir` finds it.
+/// `--checkpoint-dir`: the repair loops snapshot their progress into this
+/// key's slot, so a run killed by `--timeout` (exit 124) or `--max-nodes`
+/// (exit 125) leaves a resume point; `--resume` seeds the run from it, and
+/// a verified success retires it.
+fn run_job(
+    source: &str,
+    path: &str,
+    flags: &[String],
+    build_sim: bool,
+) -> Result<(Json, SimStatus), ExitCode> {
+    let usage = |e: String| {
+        eprintln!("{e}");
+        ExitCode::from(2)
+    };
+    let (mode, opts) = job_options(flags).map_err(usage)?;
+    let path_flag = |name| flag_value(flags, name).map(|v| v.map(PathBuf::from));
+    let metrics_out = path_flag("--metrics-out")
+        .map_err(|_| usage("--metrics-out requires a path argument".to_string()))?;
+    let trace_out = path_flag("--trace-out").map_err(usage)?;
+    let store_dir = path_flag("--store-dir").map_err(usage)?;
+    let ckpt_dir = path_flag("--checkpoint-dir").map_err(usage)?;
+    let resume = flags.iter().any(|a| a == "--resume");
+    if resume && ckpt_dir.is_none() {
+        return Err(usage("--resume requires --checkpoint-dir".to_string()));
+    }
+    let trace = flags.iter().any(|a| a == "--trace");
+
+    let spec = job::prepare(source, mode, opts).map_err(|e| {
+        eprintln!("{path}: {e}");
+        ExitCode::from(1)
+    })?;
+    let cannot_open = |what: &str, dir: &std::path::Path, e: std::io::Error| {
+        usage(format!("cannot open {what} {}: {e}", dir.display()))
+    };
+    let store = match &store_dir {
+        Some(dir) => Some(
+            DiskStore::open(dir, 0, &Telemetry::off()).map_err(|e| cannot_open("store", dir, e))?,
+        ),
         None => None,
     };
-    let deadline = match duration_flag(flags, "--timeout") {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+    let ckpts = match &ckpt_dir {
+        Some(dir) => Some(Arc::new(
+            CheckpointStore::open(dir).map_err(|e| cannot_open("checkpoint dir", dir, e))?,
+        )),
+        None => None,
+    };
+
+    // The store tier: an exact hit runs no repair.
+    if let (Some(store), Some(dir)) = (&store, &store_dir) {
+        if let Some(stored) = store.get(&spec.key) {
+            eprintln!("served from store {} (key {})", dir.display(), &spec.key[..16]);
+            summarize(&spec, &stored.response)?;
+            let sim = if build_sim {
+                job::rebuild_sim_bundle(&spec.ast, &stored.artifacts)
+            } else {
+                SimStatus::Unavailable
+            };
+            return Ok((stored.response, sim));
         }
-    };
-    let max_nodes = match parsed_flag(flags, "--max-nodes", 0usize) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
+    }
+
+    // `--resume`: this exact key's checkpoint slot beats any neighbor — it
+    // is the interrupted run's own progress, distance zero by definition.
+    let mut warm = None;
+    if let (true, Some(ckpts)) = (resume, &ckpts) {
+        match job::checkpoint_seed(ckpts, &spec) {
+            Some((iteration, seed)) => {
+                eprintln!("resuming from checkpoint at iteration {iteration}");
+                warm = Some(seed);
+            }
+            None => eprintln!("no checkpoint for this spec; starting cold"),
         }
-    };
-    let reorder = match reorder_flag(flags) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let trace_out: Option<PathBuf> = match flag_value(flags, "--trace-out") {
-        Ok(v) => v.map(PathBuf::from),
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::from(2);
-        }
-    };
-    let opts = RepairOptions {
-        restrict_to_reachable: !has("--pure-lazy"),
-        step2_closed_form: !has("--iterative-step2"),
-        parallel_step2: has("--parallel"),
-        allow_new_terminal_inside: !has("--strict-terminal"),
-        deadline,
-        max_nodes,
-        reorder,
-        ..Default::default()
-    };
+    }
+    if warm.is_none() {
+        warm = store.as_ref().and_then(|store| job::neighbor_seed(store, &spec));
+    }
+
     // Telemetry costs nothing when off; turn it on whenever the run is
-    // observed (a metrics sink, stderr tracing, or a trace export was
-    // requested). `--trace-out` needs the hierarchical span log too.
-    let trace = has("--trace");
+    // observed (a metrics sink, stderr tracing, or a trace export).
+    // `--trace-out` needs the hierarchical span log too.
     let tele = if trace_out.is_some() {
         Telemetry::with_spans(trace)
     } else if metrics_out.is_some() || trace {
@@ -847,118 +702,120 @@ fn repair(prog: &mut DistributedProgram, flags: &[String]) -> ExitCode {
     } else {
         Telemetry::off()
     };
-
-    let mode = if has("--cautious") { "cautious" } else { "lazy" };
+    let mut token = Token::from_options(&spec.opts);
+    if let Some(ckpts) = &ckpts {
+        token = token.with_checkpointer(job::checkpoint_sink(ckpts, &spec.key, |_, written| {
+            if let Err(e) = written {
+                eprintln!("warning: checkpoint write failed: {e}");
+            }
+        }));
+    }
     // One trace ID per CLI run, same wire format as the server's
     // `X-Trace-Id`; it names the exported trace tree.
-    let trace_id = ftrepair::telemetry::trace::mint_trace_id();
-    let outcome = {
+    let trace_id = trace::mint_trace_id();
+    let run = {
         // The root span every repair-phase span nests under in the export.
         let mut root = tele.span("job");
-        root.field("case", prog.name.as_str().into());
-        root.field("mode", mode.into());
-        root.field("trace_id", ftrepair::telemetry::trace::format_trace_id(trace_id).into());
-        if has("--cautious") {
-            cautious_repair_traced(prog, &opts, &tele).map(|c| LazyOutcome {
-                processes: c.processes,
-                invariant: c.invariant,
-                span: c.span,
-                trans: c.trans,
-                failed: c.failed,
-                stats: c.stats,
-            })
-        } else {
-            lazy_repair_traced(prog, &opts, &tele)
-        }
-    };
-    let emit_trace = |tele: &Telemetry, case: &str| -> ExitCode {
-        if let Some(path) = &trace_out {
-            let records = tele.take_spans();
-            let doc = ftrepair::telemetry::trace::chrome_trace(&records, trace_id, case);
-            if let Err(e) = std::fs::write(path, doc.to_string()) {
-                eprintln!("cannot write trace to {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            eprintln!(
-                "trace {} ({} spans) written to {} (open in Perfetto or chrome://tracing)",
-                ftrepair::telemetry::trace::format_trace_id(trace_id),
-                records.len(),
-                path.display(),
-            );
-        }
-        ExitCode::SUCCESS
-    };
-    let out: LazyOutcome = match outcome {
-        Ok(o) => o,
-        Err(aborted) => {
-            eprintln!("{aborted}");
-            emit_trace(&tele, &prog.name);
-            return abort_exit(aborted);
-        }
+        root.field("case", spec.name.as_str().into());
+        root.field("mode", spec.mode.as_str().into());
+        root.field("trace_id", trace::format_trace_id(trace_id).into());
+        job::execute(&spec, &tele, build_sim, &token, warm.as_ref(), store.is_some())
     };
 
-    // Report before verification, so the verifier's BDD traffic does not
-    // pollute the run's cache hit rates.
-    let mut report =
-        build_run_report(&prog.name, mode, &opts, &out.stats, out.failed, &tele, &prog.cx);
-    let emit_report = |report: &ftrepair::telemetry::RunReport| -> ExitCode {
-        if let Some(path) = &metrics_out {
-            if let Err(e) = report.append_to(path) {
-                eprintln!("cannot write metrics to {}: {e}", path.display());
-                return ExitCode::from(2);
+    // A trace is written however the run ended; a run report only when a
+    // repair finished (aborts and compile errors have none).
+    if let Some(out) = &trace_out {
+        let records = tele.take_spans();
+        let doc = trace::chrome_trace(&records, trace_id, &spec.name);
+        std::fs::write(out, doc.to_string())
+            .map_err(|e| usage(format!("cannot write trace to {}: {e}", out.display())))?;
+        eprintln!(
+            "trace {} ({} spans) written to {} (open in Perfetto or chrome://tracing)",
+            trace::format_trace_id(trace_id),
+            records.len(),
+            out.display(),
+        );
+    }
+    let mut result = match run {
+        Ok(result) => result,
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            let job::ExecError::Aborted(why) = e else {
+                return Err(ExitCode::from(1));
+            };
+            if let (Some(ckpts), Some(dir)) = (&ckpts, &ckpt_dir) {
+                if ckpts.get(&spec.key).is_some() {
+                    eprintln!(
+                        "checkpoint saved in {}; rerun with --resume to continue from it",
+                        dir.display()
+                    );
+                }
             }
-            eprintln!("metrics appended to {}", path.display());
+            return Err(abort_exit(why));
         }
-        ExitCode::SUCCESS
     };
+    if let Some(out) = &metrics_out {
+        result
+            .report
+            .append_to(out)
+            .map_err(|e| usage(format!("cannot write metrics to {}: {e}", out.display())))?;
+        eprintln!("metrics appended to {}", out.display());
+    }
+    if let (true, Some(info)) = (result.warm_used, &warm) {
+        eprintln!(
+            "warm-started from neighbor {} (fingerprint distance {})",
+            &info.neighbor[..info.neighbor.len().min(16)],
+            info.distance,
+        );
+    }
+    if !result.failed {
+        eprintln!(
+            "repaired in {:?} (step1 {:?}, step2 {:?}, {} outer iteration(s))",
+            result.stats.total_time(),
+            result.stats.step1_time,
+            result.stats.step2_time,
+            result.stats.outer_iterations,
+        );
+        eprintln!("verified: masking={} realizability={}", result.masking, result.realizable);
+    }
+    if result.verified() {
+        // The run is complete: its resume point is stale, retire it.
+        if let Some(ckpts) = &ckpts {
+            let _ = ckpts.clear(&spec.key);
+        }
+        // Synchronous write-through (the CLI has no async writer to hand
+        // off to); only verified repairs carry artifacts.
+        if let (Some(store), Some(entry)) = (&store, result.take_store_entry(&spec)) {
+            match store.put(&entry) {
+                Ok(true) => eprintln!("stored under key {}", &spec.key[..16]),
+                Ok(false) => {}
+                Err(e) => eprintln!("warning: store write failed: {e}"),
+            }
+        }
+    }
+    summarize(&spec, &result.response)?;
+    Ok((result.response, result.sim))
+}
 
-    if out.failed {
+/// Close a job on stderr from its response document, whichever tier
+/// produced it, and classify it: no repair exists (exit 1), a repair the
+/// independent verifiers rejected (exit 3), or a response to print.
+fn summarize(spec: &job::JobSpec, response: &Json) -> Result<(), ExitCode> {
+    if response.get("failed").and_then(Json::as_bool) == Some(true) {
         eprintln!("no masking fault-tolerant repair exists under these inputs");
-        emit_report(&report);
-        emit_trace(&tele, &prog.name);
-        return ExitCode::from(1);
+        return Err(ExitCode::from(1));
     }
-
-    let (m, r) = verify_outcome(prog, &out);
-    report.set("verified", (m.ok() && r.ok()).into());
-    if emit_report(&report) != ExitCode::SUCCESS {
-        return ExitCode::from(2);
-    }
-    if emit_trace(&tele, &prog.name) != ExitCode::SUCCESS {
-        return ExitCode::from(2);
-    }
+    let count = |field| response.get(field).and_then(Json::as_f64).unwrap_or(0.0);
     eprintln!(
-        "repaired in {:?} (step1 {:?}, step2 {:?}, {} outer iteration(s))",
-        out.stats.total_time(),
-        out.stats.step1_time,
-        out.stats.step2_time,
-        out.stats.outer_iterations,
+        "invariant: {} states, fault-span: {} states",
+        count("invariant_states"),
+        count("span_states")
     );
-    eprintln!("verified: masking={} realizability={}", m.ok(), r.ok());
-    if !(m.ok() && r.ok()) {
-        eprintln!("INTERNAL ERROR: output failed verification: {m:?} {r:?}");
-        return ExitCode::from(3);
+    let verified = response.get("verified").and_then(Json::as_bool) == Some(true);
+    eprintln!("repaired {} ({} mode), verified: {verified}", spec.name, spec.mode.as_str());
+    if !verified {
+        eprintln!("INTERNAL ERROR: output failed verification");
+        return Err(ExitCode::from(3));
     }
-
-    println!("// repaired program {}", prog.name);
-    println!(
-        "// invariant: {} states, fault-span: {} states",
-        prog.cx.count_states(out.invariant),
-        prog.cx.count_states(out.span),
-    );
-    println!("// (behavior outside the fault-span is unreachable and omitted)\n");
-    for (j, p) in out.processes.iter().enumerate() {
-        // Restrict to transitions whose source lies in the fault-span: the
-        // realizability construction pads groups with transitions from
-        // unreachable states, which would only confuse the reader.
-        let reachable_part = prog.cx.mgr().and(p.trans, out.span);
-        let shown = ftrepair::program::Process {
-            name: p.name.clone(),
-            read: p.read.clone(),
-            write: p.write.clone(),
-            trans: reachable_part,
-        };
-        println!("{}", render_process(prog, &shown, j));
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }

@@ -70,12 +70,77 @@ fn repair_with_cautious_flag_matches_lazy_verdict() {
 }
 
 #[test]
-fn repair_with_parallel_and_iterative_flags() {
-    for flag in ["--parallel", "--iterative-step2", "--pure-lazy"] {
+fn repair_with_iterative_and_pure_lazy_flags() {
+    for flag in ["--iterative-step2", "--pure-lazy"] {
         let (_, stderr, ok) = ftrepair(&["repair", &spec("toggle_pair.ftr"), flag]);
         assert!(ok, "{flag}: {stderr}");
         assert!(stderr.contains("masking=true"), "{flag}: {stderr}");
     }
+}
+
+/// Every subcommand accepts only the flags it reads: a typo, or the
+/// removed `--parallel`, is a usage error rather than a silent default.
+#[test]
+fn unknown_flags_are_rejected_with_usage() {
+    for flag in ["--parallel", "--reoder"] {
+        let (_, stderr, code) = ftrepair_code(&["repair", &spec("toggle_pair.ftr"), flag, "sift"]);
+        assert_eq!(code, Some(2), "{flag}: {stderr}");
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(stderr.contains("usage: ftrepair repair"), "{stderr}");
+    }
+}
+
+/// `--store-dir` combines with `--metrics-out` and `--trace-out`: a miss
+/// repairs, reports, traces, and stores; the rerun is served from the
+/// store without running a repair; stdout is the same program text on
+/// every path.
+#[test]
+fn store_dir_runs_report_trace_and_serve_identical_stdout_on_rerun() {
+    let dir = std::env::temp_dir().join(format!("ftrepair-cli-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (store, metrics, trace) = (path("store"), path("m.jsonl"), path("t.json"));
+    let args = [
+        "repair",
+        &spec("toggle_pair.ftr"),
+        "--store-dir",
+        &store,
+        "--metrics-out",
+        &metrics,
+        "--trace-out",
+        &trace,
+    ];
+
+    let (first, stderr, ok) = ftrepair(&args);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("stored under key"), "{stderr}");
+    let reports = std::fs::read_to_string(&metrics).unwrap();
+    assert_eq!(reports.lines().count(), 1, "{reports}");
+    assert!(reports.contains("\"verified\":true"), "{reports}");
+    let doc = ftrepair::telemetry::Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let ftrepair::telemetry::Json::Arr(events) = doc.get("traceEvents").unwrap() else {
+        panic!("traceEvents is not an array");
+    };
+    let field =
+        |e: &ftrepair::telemetry::Json, k: &str| e.get("args").and_then(|a| a.get(k)).cloned();
+    let spans: Vec<_> = events.iter().filter(|e| field(e, "span_id").is_some()).collect();
+    let ids: Vec<_> = spans.iter().map(|e| field(e, "span_id")).collect();
+    let roots: Vec<_> = spans.iter().filter(|e| !ids.contains(&field(e, "parent"))).collect();
+    assert_eq!(roots.len(), 1, "one root span: {doc}");
+    assert_eq!(roots[0].get("name").and_then(|n| n.as_str()), Some("job"));
+
+    let (second, stderr, ok) = ftrepair(&args);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("served from store"), "{stderr}");
+    assert_eq!(second, first, "a store hit prints the same program");
+    let reports = std::fs::read_to_string(&metrics).unwrap();
+    assert_eq!(reports.lines().count(), 1, "a store hit runs no repair: {reports}");
+
+    let (plain, stderr, ok) = ftrepair(&["repair", &spec("toggle_pair.ftr")]);
+    assert!(ok, "{stderr}");
+    assert_eq!(plain, first, "plain and stored runs print the same program");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -19,17 +19,14 @@ fn check(prog: &mut DistributedProgram, out: &LazyOutcome) {
 fn byzantine_agreement_all_option_combinations() {
     for restrict in [true, false] {
         for closed_form in [true, false] {
-            for parallel in [true, false] {
-                let (mut p, _) = byzantine_agreement(2);
-                let opts = RepairOptions {
-                    restrict_to_reachable: restrict,
-                    step2_closed_form: closed_form,
-                    parallel_step2: parallel,
-                    ..Default::default()
-                };
-                let out = lazy_repair(&mut p, &opts).unwrap();
-                check(&mut p, &out);
-            }
+            let (mut p, _) = byzantine_agreement(2);
+            let opts = RepairOptions {
+                restrict_to_reachable: restrict,
+                step2_closed_form: closed_form,
+                ..Default::default()
+            };
+            let out = lazy_repair(&mut p, &opts).unwrap();
+            check(&mut p, &out);
         }
     }
 }
