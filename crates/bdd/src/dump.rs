@@ -2,11 +2,12 @@
 //!
 //! [`SerializedBdd`] is how BDDs travel between managers: the disk store
 //! and the mid-repair checkpoints persist repaired relations in this form,
-//! and a later job imports them into its own manager. With dynamic
-//! reordering each manager's variable order can diverge, so the blob
-//! records the source order explicitly; import replays the fast `mk` path
-//! when the orders agree (on the function's support) and falls back to an
-//! `ite`-based rebuild when they do not.
+//! and a later job imports them into its own manager. The blob records the
+//! source variable order. Managers today always use the identity order,
+//! but store entries and checkpoint slots written by earlier builds may
+//! carry another one, so import replays the fast `mk` path when the nodes
+//! respect the identity order and falls back to an `ite`-based rebuild
+//! when they do not.
 
 use crate::hash::FxHashMap;
 use crate::manager::Manager;
@@ -18,7 +19,8 @@ use crate::node::{NodeId, FALSE, TRUE};
 /// describes node `i + 2` as `(var, lo, hi)` where `var` is a stable
 /// variable index and `lo`/`hi` index earlier nodes (or terminals). `root`
 /// indexes the whole table the same way. `order` is the source manager's
-/// level-to-variable permutation at export time.
+/// level-to-variable permutation at export time (the identity for every
+/// blob this build writes).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SerializedBdd {
     /// Number of variables the source manager had (import target must have at
@@ -238,24 +240,12 @@ impl SerializedBdd {
         Ok(())
     }
 
-    /// Whether the declared source order agrees with `target` (the importing
-    /// manager's `var2level`) on the *relative* order of all variables in
-    /// this blob's support — the condition for the fast `mk` replay path.
-    fn order_compatible(&self, target: &Manager) -> bool {
-        let mut prev = None;
-        for &v in &self.order {
-            if !self.nodes.iter().any(|&(var, _, _)| var == v) {
-                continue; // not in support: its position is irrelevant
-            }
-            let lvl = target.var2level[v as usize];
-            if let Some(p) = prev {
-                if lvl <= p {
-                    return false;
-                }
-            }
-            prev = Some(lvl);
-        }
-        true
+    /// Whether every node branches above its children in the identity
+    /// order — the condition for the fast `mk` replay path. Call only after
+    /// [`SerializedBdd::validate`].
+    fn identity_ordered(&self) -> bool {
+        let var = |child: u32| if child < 2 { u32::MAX } else { self.nodes[child as usize - 2].0 };
+        self.nodes.iter().all(|&(v, lo, hi)| v < var(lo) && v < var(hi))
     }
 }
 
@@ -284,11 +274,11 @@ impl Manager {
         }
         let nodes = order
             .iter()
-            .map(|&g| (self.var_of(g), index[&self.lo(g)], index[&self.hi(g)]))
+            .map(|&g| (self.level(g), index[&self.lo(g)], index[&self.hi(g)]))
             .collect();
         SerializedBdd {
             num_vars: self.num_vars(),
-            order: self.current_order(),
+            order: (0..self.num_vars()).collect(),
             nodes,
             root: index[&f],
         }
@@ -305,24 +295,24 @@ impl Manager {
         }
     }
 
-    /// Validated import. When the blob's variable order is compatible with
-    /// this manager's (on the function's support), every node replays
-    /// through `mk` — linear time, hash-consed against everything already
-    /// here. Otherwise the function is rebuilt bottom-up with `ite`, which
-    /// re-expresses it in this manager's order.
+    /// Validated import. When the blob's nodes respect this manager's
+    /// (identity) order, every node replays through `mk` — linear time,
+    /// hash-consed against everything already here. Otherwise the function
+    /// is rebuilt bottom-up with `ite`, which re-expresses it in this
+    /// manager's order.
     pub fn try_import(&mut self, s: &SerializedBdd) -> Result<NodeId, ImportError> {
         s.validate(self.num_vars())?;
         let mut ids: Vec<NodeId> = Vec::with_capacity(s.nodes.len() + 2);
         ids.push(FALSE);
         ids.push(TRUE);
-        if s.order_compatible(self) {
+        if s.identity_ordered() {
             for &(var, lo, hi) in &s.nodes {
                 let lo = ids[lo as usize];
                 let hi = ids[hi as usize];
-                ids.push(self.mk_var(var, lo, hi));
+                ids.push(self.mk(var, lo, hi));
             }
         } else {
-            // Diverged orders: Shannon-recombine each node in *this*
+            // Foreign order: Shannon-recombine each node in *this*
             // manager's order. Children are already rebuilt (topological
             // order), so `ite(var, hi, lo)` is correct regardless of where
             // `var` now sits.
@@ -353,7 +343,7 @@ impl Manager {
                 TRUE => "f1".to_string(),
                 NodeId(i) => format!("n{i}"),
             };
-            writeln!(out, "  {} [label=\"{}\", shape=circle];", node_name(g), name(self.var_of(g)))
+            writeln!(out, "  {} [label=\"{}\", shape=circle];", node_name(g), name(self.level(g)))
                 .unwrap();
             writeln!(out, "  {} -> {} [style=dashed];", node_name(g), node_name(self.lo(g)))
                 .unwrap();
@@ -454,30 +444,34 @@ mod tests {
 
     #[test]
     fn import_from_reordered_manager() {
-        // Build a function, sift the source manager so its order diverges,
-        // export, and import into a fresh identity-order manager: the
-        // function (by stable variable index) must survive.
-        let mut m1 = Manager::new(8);
-        let mut f = FALSE;
-        for i in 0..4 {
-            let a = m1.var(i);
-            let b = m1.var(4 + i);
-            let ab = m1.and(a, b);
-            f = m1.or(f, ab);
+        // `(x0 ∧ x1) ∨ x2` written by a manager whose order was reversed
+        // (`order[level] = var`): x2 on top, x0 at the bottom. The nodes
+        // violate the identity order, so import must take the ite rebuild.
+        let blob = SerializedBdd {
+            num_vars: 3,
+            order: vec![2, 1, 0],
+            nodes: vec![(0, 0, 1), (1, 0, 2), (2, 3, 1)],
+            root: 4,
+        };
+        let mut m = Manager::new(3);
+        let g = m.try_import(&blob).expect("valid in its declared order");
+        m.check_integrity();
+        for bits in 0..8u32 {
+            let a: Vec<bool> = (0..3).map(|i| (bits >> i) & 1 == 1).collect();
+            assert_eq!(m.eval(g, &a), (a[0] && a[1]) || a[2], "bits={bits:03b}");
         }
-        let _ = m1.reorder_sift(&[f]);
-        assert_ne!(m1.current_order(), (0..8).collect::<Vec<u32>>(), "sift should reorder");
-        let s = m1.export(f);
-        let mut m2 = Manager::new(8);
-        let g = m2.import(&s);
-        for bits in 0..256u32 {
-            let a: Vec<bool> = (0..8).map(|i| (bits >> i) & 1 == 1).collect();
-            assert_eq!(m1.eval(f, &a), m2.eval(g, &a), "bits={bits:08b}");
-        }
-        // And the reverse direction: identity blob into the sifted manager.
-        let s2 = m2.export(g);
-        let h = m1.import(&s2);
-        assert_eq!(h, f, "canonicity after cross-order roundtrip");
+        // Canonicity: the same function built natively is the same node,
+        // and re-exporting writes the identity order.
+        let (x0, x1, x2) = (m.var(0), m.var(1), m.var(2));
+        let x01 = m.and(x0, x1);
+        let f = m.or(x01, x2);
+        assert_eq!(g, f, "canonicity after cross-order import");
+        assert_eq!(m.export(g).order, vec![0, 1, 2]);
+        // Nodes that are fine under the identity order but contradict the
+        // declared order are still rejected: the declaration is checked.
+        let mut native = m.export(f);
+        native.order = vec![2, 1, 0];
+        assert!(matches!(m.try_import(&native), Err(ImportError::OrderViolation { .. })));
     }
 
     #[test]

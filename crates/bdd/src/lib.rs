@@ -17,15 +17,14 @@
 //! * order-preserving variable renaming (used to map next-state variables back
 //!   to current-state variables),
 //! * sat-counting, deterministic minterm picking and cube iteration,
-//! * mark-and-sweep garbage collection with stable node ids,
-//! * dynamic variable reordering — in-place adjacent-level swaps with
-//!   grouped Rudell sifting on top and an optional auto-reorder trigger
-//!   (`reorder.rs`); node ids and functions survive a reorder, only the
-//!   order (and the node count) changes,
+//! * one fixed variable order: the variable index is the level,
+//! * mark-and-sweep garbage collection with stable node ids, plus a
+//!   checkpoint trigger that collects once the arena doubles
+//!   ([`Manager::maybe_gc`]),
 //! * a portable serialized DAG form ([`SerializedBdd`]) used to ship BDDs
 //!   between managers (e.g. from the disk store or a checkpoint into a new
-//!   job's manager), recording the source variable order so managers with
-//!   diverged orders can still exchange functions.
+//!   job's manager); it records the source variable order, so blobs written
+//!   in another order still import.
 //!
 //! There are **no complemented edges**: plain canonical nodes keep invariants
 //! simple enough to property-test exhaustively against a truth-table oracle
@@ -50,7 +49,6 @@ mod node;
 mod ops;
 mod quant;
 mod rename;
-mod reorder;
 pub mod rng;
 mod sat;
 
@@ -60,6 +58,5 @@ pub use manager::{CacheCounter, CacheStats, Manager, ManagerStats};
 pub use node::{NodeId, FALSE, TRUE};
 pub use quant::VarSetId;
 pub use rename::VarMapId;
-pub use reorder::ReorderOutcome;
 pub use rng::SplitMix64;
 pub use sat::CubeIter;

@@ -63,9 +63,9 @@ impl<K: std::hash::Hash + Eq> MemoCache<K> {
 ///
 /// Garbage collection drops exactly the entries that reference a dead node
 /// ([`Caches::retain_live`]); every surviving entry stays valid because a
-/// surviving `NodeId`'s *function* never changes — neither GC nor an
-/// in-place reorder rebinds a live slot. Keys embed everything the result
-/// depends on, so the caches never need invalidation otherwise.
+/// surviving `NodeId`'s *function* never changes — GC never rebinds a live
+/// slot. Keys embed everything the result depends on, so the caches never
+/// need invalidation otherwise.
 #[derive(Default)]
 pub(crate) struct Caches {
     /// `NOT f ↦ result`.
@@ -85,10 +85,9 @@ pub(crate) struct Caches {
 
 impl Caches {
     /// Drop every entry that references a node `live` rejects. Cached
-    /// results are function identities (`and(f, g) = h` holds under any
-    /// variable order, and the interned varset/varmap indices in the
-    /// quantification/rename keys are never recycled), so liveness of the
-    /// mentioned nodes is the *only* validity condition.
+    /// results are function identities (and the interned varset/varmap
+    /// indices in the quantification/rename keys are never recycled), so
+    /// liveness of the mentioned nodes is the *only* validity condition.
     pub(crate) fn retain_live(&mut self, live: impl Fn(NodeId) -> bool) {
         self.not.retain(|&f, v| live(f) && live(v));
         self.apply.retain(|&(_, f, g), v| live(f) && live(g) && live(v));
@@ -191,76 +190,61 @@ pub struct ManagerStats {
     pub unique_hits: u64,
     /// `mk` calls that created a fresh node.
     pub unique_misses: u64,
-    /// Completed [`Manager::reorder_sift`] runs.
+    /// Always 0: the variable order is fixed, so no reorder ever runs. Kept
+    /// so readers of older reports and the benchmark ledger see the field.
     pub reorder_runs: u64,
-    /// Adjacent-level swaps performed across all reorder runs.
+    /// Always 0, like [`ManagerStats::reorder_runs`].
     pub reorder_swaps: u64,
-    /// Sift directions abandoned because the arena outgrew the max-growth
-    /// bound.
-    pub reorder_aborted: u64,
-    /// Live nodes right after the most recent reorder (0 if none ran).
-    pub post_reorder_nodes: usize,
 }
 
-/// A BDD manager owning the node arena for one variable order.
+/// Armed garbage-collection trigger (see [`Manager::maybe_gc`]).
+#[derive(Clone, Copy, Debug)]
+struct GcTrigger {
+    /// Collect at the next checkpoint once the live-node count reaches this.
+    threshold: usize,
+    /// Configured floor the threshold never drops below.
+    floor: usize,
+}
+
+/// A BDD manager owning the node arena for one fixed variable order.
 ///
-/// Variables are identified by a stable *variable index* `0..num_vars`; the
-/// manager maintains a separate (mutable) level permutation so that dynamic
-/// reordering (see `reorder.rs`) can move variables without invalidating any
-/// caller-held index. Until a reorder runs, level `i` is variable `i`. All
-/// [`NodeId`]s returned by a manager are only valid with that manager; use
-/// [`crate::SerializedBdd`] to move functions between managers (it records
-/// the source order so managers with diverged orders can still exchange
-/// BDDs).
+/// Variables are identified by their index `0..num_vars`, and the index is
+/// also the level: variable 0 is tested first. All [`NodeId`]s returned by
+/// a manager are only valid with that manager; use [`crate::SerializedBdd`]
+/// to move functions between managers.
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) unique: FxHashMap<Node, NodeId>,
+    /// The unique table, split into one subtable per level keyed by
+    /// `(lo, hi)`: with the order fixed a node's level never changes, and
+    /// many small tables never ask the allocator for one huge block.
+    unique: Vec<FxHashMap<(NodeId, NodeId), NodeId>>,
     pub(crate) free: Vec<u32>,
     num_vars: u32,
-    /// Level of each variable index (a permutation of `0..num_vars`).
-    pub(crate) var2level: Vec<u32>,
-    /// Variable index at each level (the inverse permutation).
-    pub(crate) level2var: Vec<u32>,
     pub(crate) caches: Caches,
     /// Externally protected roots (refcounted) that GC must keep alive.
     pub(crate) protected: FxHashMap<NodeId, u32>,
     /// Interned variable sets for quantification (see `quant.rs`), stored as
-    /// sorted variable indices — the order-independent interning identity.
+    /// sorted variable indices.
     pub(crate) varsets: Vec<Vec<u32>>,
     varset_ids: FxHashMap<Vec<u32>, u32>,
-    /// Level-space view of each varset under the current order (sorted
-    /// ascending); rebuilt after every reorder.
-    pub(crate) varsets_lvl: Vec<Vec<u32>>,
-    /// Interned variable maps for renaming (see `rename.rs`), as variable
-    /// index pairs sorted by source index.
+    /// Interned order-preserving variable maps for renaming (see
+    /// `rename.rs`), as index pairs sorted by source (and so by target).
     pub(crate) varmaps: Vec<Vec<(u32, u32)>>,
     varmap_ids: FxHashMap<Vec<(u32, u32)>, u32>,
-    /// Level-space view of each varmap, sorted by source level; rebuilt (and
-    /// re-checked for order preservation) after every reorder.
-    pub(crate) varmaps_lvl: Vec<Vec<(u32, u32)>>,
     gc_runs: usize,
     pub(crate) unique_hits: u64,
     pub(crate) unique_misses: u64,
-    /// Live internal nodes, maintained incrementally by `mk`/GC/reorder.
-    pub(crate) live_count: usize,
+    /// Live internal nodes, maintained incrementally by `mk` and GC.
+    live_count: usize,
     /// High-water mark of `live_count`.
-    pub(crate) peak_live: usize,
-    /// Sift groups (variable indices occupying contiguous levels); empty
-    /// means every variable sifts alone. See [`Manager::set_reorder_groups`].
-    pub(crate) groups: Vec<Vec<u32>>,
-    /// Armed auto-reorder trigger, if any (see [`Manager::set_auto_reorder`]).
-    pub(crate) auto_reorder: Option<crate::reorder::AutoReorder>,
+    peak_live: usize,
+    /// Armed garbage-collection trigger, if any (see
+    /// [`Manager::set_gc_threshold`]).
+    gc_trigger: Option<GcTrigger>,
     /// Live-node budget (0 = unlimited; see [`Manager::set_node_budget`]).
-    pub(crate) node_budget: usize,
+    node_budget: usize,
     /// Sticky flag: the budget was exceeded and a GC could not help.
-    pub(crate) budget_exhausted: bool,
-    /// Sifting abandons a direction once the arena exceeds this factor of its
-    /// size at the start of the current block's sift.
-    pub(crate) max_growth: f64,
-    pub(crate) reorder_runs: u64,
-    pub(crate) reorder_swaps: u64,
-    pub(crate) reorder_aborted: u64,
-    pub(crate) post_reorder_nodes: usize,
+    budget_exhausted: bool,
 }
 
 impl Manager {
@@ -274,33 +258,23 @@ impl Manager {
         nodes.push(Node { var: TERMINAL_LEVEL, lo: TRUE, hi: TRUE });
         Manager {
             nodes,
-            unique: FxHashMap::default(),
+            unique: (0..num_vars).map(|_| FxHashMap::default()).collect(),
             free: Vec::new(),
             num_vars,
-            var2level: (0..num_vars).collect(),
-            level2var: (0..num_vars).collect(),
             caches: Caches::default(),
             protected: FxHashMap::default(),
             varsets: Vec::new(),
             varset_ids: FxHashMap::default(),
-            varsets_lvl: Vec::new(),
             varmaps: Vec::new(),
             varmap_ids: FxHashMap::default(),
-            varmaps_lvl: Vec::new(),
             gc_runs: 0,
             unique_hits: 0,
             unique_misses: 0,
             live_count: 0,
             peak_live: 0,
-            groups: Vec::new(),
-            auto_reorder: None,
+            gc_trigger: None,
             node_budget: 0,
             budget_exhausted: false,
-            max_growth: crate::reorder::DEFAULT_MAX_GROWTH,
-            reorder_runs: 0,
-            reorder_swaps: 0,
-            reorder_aborted: 0,
-            post_reorder_nodes: 0,
         }
     }
 
@@ -311,33 +285,17 @@ impl Manager {
     }
 
     /// Grow the variable universe (new variables enter at the bottom of the
-    /// current order; existing BDDs are unaffected because the new levels
-    /// sort below all existing nodes).
+    /// order; existing BDDs are unaffected because the new levels sort below
+    /// all existing nodes).
     pub fn add_vars(&mut self, extra: u32) {
-        for _ in 0..extra {
-            let v = self.num_vars;
-            self.var2level.push(v);
-            self.level2var.push(v);
-            self.num_vars += 1;
-        }
+        self.num_vars += extra;
+        self.unique.resize_with(self.num_vars as usize, FxHashMap::default);
     }
 
-    /// The current level of a node's branching variable (`TERMINAL_LEVEL`
-    /// for terminals).
+    /// The branching variable of a node, which is also its level
+    /// (`TERMINAL_LEVEL` for terminals).
     #[inline]
     pub(crate) fn level(&self, f: NodeId) -> u32 {
-        let v = self.nodes[f.0 as usize].var;
-        if v == TERMINAL_LEVEL {
-            TERMINAL_LEVEL
-        } else {
-            self.var2level[v as usize]
-        }
-    }
-
-    /// The branching variable index of a node (`TERMINAL_LEVEL` for
-    /// terminals). Stable across reorders.
-    #[inline]
-    pub(crate) fn var_of(&self, f: NodeId) -> u32 {
         self.nodes[f.0 as usize].var
     }
 
@@ -353,45 +311,21 @@ impl Manager {
         self.nodes[f.0 as usize].hi
     }
 
-    /// Hash-consing constructor in **level space**: the unique canonical node
-    /// branching at the current `level`. The recursive ops work on levels
-    /// (order-dependent) while nodes store the stable variable index.
+    /// Hash-consing constructor: the unique canonical node branching on
+    /// `var` (equivalently, at level `var`).
     #[inline]
-    pub(crate) fn mk(&mut self, level: u32, lo: NodeId, hi: NodeId) -> NodeId {
-        debug_assert!(level < self.num_vars, "level {level} out of range");
-        if lo == hi {
-            return lo; // reduction rule
-        }
-        debug_assert!(level < self.level(lo) && level < self.level(hi), "order violation");
-        let node = Node { var: self.level2var[level as usize], lo, hi };
-        self.hash_cons(node)
-    }
-
-    /// Hash-consing constructor in **variable space** (for callers that hold
-    /// stable variable indices: `var`, `cube`, import, reorder).
-    #[inline]
-    pub(crate) fn mk_var(&mut self, var: u32, lo: NodeId, hi: NodeId) -> NodeId {
+    pub(crate) fn mk(&mut self, var: u32, lo: NodeId, hi: NodeId) -> NodeId {
         debug_assert!(var < self.num_vars, "variable {var} out of range");
         if lo == hi {
             return lo; // reduction rule
         }
-        debug_assert!(
-            {
-                let l = self.var2level[var as usize];
-                l < self.level(lo) && l < self.level(hi)
-            },
-            "order violation"
-        );
-        self.hash_cons(Node { var, lo, hi })
-    }
-
-    #[inline]
-    fn hash_cons(&mut self, node: Node) -> NodeId {
-        if let Some(&id) = self.unique.get(&node) {
+        debug_assert!(var < self.level(lo) && var < self.level(hi), "order violation");
+        if let Some(&id) = self.unique[var as usize].get(&(lo, hi)) {
             self.unique_hits += 1;
             return id;
         }
         self.unique_misses += 1;
+        let node = Node { var, lo, hi };
         let id = match self.free.pop() {
             Some(slot) => {
                 self.nodes[slot as usize] = node;
@@ -403,7 +337,7 @@ impl Manager {
                 NodeId(slot)
             }
         };
-        self.unique.insert(node, id);
+        self.unique[var as usize].insert((lo, hi), id);
         self.live_count += 1;
         if self.live_count > self.peak_live {
             self.peak_live = self.live_count;
@@ -411,15 +345,14 @@ impl Manager {
         id
     }
 
-    /// The function `var(v)` — true iff variable `v` is true. The index is
-    /// stable across reorders.
+    /// The function `var(v)` — true iff variable `v` is true.
     pub fn var(&mut self, v: u32) -> NodeId {
-        self.mk_var(v, FALSE, TRUE)
+        self.mk(v, FALSE, TRUE)
     }
 
     /// The function `¬var(v)`.
     pub fn nvar(&mut self, v: u32) -> NodeId {
-        self.mk_var(v, TRUE, FALSE)
+        self.mk(v, TRUE, FALSE)
     }
 
     /// The conjunction of literals described by `(variable, positive)` pairs.
@@ -434,11 +367,10 @@ impl Manager {
             }
         }
         lits.dedup();
-        // Build bottom-up in the *current* order: deepest level first.
-        lits.sort_unstable_by_key(|&(v, _)| self.var2level[v as usize]);
+        // Build bottom-up: deepest level first.
         let mut acc = TRUE;
         for &(v, pos) in lits.iter().rev() {
-            acc = if pos { self.mk_var(v, FALSE, acc) } else { self.mk_var(v, acc, FALSE) };
+            acc = if pos { self.mk(v, FALSE, acc) } else { self.mk(v, acc, FALSE) };
         }
         acc
     }
@@ -476,9 +408,8 @@ impl Manager {
     }
 
     /// Arm (or, with 0, disarm) a live-node budget, clearing any latched
-    /// exhaustion. The budget is enforced at the same governance
-    /// checkpoints as the auto-reorder trigger (see
-    /// [`Manager::maybe_reorder`]): when the live count exceeds it, the
+    /// exhaustion. The budget is enforced at the governance checkpoints
+    /// (see [`Manager::maybe_gc`]): when the live count exceeds it, the
     /// checkpoint collects garbage first, and only if the arena is *still*
     /// over budget does it latch [`Manager::budget_exhausted`] — a repair
     /// layer then aborts cleanly at its next cancellation boundary instead
@@ -499,10 +430,9 @@ impl Manager {
         self.budget_exhausted
     }
 
-    /// The budget half of the governance checkpoint (the reorder half
-    /// lives in [`Manager::maybe_reorder`], which calls this first).
-    /// `roots` must cover every external `NodeId` the caller still needs,
-    /// exactly as for [`Manager::gc`].
+    /// The budget half of the governance checkpoint ([`Manager::maybe_gc`]
+    /// calls this first). `roots` must cover every external `NodeId` the
+    /// caller still needs, exactly as for [`Manager::gc`].
     pub fn enforce_node_budget(&mut self, roots: &[NodeId]) {
         if self.node_budget == 0 || self.budget_exhausted || self.live_count <= self.node_budget {
             return;
@@ -513,6 +443,42 @@ impl Manager {
         if self.live_count > self.node_budget {
             self.budget_exhausted = true;
         }
+    }
+
+    /// Arm the garbage-collection trigger that [`Manager::maybe_gc`]
+    /// checks. The threshold (at least 16) is also the floor the trigger
+    /// never re-arms below.
+    pub fn set_gc_threshold(&mut self, threshold: usize) {
+        let t = threshold.max(16);
+        self.gc_trigger = Some(GcTrigger { threshold: t, floor: t });
+    }
+
+    /// The floor of the armed garbage-collection trigger, if one is armed.
+    pub fn gc_floor(&self) -> Option<usize> {
+        self.gc_trigger.map(|t| t.floor)
+    }
+
+    /// The governance checkpoint, called only between operations (the
+    /// repair loops use the boundaries where the cancellation token is
+    /// polled). It enforces the node budget, then, if the trigger is armed
+    /// and the live-node count has reached its threshold, collects down to
+    /// `roots` ∪ protected and re-arms at twice the survivors (never below
+    /// the floor), so the next collection waits for the arena to double
+    /// again. Arena growth during a fixpoint is mostly dead intermediates,
+    /// which is why collecting here bounds the peak.
+    ///
+    /// `roots` must cover every external `NodeId` the caller intends to use
+    /// again that is not covered by [`Manager::protect`]; anything
+    /// unreachable from them is garbage.
+    pub fn maybe_gc(&mut self, roots: &[NodeId]) {
+        self.enforce_node_budget(roots);
+        let Some(trigger) = self.gc_trigger else { return };
+        if self.live_count < trigger.threshold {
+            return;
+        }
+        self.gc(roots.iter().copied());
+        let threshold = (2 * self.live_count).max(trigger.floor);
+        self.gc_trigger = Some(GcTrigger { threshold, ..trigger });
     }
 
     /// Mark-and-sweep garbage collection.
@@ -548,7 +514,7 @@ impl Manager {
         for (idx, &is_marked) in marked.iter().enumerate().skip(2) {
             if !is_marked && !already_free.contains(&(idx as u32)) {
                 let node = self.nodes[idx];
-                self.unique.remove(&node);
+                self.unique[node.var as usize].remove(&(node.lo, node.hi));
                 self.free.push(idx as u32);
             }
         }
@@ -584,16 +550,6 @@ impl Manager {
     /// to live slots. Panics with a description on the first violation.
     /// O(arena size); meant for tests and debugging, not hot paths.
     pub fn check_integrity(&self) {
-        assert_eq!(self.var2level.len(), self.num_vars as usize, "var2level length");
-        assert_eq!(self.level2var.len(), self.num_vars as usize, "level2var length");
-        for v in 0..self.num_vars {
-            let l = self.var2level[v as usize];
-            assert!(l < self.num_vars, "variable {v} mapped to level {l} out of range");
-            assert_eq!(
-                self.level2var[l as usize], v,
-                "var2level and level2var are not inverse permutations at variable {v}"
-            );
-        }
         let free: crate::hash::FxHashSet<u32> = self.free.iter().copied().collect();
         assert_eq!(free.len(), self.free.len(), "duplicate slots on the free list");
         for idx in 2..self.nodes.len() {
@@ -604,7 +560,6 @@ impl Manager {
             let node = self.nodes[idx];
             assert!(node.lo != node.hi, "unreduced node {id:?}");
             assert!(node.var < self.num_vars, "node {id:?} variable out of range");
-            let level = self.var2level[node.var as usize];
             for child in [node.lo, node.hi] {
                 assert!(
                     (child.0 as usize) < self.nodes.len(),
@@ -612,20 +567,20 @@ impl Manager {
                 );
                 assert!(!free.contains(&child.0), "node {id:?} points to freed slot {child:?}");
                 assert!(
-                    level < self.level(child),
+                    node.var < self.level(child),
                     "order violation at {id:?}: level {} !< child {}",
-                    level,
+                    node.var,
                     self.level(child)
                 );
             }
             assert_eq!(
-                self.unique.get(&node),
+                self.unique[node.var as usize].get(&(node.lo, node.hi)),
                 Some(&id),
                 "node {id:?} missing from or duplicated in the unique table"
             );
         }
         assert_eq!(
-            self.unique.len(),
+            self.unique.iter().map(|t| t.len()).sum::<usize>(),
             self.nodes.len() - 2 - self.free.len(),
             "unique table size does not match live node count"
         );
@@ -634,18 +589,6 @@ impl Manager {
             self.nodes.len() - 2 - self.free.len(),
             "incremental live counter out of sync"
         );
-        // Order-derived views of the interned sets/maps must match a fresh
-        // recomputation under the current order.
-        for (i, vars) in self.varsets.iter().enumerate() {
-            assert_eq!(self.varsets_lvl[i], self.levels_of(vars), "stale varset level view {i}");
-        }
-        for (i, pairs) in self.varmaps.iter().enumerate() {
-            assert_eq!(
-                self.varmaps_lvl[i],
-                self.varmap_levels(pairs),
-                "stale varmap level view {i}"
-            );
-        }
     }
 
     /// Per-cache hit/miss snapshot across all six op caches and the unique
@@ -661,7 +604,7 @@ impl Manager {
             unique: CacheCounter {
                 hits: self.unique_hits,
                 misses: self.unique_misses,
-                entries: self.unique.len(),
+                entries: self.unique.iter().map(|t| t.len()).sum(),
             },
         }
     }
@@ -677,44 +620,8 @@ impl Manager {
             gc_runs: self.gc_runs,
             unique_hits: self.unique_hits,
             unique_misses: self.unique_misses,
-            reorder_runs: self.reorder_runs,
-            reorder_swaps: self.reorder_swaps,
-            reorder_aborted: self.reorder_aborted,
-            post_reorder_nodes: self.post_reorder_nodes,
-        }
-    }
-
-    /// The current levels of a list of variable indices, sorted ascending.
-    pub(crate) fn levels_of(&self, vars: &[u32]) -> Vec<u32> {
-        let mut levels: Vec<u32> = vars.iter().map(|&v| self.var2level[v as usize]).collect();
-        levels.sort_unstable();
-        levels
-    }
-
-    /// Level-space view of a variable map under the current order, sorted by
-    /// source level. Asserts order preservation — the property that makes
-    /// renaming a single linear rebuild. Grouped sifting (pairs move as one
-    /// block) keeps every current/next map order-preserving by construction.
-    pub(crate) fn varmap_levels(&self, pairs: &[(u32, u32)]) -> Vec<(u32, u32)> {
-        let mut lvl: Vec<(u32, u32)> = pairs
-            .iter()
-            .map(|&(from, to)| (self.var2level[from as usize], self.var2level[to as usize]))
-            .collect();
-        lvl.sort_unstable();
-        for w in lvl.windows(2) {
-            assert!(w[0].1 < w[1].1, "variable map is not order-preserving");
-        }
-        lvl
-    }
-
-    /// Rebuild the level-space views of all interned varsets and varmaps —
-    /// called after a reorder changed `var2level`.
-    pub(crate) fn rebuild_order_views(&mut self) {
-        for i in 0..self.varsets.len() {
-            self.varsets_lvl[i] = self.levels_of(&self.varsets[i]);
-        }
-        for i in 0..self.varmaps.len() {
-            self.varmaps_lvl[i] = self.varmap_levels(&self.varmaps[i]);
+            reorder_runs: 0,
+            reorder_swaps: 0,
         }
     }
 
@@ -731,9 +638,7 @@ impl Manager {
             return crate::quant::VarSetId(id);
         }
         let id = self.varsets.len() as u32;
-        let lvl = self.levels_of(&vs);
         self.varsets.push(vs.clone());
-        self.varsets_lvl.push(lvl);
         self.varset_ids.insert(vs, id);
         crate::quant::VarSetId(id)
     }
@@ -745,9 +650,8 @@ impl Manager {
 
     /// Intern an **order-preserving** variable map `from → to` for renaming.
     ///
-    /// Order preservation (`from` before `to` in the current order, pairwise
-    /// consistently) is what makes renaming a single linear rebuild; it is
-    /// asserted here and re-asserted after every reorder.
+    /// Order preservation (sources and targets sorted the same way) is what
+    /// makes renaming a single linear rebuild; it is asserted here.
     pub fn varmap(&mut self, pairs: &[(u32, u32)]) -> crate::rename::VarMapId {
         let mut map: Vec<(u32, u32)> = pairs.to_vec();
         map.sort_unstable();
@@ -758,13 +662,14 @@ impl Manager {
         for &(from, to) in &map {
             assert!(from < self.num_vars && to < self.num_vars, "varmap variable out of range");
         }
-        let lvl = self.varmap_levels(&map);
+        for w in map.windows(2) {
+            assert!(w[0].1 < w[1].1, "variable map is not order-preserving");
+        }
         if let Some(&id) = self.varmap_ids.get(&map) {
             return crate::rename::VarMapId(id);
         }
         let id = self.varmaps.len() as u32;
         self.varmaps.push(map.clone());
-        self.varmaps_lvl.push(lvl);
         self.varmap_ids.insert(map, id);
         crate::rename::VarMapId(id)
     }
@@ -934,13 +839,38 @@ mod tests {
     }
 
     #[test]
-    fn maybe_reorder_runs_the_budget_checkpoint_in_every_mode() {
-        // auto_reorder is None (never armed): the budget must still latch.
+    fn maybe_gc_runs_the_budget_checkpoint_when_disarmed() {
+        // The trigger is never armed: the budget must still latch.
         let mut m = Manager::new(8);
         let roots: Vec<NodeId> = (0..8).map(|i| m.var(i)).collect();
         m.set_node_budget(4);
-        assert!(m.maybe_reorder(&roots).is_none());
-        assert!(m.budget_exhausted(), "checkpoint fires with reordering off");
+        m.maybe_gc(&roots);
+        assert!(m.budget_exhausted(), "checkpoint fires with the trigger disarmed");
+    }
+
+    #[test]
+    fn gc_trigger_fires_and_rearms() {
+        let mut m = Manager::new(16);
+        m.set_gc_threshold(32);
+        assert_eq!(m.gc_floor(), Some(32));
+        m.maybe_gc(&[]);
+        assert_eq!(m.stats().gc_runs, 0, "below threshold");
+        let mut keep = FALSE;
+        for i in 0..8 {
+            let (a, b) = (m.var(i), m.var(8 + i));
+            let ab = m.and(a, b);
+            keep = m.or(keep, ab);
+        }
+        assert!(m.stats().live_nodes >= 32, "setup: arena at threshold");
+        m.maybe_gc(&[keep]);
+        assert_eq!(m.stats().gc_runs, 1, "should fire at threshold");
+        let survivors = m.stats().live_nodes;
+        assert_eq!(survivors, m.node_count(keep) - 2, "collected down to the root");
+        m.check_integrity();
+        // Re-armed at max(2 × survivors, floor): an immediate second call
+        // must not fire again.
+        m.maybe_gc(&[keep]);
+        assert_eq!(m.stats().gc_runs, 1);
     }
 
     #[test]

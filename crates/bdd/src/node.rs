@@ -45,17 +45,14 @@ impl std::fmt::Debug for NodeId {
 
 /// An internal decision node: `ite(var, hi, lo)`.
 ///
-/// Nodes store the branching **variable index**, not its level: dynamic
-/// reordering (see `reorder.rs`) moves variables between levels, and the
-/// indirection through `Manager::var2level` is what lets untouched nodes keep
-/// their identity across a swap.
+/// Nodes store the branching variable index, which is also the node's
+/// level: the manager's variable order is fixed.
 ///
-/// Invariants maintained by [`crate::Manager::mk`]:
+/// Invariants maintained by `Manager::mk`:
 /// * `lo != hi` (reduced),
-/// * `level(var) < level(lo)` and `level(var) < level(hi)` (ordered under the
-///   manager's current variable order),
+/// * `var < var(lo)` and `var < var(hi)` (ordered),
 /// * at most one node per `(var, lo, hi)` triple (hash-consed).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Node {
     pub var: u32,
     pub lo: NodeId,

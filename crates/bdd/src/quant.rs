@@ -29,10 +29,7 @@ impl Manager {
         if f.is_terminal() {
             return f;
         }
-        // Recursion works in level space: `varsets_lvl` is the interned
-        // variable set viewed under the current order.
-        let levels = &self.varsets_lvl[vs.0 as usize];
-        let last = match levels.last() {
+        let last = match self.varsets[vs.0 as usize].last() {
             Some(&l) => l,
             None => return f,
         };
@@ -51,7 +48,7 @@ impl Manager {
         let (lo, hi) = (self.lo(f), self.hi(f));
         let qlo = self.quantify_rec(lo, vs, last, q);
         let qhi = self.quantify_rec(hi, vs, last, q);
-        let quantified = self.varsets_lvl[vs.0 as usize].binary_search(&level).is_ok();
+        let quantified = self.varsets[vs.0 as usize].binary_search(&level).is_ok();
         let r = if quantified {
             if q == Q_EXISTS {
                 self.or(qlo, qhi)
@@ -69,7 +66,7 @@ impl Manager {
     /// never materialized. With `f` a state set and `g` a transition
     /// relation this is one image/preimage step.
     pub fn and_exists(&mut self, f: NodeId, g: NodeId, vs: VarSetId) -> NodeId {
-        let last = match self.varsets_lvl[vs.0 as usize].last() {
+        let last = match self.varsets[vs.0 as usize].last() {
             Some(&l) => l,
             None => return self.and(f, g),
         };
@@ -99,7 +96,7 @@ impl Manager {
         }
         let (f_lo, f_hi) = if lf == level { (self.lo(f), self.hi(f)) } else { (f, f) };
         let (g_lo, g_hi) = if lg == level { (self.lo(g), self.hi(g)) } else { (g, g) };
-        let quantified = self.varsets_lvl[vs.0 as usize].binary_search(&level).is_ok();
+        let quantified = self.varsets[vs.0 as usize].binary_search(&level).is_ok();
         let r = if quantified {
             let lo = self.and_exists_rec(f_lo, g_lo, vs, last);
             if lo == TRUE {

@@ -46,9 +46,7 @@ impl Manager {
         let (lo, hi) = (self.lo(f), self.hi(f));
         let rlo = self.rename_rec(lo, map);
         let rhi = self.rename_rec(hi, map);
-        // The level-space view of the map (sorted by source level under the
-        // current order) drives the rebuild.
-        let pairs = &self.varmaps_lvl[map.0 as usize];
+        let pairs = &self.varmaps[map.0 as usize];
         let new_level = match pairs.binary_search_by_key(&level, |p| p.0) {
             Ok(i) => pairs[i].1,
             Err(_) => level,
@@ -61,10 +59,7 @@ impl Manager {
     /// The cofactor of `f` under the partial assignment `literals`
     /// (`(variable, value)` pairs): substitute constants for those variables.
     pub fn restrict(&mut self, f: NodeId, literals: &[(u32, bool)]) -> NodeId {
-        // The recursion prunes and searches in level space, so translate the
-        // stable variable indices through the current order first.
-        let mut lits: Vec<(u32, bool)> =
-            literals.iter().map(|&(v, b)| (self.var2level[v as usize], b)).collect();
+        let mut lits = literals.to_vec();
         lits.sort_unstable_by_key(|p| p.0);
         // Local memo (keyed by node only) is sound because `lits` is fixed
         // for the whole recursion.
@@ -109,7 +104,6 @@ impl Manager {
     }
 
     /// The set of variable indices occurring in `f`, sorted ascending.
-    /// Stable across reorders.
     pub fn support(&self, f: NodeId) -> Vec<u32> {
         let mut seen = crate::hash::FxHashSet::default();
         let mut vars = crate::hash::FxHashSet::default();
@@ -118,7 +112,7 @@ impl Manager {
             if g.is_terminal() || !seen.insert(g) {
                 continue;
             }
-            vars.insert(self.var_of(g));
+            vars.insert(self.level(g));
             stack.push(self.lo(g));
             stack.push(self.hi(g));
         }
@@ -131,7 +125,7 @@ impl Manager {
     pub fn eval(&self, f: NodeId, assignment: &[bool]) -> bool {
         let mut cur = f;
         while !cur.is_terminal() {
-            let v = self.var_of(cur) as usize;
+            let v = self.level(cur) as usize;
             cur = if assignment[v] { self.hi(cur) } else { self.lo(cur) };
         }
         cur == TRUE

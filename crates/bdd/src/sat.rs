@@ -45,8 +45,7 @@ impl Manager {
     /// A deterministic satisfying assignment of `f` restricted to `vars`
     /// (variable indices; missing/don't-care variables default to `false`),
     /// or `None` if `f = ⊥`. Prefers the low branch at every node, so the
-    /// witness is deterministic for a given variable order (and the
-    /// lexicographically smallest under the identity order).
+    /// witness is deterministic (and the lexicographically smallest).
     pub fn pick_minterm(&self, f: NodeId, vars: &[u32]) -> Option<Vec<bool>> {
         if f == FALSE {
             return None;
@@ -54,7 +53,7 @@ impl Manager {
         let mut values: FxHashMap<u32, bool> = FxHashMap::default();
         let mut cur = f;
         while !cur.is_terminal() {
-            let v = self.var_of(cur);
+            let v = self.level(cur);
             if self.lo(cur) != FALSE {
                 values.insert(v, false);
                 cur = self.lo(cur);
@@ -105,7 +104,7 @@ impl<'a> Iterator for CubeIter<'a> {
                 FALSE => continue,
                 TRUE => return Some(path),
                 _ => {
-                    let v = self.manager.var_of(f);
+                    let v = self.manager.level(f);
                     let mut hi_path = path.clone();
                     hi_path.push((v, true));
                     self.stack.push((self.manager.hi(f), hi_path));

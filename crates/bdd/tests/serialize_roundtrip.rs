@@ -1,20 +1,20 @@
-//! Cross-manager `SerializedBdd` round-trip property test — the exact path
-//! warm-start repair depends on: a BDD exported from a manager whose order
-//! has drifted under sifting must re-import into a *differently ordered*
-//! manager as the same boolean function.
+//! Cross-order `SerializedBdd` round-trip property test — the path
+//! warm-start repair depends on when a store entry or checkpoint slot was
+//! written in a variable order other than the importing manager's.
 //!
-//! Each case: build a seeded random BDD, sift the source manager, export;
-//! prepare a fresh target manager and sift it toward a *different* order
-//! (driven by an unrelated skew function); import and check sat-count and
-//! sampled-evaluation equality. Every blob also makes the trip through the
-//! binary codec (`to_bytes`/`from_bytes`) first, since that is how the disk
-//! store moves artifacts.
+//! Each case: build a seeded random BDD and take its truth table; write the
+//! same function by hand as a blob in a seeded random permutation of the
+//! variables (nodes consistent with that order, as an earlier build's
+//! manager would have exported it); import and check sat-count, evaluation
+//! on every assignment, and canonicity against the natively built root.
+//! Every blob also makes the trip through the binary codec
+//! (`to_bytes`/`from_bytes`) first, since that is how the disk store moves
+//! artifacts.
 
-use ftrepair_bdd::{Manager, NodeId, SerializedBdd, SplitMix64, FALSE, TRUE};
+use ftrepair_bdd::{FxHashMap, Manager, NodeId, SerializedBdd, SplitMix64, FALSE, TRUE};
 
-const NVARS: u32 = 12;
+const NVARS: u32 = 10;
 const CASES: u64 = 120;
-const EVAL_SAMPLES: usize = 300;
 
 fn random_bdd(m: &mut Manager, rng: &mut SplitMix64) -> NodeId {
     let mut f = if rng.coin() { TRUE } else { FALSE };
@@ -35,64 +35,92 @@ fn random_bdd(m: &mut Manager, rng: &mut SplitMix64) -> NodeId {
     f
 }
 
-/// Push the target manager's order away from identity (and from the source
-/// manager's sifted order) by sifting a function that pairs distant
-/// variables, then discard it.
-fn scramble_order(m: &mut Manager, rng: &mut SplitMix64) {
-    let mut skew = FALSE;
-    for i in 0..NVARS / 2 {
-        let a = m.var(i + (rng.gen_range(2) as u32) % NVARS);
-        let b = m.var(NVARS - 1 - i);
-        let ab = m.and(a, b);
-        skew = m.or(skew, ab);
-    }
-    let _ = m.reorder_sift(&[skew]);
+/// Assignment `bits` (bit `v` = variable `v`) as an `eval` argument.
+fn assignment(bits: u32) -> Vec<bool> {
+    (0..NVARS).map(|v| (bits >> v) & 1 == 1).collect()
 }
 
-fn random_assignment(rng: &mut SplitMix64) -> Vec<bool> {
-    (0..NVARS).map(|_| rng.coin()).collect()
+/// A Fisher–Yates shuffle of `0..NVARS`.
+fn random_order(rng: &mut SplitMix64) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..NVARS).collect();
+    for i in (1..order.len()).rev() {
+        let j = rng.gen_range(i as u64 + 1) as usize;
+        order.swap(i, j);
+    }
+    order
+}
+
+/// The reduced, ordered BDD of `truth` under `order` (`order[level] =
+/// variable`), written directly as a blob: Shannon-expand level by level
+/// and hash-cons `(var, lo, hi)` triples, children first.
+fn blob_in_order(truth: &[bool], order: &[u32]) -> SerializedBdd {
+    fn build(
+        truth: &[bool],
+        order: &[u32],
+        level: usize,
+        bits: u32,
+        nodes: &mut Vec<(u32, u32, u32)>,
+        unique: &mut FxHashMap<(u32, u32, u32), u32>,
+    ) -> u32 {
+        if level == order.len() {
+            return truth[bits as usize] as u32;
+        }
+        let var = order[level];
+        let lo = build(truth, order, level + 1, bits, nodes, unique);
+        let hi = build(truth, order, level + 1, bits | 1 << var, nodes, unique);
+        if lo == hi {
+            return lo;
+        }
+        *unique.entry((var, lo, hi)).or_insert_with(|| {
+            nodes.push((var, lo, hi));
+            nodes.len() as u32 + 1
+        })
+    }
+    let mut nodes = Vec::new();
+    let root = build(truth, order, 0, 0, &mut nodes, &mut FxHashMap::default());
+    SerializedBdd { num_vars: NVARS, order: order.to_vec(), nodes, root }
+}
+
+/// Whether some node tests a variable after one of its children in the
+/// identity order, i.e. the blob needs the ite rebuild to import.
+fn needs_rebuild(blob: &SerializedBdd) -> bool {
+    let var = |child: u32| if child < 2 { u32::MAX } else { blob.nodes[child as usize - 2].0 };
+    blob.nodes.iter().any(|&(v, lo, hi)| v > var(lo) || v > var(hi))
 }
 
 #[test]
-fn sifted_export_imports_into_differently_ordered_manager() {
+fn foreign_order_blob_imports_as_the_same_function() {
     let mut rng = SplitMix64::seed_from_u64(0x0df7_0a5e_5107_e001);
-    let mut diverged_cases = 0u64;
+    let mut rebuilt_cases = 0u64;
     for case in 0..CASES {
-        let mut src = Manager::new(NVARS);
-        let f = random_bdd(&mut src, &mut rng);
-        let _ = src.reorder_sift(&[f]);
-        src.check_integrity();
+        let mut m = Manager::new(NVARS);
+        let f = random_bdd(&mut m, &mut rng);
+        let truth: Vec<bool> =
+            (0..1u32 << NVARS).map(|bits| m.eval(f, &assignment(bits))).collect();
 
         // Through the binary codec, as the disk store would ship it.
-        let blob = src.export(f);
+        let blob = blob_in_order(&truth, &random_order(&mut rng));
         let decoded = SerializedBdd::from_bytes(&blob.to_bytes()).expect("codec round-trip");
         assert_eq!(blob, decoded, "case {case}: codec changed the blob");
+        if needs_rebuild(&decoded) {
+            rebuilt_cases += 1;
+        }
 
         let mut dst = Manager::new(NVARS);
-        scramble_order(&mut dst, &mut rng);
-        if dst.current_order() != src.current_order() {
-            diverged_cases += 1;
-        }
         let g = dst.try_import(&decoded).expect("import");
         dst.check_integrity();
-
-        assert_eq!(
-            dst.sat_count(g),
-            src.sat_count(f),
-            "case {case}: sat count lost across diverged-order import"
-        );
-        for _ in 0..EVAL_SAMPLES {
-            let a = random_assignment(&mut rng);
-            assert_eq!(dst.eval(g, &a), src.eval(f, &a), "case {case}: eval diverged on {a:?}");
+        assert_eq!(dst.sat_count(g), m.sat_count(f), "case {case}: sat count lost on import");
+        for (bits, &want) in truth.iter().enumerate() {
+            assert_eq!(dst.eval(g, &assignment(bits as u32)), want, "case {case}: bits={bits}");
         }
 
-        // Canonicity probe: re-export from the target and import back into
-        // the source — must hash-cons to the original root.
-        let back = src.import(&dst.export(g));
-        assert_eq!(back, f, "case {case}: function identity lost on the return trip");
+        // Canonicity probe: imported into the manager that built `f`, the
+        // foreign-order blob must hash-cons to the original root.
+        assert_eq!(m.import(&decoded), f, "case {case}: function identity lost");
+        m.check_integrity();
     }
-    // The scramble must actually exercise the ite-rebuild (diverged-order)
-    // import path in a healthy majority of cases, or this test would
-    // silently regress into testing only the fast replay path.
-    assert!(diverged_cases > CASES / 2, "only {diverged_cases}/{CASES} cases had diverged orders");
+    // The random orders must actually exercise the ite-rebuild path in a
+    // healthy majority of cases, or this test would silently regress into
+    // testing only the fast replay path.
+    assert!(rebuilt_cases > CASES / 2, "only {rebuilt_cases}/{CASES} cases needed the rebuild");
 }

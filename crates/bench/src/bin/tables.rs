@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p ftrepair-bench --bin tables -- \
-//!     [table1|table2|table3|ablations|ablation_reorder|all] [--large] [--metrics-out <path>]
+//!     [table1|table2|table3|ablations|ablation_warm|all] [--large] [--metrics-out <path>]
 //! ```
 //!
 //! `--large` extends every sweep to the biggest instances (minutes of
@@ -14,8 +14,8 @@
 //! downstream tooling can consume table runs and CLI runs uniformly.
 
 use ftrepair_bench::{
-    ablation_reorder, ablation_warm_start, measure, render, render_reorder, render_warm_start,
-    table1, table1_lazy_only, table2, table3, Row,
+    ablation_warm_start, measure, render, render_warm_start, table1, table1_lazy_only, table2,
+    table3, Row,
 };
 use ftrepair_casestudies::stabilizing_chain;
 use ftrepair_core::RepairOptions;
@@ -46,20 +46,18 @@ fn main() {
         "table2" => run_table2(large),
         "table3" => run_table3(large, huge),
         "ablations" => run_ablations(large),
-        "ablation_reorder" => run_ablation_reorder(large),
         "ablation_warm" => run_ablation_warm(large),
         "all" => {
             let mut rows = run_table1(large);
             rows.extend(run_table2(large));
             rows.extend(run_table3(large, huge));
             rows.extend(run_ablations(large));
-            rows.extend(run_ablation_reorder(large));
             rows.extend(run_ablation_warm(large));
             rows
         }
         other => {
             eprintln!(
-                "unknown selector {other}; use table1|table2|table3|ablations|ablation_reorder|ablation_warm|all"
+                "unknown selector {other}; use table1|table2|table3|ablations|ablation_warm|all"
             );
             std::process::exit(1);
         }
@@ -181,29 +179,4 @@ fn run_ablation_warm(large: bool) -> Vec<Row> {
         render_warm_start(&measured, "Ablation E — warm-start from stored neighbor (ours)")
     );
     measured.into_iter().flat_map(|r| [r.cold, r.warm]).collect()
-}
-
-/// Ablation D: dynamic variable reordering. Runs the big chain instances —
-/// the only case studies whose peaks clear the Auto trigger's threshold —
-/// under all three [`ftrepair_core::ReorderMode`]s, reporting the peak
-/// live-node counts next to wall-clock so the memory/time trade is visible
-/// in one table.
-fn run_ablation_reorder(large: bool) -> Vec<Row> {
-    let mut sizes = vec![12usize];
-    if large {
-        sizes.push(14);
-    }
-    let mut rows = Vec::new();
-    for n in sizes {
-        let measured = ablation_reorder(format!("Sc^{n}"), || stabilizing_chain(n, 8).0);
-        println!(
-            "{}",
-            render_reorder(
-                &measured,
-                &format!("Ablation D — dynamic variable reordering on Sc^{n} (d = 8)")
-            )
-        );
-        rows.extend(measured.into_iter().map(|r| r.row));
-    }
-    rows
 }

@@ -25,7 +25,7 @@ pub mod harness;
 use ftrepair_casestudies::{byzantine_agreement, byzantine_failstop, stabilizing_chain};
 use ftrepair_core::{
     build_run_report, cautious_repair, lazy_repair_traced, verify::verify_outcome, LazyOutcome,
-    ReorderMode, RepairOptions,
+    RepairOptions,
 };
 use ftrepair_program::DistributedProgram;
 use ftrepair_telemetry::{RunReport, Telemetry};
@@ -177,78 +177,6 @@ pub fn table3(sizes: &[usize], d: u64) -> Vec<Row> {
                 &RepairOptions::default(),
                 false,
             )
-        })
-        .collect()
-}
-
-/// One measurement of the reorder ablation: an ordinary [`Row`] plus the
-/// BDD manager's node-count statistics from the same run.
-#[derive(Clone, Debug)]
-pub struct ReorderRow {
-    /// The reorder policy this row ran under.
-    pub mode: ReorderMode,
-    /// High-water mark of the manager's live-node count over the repair.
-    pub peak_live_nodes: usize,
-    /// Live nodes right after the most recent sift (0 when none fired).
-    pub post_reorder_nodes: usize,
-    /// Completed sifting passes.
-    pub reorder_runs: u64,
-    /// Adjacent-level swaps performed across all passes.
-    pub reorder_swaps: u64,
-    /// Garbage collections — the Auto trigger's cheap first response.
-    pub gc_runs: usize,
-    /// Timings, verification verdict, and the JSONL report.
-    pub row: Row,
-}
-
-/// Run lazy repair on `factory`'s instance under every [`ReorderMode`] and
-/// capture the manager's node statistics alongside the usual measurements.
-/// The reachable-state count is mode-independent, so it is computed once.
-pub fn ablation_reorder(
-    label: impl Into<String>,
-    factory: impl Fn() -> DistributedProgram,
-) -> Vec<ReorderRow> {
-    let label = label.into();
-    let reachable = reachable_states(&mut factory());
-    [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto]
-        .into_iter()
-        .map(|mode| {
-            let opts = RepairOptions { reorder: mode, ..Default::default() };
-            let mut prog = factory();
-            let tele = Telemetry::new();
-            let out: LazyOutcome =
-                lazy_repair_traced(&mut prog, &opts, &tele).expect("bench runs have no deadline");
-            let stats = prog.cx.mgr_ref().stats();
-            let instance = format!("{label} ({})", mode.as_str());
-            let mut report =
-                build_run_report(&instance, "lazy", &opts, &out.stats, out.failed, &tele, &prog.cx);
-            let verified = if out.failed {
-                false
-            } else {
-                let (m, r) = verify_outcome(&mut prog, &out);
-                m.ok() && r.ok()
-            };
-            report.set("reachable_states", reachable.into());
-            report.set("verified", verified.into());
-            ReorderRow {
-                mode,
-                peak_live_nodes: stats.peak_live_nodes,
-                post_reorder_nodes: stats.post_reorder_nodes,
-                reorder_runs: stats.reorder_runs,
-                reorder_swaps: stats.reorder_swaps,
-                gc_runs: stats.gc_runs,
-                row: Row {
-                    instance,
-                    reachable_states: reachable,
-                    cautious: None,
-                    step1: out.stats.step1_time,
-                    step2: out.stats.step2_time,
-                    outer_iterations: out.stats.outer_iterations,
-                    verified,
-                    failed: out.failed,
-                    report,
-                },
-            }
         })
         .collect()
 }
@@ -407,8 +335,7 @@ pub fn ablation_warm_start(sizes: &[(usize, u64)]) -> Vec<WarmStartRow> {
             wreport.set("verified", wverified.into());
 
             // Exact parity: canonicalize the cold roots in the warm
-            // manager and compare. Import is order-robust, so this holds
-            // even if dynamic reordering moved the two managers apart.
+            // manager and compare.
             let parity = {
                 let cold_prog_exports = {
                     let mut cp = factory();
@@ -651,45 +578,6 @@ pub fn render_checkpoint_resume(rows: &[CheckpointResumeRow], title: &str) -> St
             r.speedup,
             if r.parity { "exact" } else { "DIVERGED" },
             if r.verified { "yes" } else { "NO" },
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// Render reorder-ablation rows as a markdown table. "Peak ×" is the
-/// baseline (`none`) peak divided by this row's peak — the factor by which
-/// the mode shrinks the repair's memory high-water mark.
-pub fn render_reorder(rows: &[ReorderRow], title: &str) -> String {
-    use std::fmt::Write;
-    let baseline_peak =
-        rows.iter().find(|r| r.mode == ReorderMode::None).map(|r| r.peak_live_nodes).unwrap_or(0);
-    let mut out = String::new();
-    writeln!(out, "### {title}\n").unwrap();
-    writeln!(
-        out,
-        "| Instance | Reorder | Lazy total | Peak live nodes | Peak × | Sift runs | Swaps | GCs | Verified |"
-    )
-    .unwrap();
-    writeln!(out, "|---|---|---|---|---|---|---|---|---|").unwrap();
-    for r in rows {
-        let ratio = if r.peak_live_nodes > 0 && baseline_peak > 0 {
-            format!("{:.2}×", baseline_peak as f64 / r.peak_live_nodes as f64)
-        } else {
-            "—".into()
-        };
-        writeln!(
-            out,
-            "| {} | {} | {:.3}s | {} | {} | {} | {} | {} | {} |",
-            r.row.instance,
-            r.mode.as_str(),
-            r.row.lazy_total().as_secs_f64(),
-            r.peak_live_nodes,
-            ratio,
-            r.reorder_runs,
-            r.reorder_swaps,
-            r.gc_runs,
-            if r.row.verified { "yes" } else { "NO" },
         )
         .unwrap();
     }

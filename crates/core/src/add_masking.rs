@@ -108,10 +108,9 @@ pub fn add_masking_seeded(
     loop {
         token.check_governed(cx)?;
         ms_iters += 1;
-        // Reorder checkpoint (no-op unless the caller armed the automatic
-        // trigger): every live local is a root; the caller's own roots are
-        // protected in the manager.
-        cx.maybe_reorder(&[
+        // Governance checkpoint: every live local is a root; the caller's
+        // own roots are protected in the manager.
+        cx.maybe_gc(&[
             invariant,
             safety.bad_states,
             safety.bad_trans,
@@ -219,7 +218,7 @@ pub fn add_masking_seeded(
         fixpoint_span.field("iter", Json::from(fixpoint_iter));
         let (old_s1, old_t1) = (s1, t1);
         prog.cx.maybe_trim_caches(CACHE_TRIM_THRESHOLD);
-        prog.cx.maybe_reorder(&[
+        prog.cx.maybe_gc(&[
             invariant,
             safety.bad_states,
             safety.bad_trans,
@@ -263,7 +262,7 @@ pub fn add_masking_seeded(
             token.check_governed(cx)?;
             let mut roots = live.to_vec();
             roots.push(t1);
-            cx.maybe_reorder(&roots);
+            cx.maybe_gc(&roots);
             let not_t1 = cx.mgr().not(t1);
             let escaping = cx.preimage(not_t1, faults);
             let keep = cx.mgr().diff(t1, escaping);

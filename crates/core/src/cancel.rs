@@ -127,7 +127,7 @@ impl Token {
     /// The checkpoint variant the repair loops use once a BDD manager is in
     /// play: cancellation and deadline first ([`Token::check`]), then the
     /// manager's latched node-budget exhaustion — set by a governance
-    /// checkpoint (`maybe_reorder`) when a garbage collection could not
+    /// checkpoint (`maybe_gc`) when a garbage collection could not
     /// bring the arena back under [`RepairOptions::max_nodes`]. The latch
     /// is sticky, so polling at the loop boundary is enough: an
     /// over-budget arena aborts at most one BDD op batch later.

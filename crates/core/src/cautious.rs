@@ -61,9 +61,9 @@ pub fn cautious_repair_cancellable(
             .into_iter()
             .chain(out.processes.iter().map(|p| p.trans))
             .collect();
-        crate::reorder::protect_outcome(prog, roots);
+        crate::arena::protect_outcome(prog, roots);
     }
-    crate::reorder::emit_bdd_tele(tele, prog);
+    crate::arena::emit_bdd_tele(tele, prog);
     r
 }
 
@@ -74,7 +74,7 @@ fn cautious_repair_inner(
     token: &Token,
 ) -> Result<LazyOutcome, RepairAborted> {
     token.check()?;
-    let auto_reorder = crate::reorder::configure(prog, opts);
+    crate::arena::configure(prog, opts);
     let started = Instant::now();
     let mut stats = RepairStats::default();
 
@@ -150,10 +150,6 @@ fn cautious_repair_inner(
     let mut grouped: Vec<NodeId> = vec![FALSE; prog.processes.len()];
     let mut p1;
 
-    if opts.reorder == crate::options::ReorderMode::Sift {
-        prog.cx.reorder_sift(&[delta_p, t_universe, stutters, not_mt, one_writer, s1, t1]);
-    }
-
     // One observation per iteration's group-enforcement pass — the cost
     // this baseline exists to expose, now as a distribution.
     let h_group = tele.histogram("cautious.group_enforcement.seconds");
@@ -171,14 +167,10 @@ fn cautious_repair_inner(
     loop {
         stats.cancel_checks += 1;
         token.check_governed(&prog.cx)?;
-        if auto_reorder {
-            // Previous-iteration `p1`/`grouped` values are dead here (both
-            // are fully rebuilt before their next use), so only the
-            // long-lived locals are roots.
-            prog.cx.maybe_reorder(&[
-                delta_p, t_universe, stutters, not_mt, one_writer, banned, s1, t1,
-            ]);
-        }
+        // Previous-iteration `p1`/`grouped` values are dead here (both are
+        // fully rebuilt before their next use), so only the long-lived
+        // locals are roots.
+        prog.cx.maybe_gc(&[delta_p, t_universe, stutters, not_mt, one_writer, banned, s1, t1]);
         iterations += 1;
         stats.outer_iterations = iterations;
         tele.add("repair.outer_iterations", 1);
@@ -274,7 +266,6 @@ fn cautious_repair_inner(
             let live = mgr.stats().live_nodes as u64;
             tele.max_gauge("bdd.peak_invariant_nodes", inv_nodes);
             tele.max_gauge("bdd.peak_span_nodes", span_nodes);
-            tele.max_gauge("bdd.peak_live_nodes", live);
             tele.push_sample(
                 "iterations",
                 &[

@@ -77,9 +77,9 @@ pub fn lazy_repair_warm(
 ) -> Result<LazyOutcome, RepairAborted> {
     if !seeds.is_empty() {
         tele.add("repair.warm_starts", 1);
-        // Seeds must survive GC at reorder checkpoints (which collect down
-        // to roots) until their one use in iteration 1; like `stutters`,
-        // the protection simply persists for the manager's lifetime.
+        // Seeds must survive GC at the checkpoints (which collect down to
+        // roots) until their one use in iteration 1; like `stutters`, the
+        // protection simply persists for the manager's lifetime.
         for root in seeds.roots() {
             prog.cx.mgr().protect(root);
         }
@@ -90,11 +90,11 @@ pub fn lazy_repair_warm(
             .into_iter()
             .chain(out.processes.iter().map(|p| p.trans))
             .collect();
-        crate::reorder::protect_outcome(prog, roots);
+        crate::arena::protect_outcome(prog, roots);
     }
-    // Reorder/peak statistics flow into the run report whatever happened —
-    // success, declared failure, or abort.
-    crate::reorder::emit_bdd_tele(tele, prog);
+    // The peak flows into the run report whatever happened — success,
+    // declared failure, or abort.
+    crate::arena::emit_bdd_tele(tele, prog);
     r
 }
 
@@ -106,7 +106,7 @@ fn lazy_repair_inner(
     seeds: &WarmSeeds,
 ) -> Result<LazyOutcome, RepairAborted> {
     token.check()?;
-    let auto_reorder = crate::reorder::configure(prog, opts);
+    crate::arena::configure(prog, opts);
     let mut stats = RepairStats::default();
     let mut s_prime = prog.invariant;
     let mut safety = prog.safety;
@@ -118,14 +118,9 @@ fn lazy_repair_inner(
         let universe = prog.cx.state_universe();
         prog.cx.deadlocks(universe, delta_p)
     };
-    if opts.reorder != crate::options::ReorderMode::None {
-        // `stutters` must survive the checkpoints inside Step 1/2 (they
-        // cannot see it); the protection persists like the base roots'.
-        prog.cx.mgr().protect(stutters);
-        if opts.reorder == crate::options::ReorderMode::Sift {
-            prog.cx.reorder_sift(&[s_prime, safety.bad_states, safety.bad_trans]);
-        }
-    }
+    // `stutters` must survive the checkpoints inside Step 1/2 (they cannot
+    // see it); the protection persists like the base roots'.
+    prog.cx.mgr().protect(stutters);
 
     // Per-phase latency histograms: one observation per outer iteration,
     // so distributions across many jobs (server mode) stay meaningful.
@@ -191,7 +186,6 @@ fn lazy_repair_inner(
             iter_span.field("live_nodes", Json::from(live));
             tele.max_gauge("bdd.peak_invariant_nodes", inv_nodes);
             tele.max_gauge("bdd.peak_span_nodes", span_nodes);
-            tele.max_gauge("bdd.peak_live_nodes", live);
             tele.push_sample(
                 "iterations",
                 &[
@@ -203,14 +197,12 @@ fn lazy_repair_inner(
             );
         }
 
-        // Step 2 (Line 9). Step 2's reorder checkpoints root only its own
-        // values, so the locals this loop still needs afterwards are
-        // protected across the call.
+        // Step 2 (Line 9). Step 2's checkpoints root only its own values,
+        // so the locals this loop still needs afterwards are protected
+        // across the call.
         let step2_guard = [s_prime, safety.bad_states, safety.bad_trans];
-        if auto_reorder {
-            for r in step2_guard {
-                prog.cx.mgr().protect(r);
-            }
+        for r in step2_guard {
+            prog.cx.mgr().protect(r);
         }
         let t1 = Instant::now();
         let r2 = {
@@ -220,10 +212,8 @@ fn lazy_repair_inner(
         let step2_elapsed = t1.elapsed();
         stats.step2_time += step2_elapsed;
         h_step2.observe_duration(step2_elapsed);
-        if auto_reorder {
-            for r in step2_guard {
-                prog.cx.mgr().unprotect(r);
-            }
+        for r in step2_guard {
+            prog.cx.mgr().unprotect(r);
         }
         let r2 = r2?;
         stats.absorb(&r2.stats);

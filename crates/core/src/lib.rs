@@ -34,13 +34,13 @@
 //! definitions before an experiment reports success.
 
 pub mod add_masking;
+mod arena;
 pub mod cancel;
 pub mod cautious;
 pub mod checkpoint;
 pub mod lazy;
 pub mod options;
 pub mod ranking;
-mod reorder;
 pub mod report;
 pub mod stats;
 pub mod step2;
@@ -52,7 +52,7 @@ pub use cancel::{RepairAborted, Token};
 pub use cautious::{cautious_repair, cautious_repair_cancellable, cautious_repair_traced};
 pub use checkpoint::{CheckpointImage, CheckpointPolicy, Checkpointer};
 pub use lazy::{lazy_repair, lazy_repair_traced, lazy_repair_warm, LazyOutcome};
-pub use options::{ReorderMode, RepairOptions, AUTO_REORDER_THRESHOLD};
+pub use options::{RepairOptions, GC_THRESHOLD};
 pub use report::build_run_report;
 pub use stats::RepairStats;
 pub use step2::{step2, step2_cancellable, Step2Result};

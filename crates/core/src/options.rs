@@ -3,59 +3,18 @@
 
 use std::time::Duration;
 
-/// When the BDD engine reorders variables during a repair.
-///
-/// Reordering permutes the variable order to shrink the live-node count; it
-/// never changes any function, so all modes compute the same repair (proven
-/// against the explicit-state oracle in `tests/reorder_parity.rs`). What
-/// changes is the peak memory profile and — on order-sensitive instances —
-/// the wall-clock time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ReorderMode {
-    /// Keep the declaration order untouched (the paper's implicit setting).
-    None,
-    /// Run one grouped sifting pass at repair entry, then keep that order.
-    Sift,
-    /// Arm the dynamic trigger: sift whenever the live-node count doubles
-    /// past a threshold, checked at the same safe boundaries where the
-    /// cancellation token is polled. The default.
-    #[default]
-    Auto,
-}
-
-impl ReorderMode {
-    /// Parse the CLI/server spelling (`none` | `sift` | `auto`).
-    pub fn parse(s: &str) -> Option<ReorderMode> {
-        match s {
-            "none" => Some(ReorderMode::None),
-            "sift" => Some(ReorderMode::Sift),
-            "auto" => Some(ReorderMode::Auto),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling accepted by [`ReorderMode::parse`].
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ReorderMode::None => "none",
-            ReorderMode::Sift => "sift",
-            ReorderMode::Auto => "auto",
-        }
-    }
-}
-
-/// Live-node count at which [`ReorderMode::Auto`] first fires. A firing
-/// collects garbage, sifts only if the collection alone did not bring the
-/// arena back under this value (fixpoint growth is usually dead
-/// intermediates, which a GC removes at a fraction of a sift's cost), and
-/// re-arms at twice the surviving size — never below this floor.
+/// Live-node count at which a repair's governance checkpoint first
+/// collects garbage (see `ftrepair_bdd::Manager::maybe_gc`). Each
+/// collection re-arms the trigger at twice the surviving size — never below
+/// this floor. Fixpoint growth is mostly dead intermediates, so collecting
+/// at the checkpoints bounds the peak.
 ///
 /// Calibrated well above the peaks of the small case-study instances
 /// (byzantine agreement through n=6 stays under 180k nodes and solves in
-/// milliseconds — any trigger there costs more than it saves), and below
+/// milliseconds — any collection there costs more than it saves), and below
 /// the multi-million-node peaks of the big Table III chains, where the
-/// trigger cuts peak memory ~3× at neutral-to-better wall-clock.
-pub const AUTO_REORDER_THRESHOLD: usize = 400_000;
+/// collections cut peak memory ~3× at neutral-to-better wall-clock.
+pub const GC_THRESHOLD: usize = 400_000;
 
 /// Options for [`crate::lazy_repair`], [`crate::cautious_repair`] and their
 /// building blocks.
@@ -107,11 +66,6 @@ pub struct RepairOptions {
     /// what it computes, so the server's content-address fingerprint
     /// excludes it.
     pub max_nodes: usize,
-    /// Dynamic variable reordering policy for the repair's BDD manager.
-    /// Part of the result's content address: while every mode computes a
-    /// semantically identical repair, cube *enumeration* follows BDD
-    /// structure, so rendered output can differ textually between orders.
-    pub reorder: ReorderMode,
 }
 
 impl Default for RepairOptions {
@@ -124,7 +78,6 @@ impl Default for RepairOptions {
             max_outer_iterations: 32,
             deadline: None,
             max_nodes: 0,
-            reorder: ReorderMode::default(),
         }
     }
 }
@@ -163,7 +116,6 @@ mod tests {
         assert_eq!(o.max_outer_iterations, 32);
         assert!(o.deadline.is_none(), "no deadline unless a caller opts in");
         assert_eq!(o.max_nodes, 0, "no node budget unless a caller opts in");
-        assert_eq!(o.reorder, ReorderMode::Auto, "dynamic reordering is on by default");
         let p = RepairOptions::paper();
         assert_eq!(format!("{o:?}"), format!("{p:?}"));
     }
@@ -180,14 +132,5 @@ mod tests {
         let o = RepairOptions::iterative_step2();
         assert!(!o.step2_closed_form);
         assert!(o.use_expand_group);
-    }
-
-    #[test]
-    fn reorder_mode_parse_roundtrip() {
-        for mode in [ReorderMode::None, ReorderMode::Sift, ReorderMode::Auto] {
-            assert_eq!(ReorderMode::parse(mode.as_str()), Some(mode));
-        }
-        assert_eq!(ReorderMode::parse("bogus"), None);
-        assert_eq!(ReorderMode::parse(""), None);
     }
 }

@@ -34,17 +34,15 @@ pub fn build_run_report(
     r
 }
 
-/// Node-count and reorder statistics from the manager: the peak live-node
-/// gauge the ablation benches compare, and the sift counters.
+/// Node-count statistics from the manager: live nodes, their high-water
+/// mark (the same number as the `bdd.peak_live_nodes` gauge), and the
+/// garbage collections that bounded it.
 pub fn bdd_stats_json(cx: &SymbolicContext) -> Json {
     let s = cx.mgr_ref().stats();
     let mut o = Json::obj();
     o.set("live_nodes", (s.live_nodes as u64).into());
     o.set("peak_live_nodes", (s.peak_live_nodes as u64).into());
-    o.set("reorder_runs", s.reorder_runs.into());
-    o.set("reorder_swaps", s.reorder_swaps.into());
-    o.set("reorder_aborted", s.reorder_aborted.into());
-    o.set("post_reorder_nodes", (s.post_reorder_nodes as u64).into());
+    o.set("gc_runs", (s.gc_runs as u64).into());
     o
 }
 
@@ -57,7 +55,9 @@ fn options_json(opts: &RepairOptions) -> Json {
     // so run reports and `/repair` documents keep their shape.
     o.set("parallel_step2", false.into());
     o.set("allow_new_terminal_inside", opts.allow_new_terminal_inside.into());
-    o.set("reorder", opts.reorder.as_str().into());
+    // Always "auto": variable reordering was removed (the order is fixed),
+    // and the field stays so run reports keep their shape.
+    o.set("reorder", "auto".into());
     o
 }
 
@@ -158,7 +158,12 @@ mod tests {
         assert_eq!(iters.len(), out.stats.outer_iterations);
         assert!(iters[0].get("invariant_nodes").unwrap().as_f64().unwrap() > 0.0);
         let gauges = j.get("gauges").unwrap();
-        assert!(gauges.get("bdd.peak_live_nodes").unwrap().as_u64().unwrap() > 0);
+        let peak = gauges.get("bdd.peak_live_nodes").unwrap().as_u64().unwrap();
+        assert!(peak > 0);
+        // One name, one quantity: the gauge is the manager's high-water
+        // mark, the same number the report's `bdd` object carries.
+        let bdd_peak = j.get("bdd").unwrap().get("peak_live_nodes").unwrap().as_u64();
+        assert_eq!(Some(peak), bdd_peak);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub fn step2_cancellable(
     let mut processes = Vec::with_capacity(nprocs);
     let mut union = FALSE;
     for j in 0..nprocs {
-        // Roots for reorder checkpoints inside the partition loop: the
+        // Roots for the checkpoints inside the partition loop: the
         // spanning inputs (the caller keeps using `span` afterwards), the
         // shared candidate relation, and everything accumulated so far.
         let mut keep = vec![trans, span, delta, union];
@@ -107,8 +107,8 @@ pub(crate) fn process_partition(
 /// process's read/write sets, so the cautious baseline runs it too. Checks
 /// `token` before each group-operation batch: once per closed-form pass,
 /// once per pick in the iterative loop. `keep` lists the caller's live BDD
-/// roots — the reorder checkpoints here (same boundaries as the token
-/// checks) pass them through so a mid-partition sift cannot collect them.
+/// roots — the governance checkpoints here (same boundaries as the token
+/// checks) pass them through so a mid-partition collection keeps them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn partition_for(
     cx: &mut SymbolicContext,
@@ -126,7 +126,7 @@ pub(crate) fn partition_for(
         roots.extend_from_slice(extra);
         roots
     };
-    cx.maybe_reorder(&with_keep(&[delta]));
+    cx.maybe_gc(&with_keep(&[delta]));
     // Lock-free counter handles, registered once per process — the inner
     // pick loop only touches atomics. Each increment sits next to its
     // `RepairStats` twin so the two tallies cannot drift apart.
@@ -182,7 +182,7 @@ pub(crate) fn partition_for(
     while cand != FALSE {
         stats.cancel_checks += 1;
         token.check_governed(cx)?;
-        cx.maybe_reorder(&with_keep(&[cand, delta_j]));
+        cx.maybe_gc(&with_keep(&[cand, delta_j]));
         stats.step2_picks += 1;
         c_picks.inc();
         // Line 8: choose one concrete transition.

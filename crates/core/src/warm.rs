@@ -39,8 +39,8 @@ impl WarmSeeds {
         self.invariant.is_none() && self.span.is_none()
     }
 
-    /// The NodeIds that must be rooted against GC/reordering while the
-    /// seeds are live.
+    /// The NodeIds that must be rooted against GC while the seeds are
+    /// live.
     pub fn roots(&self) -> Vec<NodeId> {
         self.invariant.into_iter().chain(self.span).collect()
     }

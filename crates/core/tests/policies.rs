@@ -95,16 +95,3 @@ fn tiny_node_budget_aborts_with_resource_exhausted() {
     let (m, r) = verify_outcome(&mut p, &out);
     assert!(m.ok() && r.ok());
 }
-
-#[test]
-fn node_budget_failure_is_also_clean_under_reorder_none() {
-    // The budget checkpoint rides maybe_reorder call sites but must fire
-    // in every reorder mode, including None.
-    let (mut p, _) = byzantine_agreement(2);
-    let starved = RepairOptions {
-        max_nodes: 16,
-        reorder: ftrepair_core::ReorderMode::None,
-        ..Default::default()
-    };
-    assert_eq!(lazy_repair(&mut p, &starved).unwrap_err(), RepairAborted::ResourceExhausted);
-}

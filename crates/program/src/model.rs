@@ -72,8 +72,8 @@ impl DistributedProgram {
 
     /// Every BDD root the program itself owns: invariant, faults, the
     /// safety and liveness specification, and each process's transition
-    /// predicate. A garbage collection or dynamic reorder during a repair
-    /// must keep all of these alive for the program to stay meaningful.
+    /// predicate. A garbage collection during a repair must keep all of
+    /// these alive for the program to stay meaningful.
     pub fn base_roots(&self) -> Vec<NodeId> {
         let mut roots =
             vec![self.invariant, self.faults, self.safety.bad_states, self.safety.bad_trans];
@@ -86,10 +86,10 @@ impl DistributedProgram {
     }
 
     /// Protect every base root in the manager (refcounted, see
-    /// [`ftrepair_bdd::Manager::protect`]). Repair entry points that enable
-    /// dynamic reordering call this once; the protections deliberately
-    /// persist for the life of the program — the roots must stay valid for
-    /// post-repair verification anyway.
+    /// [`ftrepair_bdd::Manager::protect`]). Every repair entry point calls
+    /// this once; the protections deliberately persist for the life of the
+    /// program — the roots must stay valid for post-repair verification
+    /// anyway.
     pub fn protect_base(&mut self) {
         for r in self.base_roots() {
             self.cx.mgr().protect(r);

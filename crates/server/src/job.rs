@@ -7,8 +7,8 @@
 use ftrepair_bdd::{NodeId, SerializedBdd};
 use ftrepair_core::{
     build_run_report, cautious_repair_cancellable, lazy_repair_warm, verify::verify_outcome,
-    CheckpointPolicy, Checkpointer, LazyOutcome, ReorderMode, RepairAborted, RepairOptions,
-    RepairStats, Token, WarmSeeds,
+    CheckpointPolicy, Checkpointer, LazyOutcome, RepairAborted, RepairOptions, RepairStats, Token,
+    WarmSeeds,
 };
 use ftrepair_explicit::extract::{bdd_to_edges, bdd_to_states, ExplicitProgram};
 use ftrepair_explicit::simulate::{simulate, SimConfig, SimFailure, SimReport};
@@ -82,21 +82,19 @@ impl JobSpec {
 /// and aborted runs are never cached — including them would fragment the
 /// cache, and the same spec run under ten budgets would compute the same
 /// repair ten times.
-/// `reorder` IS part of the address: all modes compute a semantically
-/// identical repair, but the rendered guarded commands enumerate cubes in
-/// BDD-structure order, so the cached *text* can differ between orders.
-/// `p0` is the retired parallel-Step-2 flag, always off: it stays in the
-/// text so stores and journals written before its removal keep their keys.
+/// Two retired knobs stay in the text at their only remaining value, so
+/// stores and journals written before their removal keep their keys: `p0`
+/// (parallel Step 2, always off) and `:auto` (the reorder mode; the
+/// variable order is now fixed).
 pub fn options_fingerprint(mode: Mode, o: &RepairOptions) -> String {
     format!(
-        "{}:r{}c{}e{}p0t{}m{}:{}",
+        "{}:r{}c{}e{}p0t{}m{}:auto",
         mode.as_str(),
         o.restrict_to_reachable as u8,
         o.step2_closed_form as u8,
         o.use_expand_group as u8,
         o.allow_new_terminal_inside as u8,
         o.max_outer_iterations,
-        o.reorder.as_str(),
     )
 }
 
@@ -106,8 +104,9 @@ pub fn options_fingerprint(mode: Mode, o: &RepairOptions) -> String {
 /// fingerprint, not the options struct, so the two stay in lockstep by
 /// construction (see the roundtrip test). Budgets (`deadline`,
 /// `max_nodes`) are not in the fingerprint; the caller re-applies the
-/// server's own limits. A `p1` (parallel Step 2, since removed) does not
-/// parse: that job cannot be rerun under the key it was recorded with.
+/// server's own limits. A `p1` (parallel Step 2) or a `:none`/`:sift`
+/// reorder mode, both since removed, does not parse: that job cannot be
+/// rerun under the key it was recorded with.
 pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
     fn flag(rest: &str, tag: char) -> Option<(bool, &str)> {
         let rest = rest.strip_prefix(tag)?;
@@ -125,8 +124,7 @@ pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
         _ => return None,
     };
     let flags = parts.next()?;
-    let reorder = ReorderMode::parse(parts.next()?)?;
-    if parts.next().is_some() {
+    if parts.next()? != "auto" || parts.next().is_some() {
         return None;
     }
     let (restrict_to_reachable, rest) = flag(flags, 'r')?;
@@ -143,7 +141,6 @@ pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
             use_expand_group,
             allow_new_terminal_inside,
             max_outer_iterations,
-            reorder,
             ..RepairOptions::default()
         },
     ))
@@ -729,8 +726,8 @@ mod tests {
 
     #[test]
     fn options_fingerprint_roundtrips_through_the_parser() {
-        // Every (mode, flag, reorder) combination the fingerprint can
-        // encode must replay to options that re-fingerprint identically —
+        // Every (mode, flag) combination the fingerprint can encode must
+        // replay to options that re-fingerprint identically —
         // this is what makes journal replay faithful to the original
         // submission.
         let variants = [
@@ -740,14 +737,9 @@ mod tests {
                 step2_closed_form: false,
                 allow_new_terminal_inside: false,
                 max_outer_iterations: 7,
-                reorder: ReorderMode::Sift,
                 ..RepairOptions::default()
             },
-            RepairOptions {
-                use_expand_group: false,
-                reorder: ReorderMode::None,
-                ..Default::default()
-            },
+            RepairOptions { use_expand_group: false, ..Default::default() },
         ];
         for mode in [Mode::Lazy, Mode::Cautious] {
             for opts in &variants {
@@ -767,6 +759,8 @@ mod tests {
         // A record submitted with the removed parallel Step 2 cannot be
         // replayed under the key it was journaled with.
         assert!(options_from_fingerprint("lazy:r1c1e1p1t1m32:auto").is_none(), "retired p1");
+        assert!(options_from_fingerprint("lazy:r1c1e1p0t1m32:none").is_none(), "retired none");
+        assert!(options_from_fingerprint("lazy:r1c1e1p0t1m32:sift").is_none(), "retired sift");
         assert!(options_from_fingerprint("lazy:r1c1e1p0t1m32").is_none(), "missing reorder part");
         assert!(options_from_fingerprint("eager:r1c1e1p0t1m32:auto").is_none(), "unknown mode");
         assert!(options_from_fingerprint("lazy:r1c1e1p0t9m32:auto").is_none(), "bad flag bit");

@@ -16,7 +16,7 @@
 //!
 //! | Endpoint | Meaning |
 //! |---|---|
-//! | `POST /repair` | body = `.ftr` spec; returns repaired guarded commands + run report (JSON). Query: `mode=lazy\|cautious`, `pure-lazy`, `iterative-step2`, `strict-terminal`, `reorder=none\|sift\|auto`, `max-nodes=N`. |
+//! | `POST /repair` | body = `.ftr` spec; returns repaired guarded commands + run report (JSON). Query: `mode=lazy\|cautious`, `pure-lazy`, `iterative-step2`, `strict-terminal`, `max-nodes=N`. |
 //! | `POST /simulate` | same body/query, plus `runs=N`, `max-faults=K`, `seed=S`; replays fault-injection batches against the (cached) repair. |
 //! | `GET /healthz` | liveness + uptime + degraded/ok verdict; the `store` block reports the disk tier's entry count, I/O errors, and circuit-breaker state, and each poll doubles as the breaker's half-open probe. |
 //! | `GET /metrics` | telemetry registry snapshot (cache hits/misses, queue depth, per-status counts, span times, latency histograms). `?format=prometheus` renders the Prometheus 0.0.4 text exposition instead of JSON. |

@@ -64,9 +64,6 @@ pub struct ServerConfig {
     /// Capacity of the poison list quarantining specs that panicked the
     /// engine.
     pub poison_cap: usize,
-    /// Default BDD reorder policy for jobs that do not pass an explicit
-    /// `reorder` query parameter (`serve --reorder`).
-    pub reorder: ftrepair_core::ReorderMode,
     /// Root directory of the on-disk result store (`serve --store-dir`);
     /// `None` runs memory-only, exactly as before the store existed.
     pub store_dir: Option<PathBuf>,
@@ -125,7 +122,6 @@ impl Default for ServerConfig {
             job_timeout: Duration::from_secs(30),
             degraded_window: Duration::from_secs(60),
             poison_cap: 64,
-            reorder: ftrepair_core::ReorderMode::default(),
             store_dir: None,
             store_budget: 0,
             warm_start: true,
@@ -176,7 +172,6 @@ struct Shared {
     io_timeout: Duration,
     job_timeout: Duration,
     job_max_nodes: usize,
-    default_reorder: ftrepair_core::ReorderMode,
     degraded_window: Duration,
     /// Write-ahead job journal (`--journal`); `None` disables recovery.
     journal: Option<JobJournal>,
@@ -606,7 +601,6 @@ impl Server {
             io_timeout: config.io_timeout,
             job_timeout: config.job_timeout,
             job_max_nodes: config.job_max_nodes,
-            default_reorder: config.reorder,
             degraded_window: config.degraded_window,
             journal,
             ckpts,
@@ -1232,20 +1226,11 @@ fn handle_job(shared: &Shared, id: &str) -> Reply {
 }
 
 /// Decode the repair knobs shared by `/repair` and `/simulate`.
-fn job_params(
-    req: &Request,
-    default_reorder: ftrepair_core::ReorderMode,
-    job_max_nodes: usize,
-) -> Result<(Mode, RepairOptions), String> {
+fn job_params(req: &Request, job_max_nodes: usize) -> Result<(Mode, RepairOptions), String> {
     let mode = match req.query("mode") {
         None | Some("lazy") => Mode::Lazy,
         Some("cautious") => Mode::Cautious,
         Some(other) => return Err(format!("unknown mode {other:?} (use lazy or cautious)")),
-    };
-    let reorder = match req.query("reorder") {
-        None => default_reorder,
-        Some(s) => ftrepair_core::ReorderMode::parse(s)
-            .ok_or_else(|| format!("unknown reorder {s:?} (use none, sift or auto)"))?,
     };
     // A client may tighten the node budget below the server's, never relax
     // it — `--job-max-nodes` is the operator's OOM guard. Not part of the
@@ -1269,7 +1254,6 @@ fn job_params(
         step2_closed_form: !req.query_flag("iterative-step2"),
         allow_new_terminal_inside: !req.query_flag("strict-terminal"),
         max_nodes,
-        reorder,
         ..Default::default()
     };
     Ok((mode, opts))
@@ -1318,8 +1302,7 @@ fn cached_repair(
     if source.trim().is_empty() {
         return Err(Reply::error(400, "empty request body: POST the .ftr spec text"));
     }
-    let (mode, opts) = job_params(req, shared.default_reorder, shared.job_max_nodes)
-        .map_err(|m| Reply::error(400, &m))?;
+    let (mode, opts) = job_params(req, shared.job_max_nodes).map_err(|m| Reply::error(400, &m))?;
     let spec = job::prepare(source, mode, opts).map_err(|m| Reply::error(400, &m))?;
 
     let record =

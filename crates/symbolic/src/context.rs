@@ -172,33 +172,16 @@ impl SymbolicContext {
         self.m.maybe_trim_caches(max_entries)
     }
 
-    /// Enable dynamic variable reordering on the underlying manager.
-    ///
-    /// Each global bit's current/next pair is registered as a sifting group
-    /// so the interleaved layout (cur bit at `2g`, next bit at `2g + 1`)
-    /// survives every reorder — the rename maps produced by
-    /// [`SymbolicContext::map_next_to_cur`] stay order-preserving. With
-    /// `auto_threshold = Some(n)` the manager also arms the automatic
-    /// trigger: the next [`SymbolicContext::maybe_reorder`] call after the
-    /// live-node count crosses `n` runs a sift.
-    pub fn configure_reorder(&mut self, auto_threshold: Option<usize>) {
-        let groups: Vec<Vec<u32>> = (0..self.total_bits).map(|g| vec![2 * g, 2 * g + 1]).collect();
-        self.m.set_reorder_groups(&groups);
-        self.m.set_auto_reorder(auto_threshold);
-    }
-
-    /// Run the auto-reorder check: sift now if the live-node count has
-    /// crossed the configured threshold. `roots` are kept alive in addition
-    /// to the manager's protected set. Returns the outcome if a sift ran.
-    pub fn maybe_reorder(
-        &mut self,
-        roots: &[ftrepair_bdd::NodeId],
-    ) -> Option<ftrepair_bdd::ReorderOutcome> {
-        self.m.maybe_reorder(roots)
+    /// The manager's governance checkpoint ([`Manager::maybe_gc`]): enforce
+    /// the node budget, then collect garbage if the armed trigger's
+    /// threshold is reached. `roots` are kept alive in addition to the
+    /// manager's protected set.
+    pub fn maybe_gc(&mut self, roots: &[ftrepair_bdd::NodeId]) {
+        self.m.maybe_gc(roots);
     }
 
     /// Arm (0 disarms) the manager's live-node budget — the memory half of
-    /// the governance checkpoint [`SymbolicContext::maybe_reorder`] runs.
+    /// the governance checkpoint [`SymbolicContext::maybe_gc`] runs.
     pub fn set_node_budget(&mut self, budget: usize) {
         self.m.set_node_budget(budget);
     }
@@ -207,17 +190,6 @@ impl SymbolicContext {
     /// poll this at their cancellation boundaries and abort cleanly.
     pub fn budget_exhausted(&self) -> bool {
         self.m.budget_exhausted()
-    }
-
-    /// Unconditionally sift the manager now, keeping `roots` (plus the
-    /// protected set) alive.
-    pub fn reorder_sift(&mut self, roots: &[ftrepair_bdd::NodeId]) -> ftrepair_bdd::ReorderOutcome {
-        self.m.reorder_sift(roots)
-    }
-
-    /// The manager's current variable order (`order[level] = var index`).
-    pub fn current_order(&self) -> Vec<u32> {
-        self.m.current_order()
     }
 
     /// Convenience: three-way conjunction.
@@ -328,47 +300,5 @@ mod tests {
         let b = cx.add_var("b", 2);
         assert_eq!(cx.var_ids(), vec![a, b]);
         assert_eq!(cx.num_program_vars(), 2);
-    }
-
-    #[test]
-    fn reorder_keeps_rename_maps_usable() {
-        // Image computation must keep working after a sift: the cur/next
-        // pair groups guarantee the next→cur map stays order-preserving.
-        let mut cx = SymbolicContext::new();
-        for i in 0..4 {
-            cx.add_var(format!("v{i}"), 4);
-        }
-        cx.configure_reorder(None);
-        // trans: every bit flips (v' = ¬v bitwise) — support on all bits.
-        let mut trans = ftrepair_bdd::TRUE;
-        for g in 0..cx.total_bits() {
-            let cur = cx.mgr().var(2 * g);
-            let next = cx.mgr().var(2 * g + 1);
-            let bit = cx.mgr().xor(cur, next);
-            trans = cx.mgr().and(trans, bit);
-        }
-        let s = {
-            let lits: Vec<(u32, bool)> = (0..cx.total_bits()).map(|g| (2 * g, false)).collect();
-            cx.mgr().cube(&lits)
-        };
-        let cur_vs = cx.all_cur_varset();
-        let map = cx.map_next_to_cur();
-        let img1 = {
-            let next_img = cx.mgr().and_exists(s, trans, cur_vs);
-            cx.mgr().rename(next_img, map)
-        };
-        let outcome = cx.reorder_sift(&[trans, s, img1]);
-        assert!(outcome.nodes_after <= outcome.nodes_before);
-        cx.mgr_ref().check_integrity();
-        // Same image computed post-reorder must be the same node.
-        let img2 = {
-            let next_img = cx.mgr().and_exists(s, trans, cur_vs);
-            cx.mgr().rename(next_img, map)
-        };
-        assert_eq!(img1, img2);
-        // All bits flipped from 0: image is the all-ones state.
-        let ones: Vec<(u32, bool)> = (0..cx.total_bits()).map(|g| (2 * g, true)).collect();
-        let expected = cx.mgr().cube(&ones);
-        assert_eq!(img2, expected);
     }
 }

@@ -57,12 +57,12 @@ impl SymbolicContext {
         }
     }
 
-    /// [`Self::forward_reachable`] with a reorder checkpoint per frontier
-    /// iteration: long reachability runs are where the arena peaks, so the
-    /// automatic trigger must get a chance to fire *between* image steps.
-    /// `keep` is every NodeId the caller still holds across this call —
-    /// the fixpoint's own state is rooted automatically. A no-op unless the
-    /// manager's automatic trigger is armed.
+    /// [`Self::forward_reachable`] with a governance checkpoint
+    /// ([`Self::maybe_gc`]) per frontier iteration: long reachability runs
+    /// are where the arena peaks, so the trigger must get a chance to
+    /// collect *between* image steps. `keep` is every NodeId the caller
+    /// still holds across this call — the fixpoint's own state is rooted
+    /// automatically.
     pub fn forward_reachable_keep(
         &mut self,
         init: NodeId,
@@ -73,7 +73,7 @@ impl SymbolicContext {
         loop {
             let mut roots = keep.to_vec();
             roots.extend([reach, trans]);
-            self.maybe_reorder(&roots);
+            self.maybe_gc(&roots);
             let step = self.image(reach, trans);
             let next = self.mgr().or(reach, step);
             if next == reach {
@@ -110,8 +110,8 @@ impl SymbolicContext {
         }
     }
 
-    /// [`Self::backward_reachable`] with a reorder checkpoint per frontier
-    /// iteration; see [`Self::forward_reachable_keep`].
+    /// [`Self::backward_reachable`] with a governance checkpoint per
+    /// frontier iteration; see [`Self::forward_reachable_keep`].
     pub fn backward_reachable_keep(
         &mut self,
         target: NodeId,
@@ -122,7 +122,7 @@ impl SymbolicContext {
         loop {
             let mut roots = keep.to_vec();
             roots.extend([reach, trans]);
-            self.maybe_reorder(&roots);
+            self.maybe_gc(&roots);
             let step = self.preimage(reach, trans);
             let next = self.mgr().or(reach, step);
             if next == reach {

@@ -9,7 +9,7 @@
 //! ftrepair info     <file.ftr>
 //! ftrepair serve    [--addr host:port] [--workers N] [--queue-cap M]
 //!                   [--cache-cap C] [--job-timeout <secs>] [--job-max-nodes <n>]
-//!                   [--metrics-out <path>] [--reorder none|sift|auto]
+//!                   [--metrics-out <path>]
 //!                   [--store-dir <path>] [--store-budget-mb N] [--no-warm-start]
 //!                   [--store-breaker-threshold N] [--store-breaker-backoff <secs>]
 //!                   [--journal <path>] [--drain-timeout <secs>]
@@ -19,7 +19,6 @@
 //!
 //! repair options: [--cautious] [--pure-lazy] [--iterative-step2]
 //!                 [--strict-terminal] [--timeout <secs>] [--max-nodes <n>]
-//!                 [--reorder none|sift|auto]
 //! ```
 //!
 //! Every subcommand accepts only the flags listed for it; anything else is
@@ -54,11 +53,10 @@
 //! Budgets: `--timeout` bounds the wall clock (exit 124, the `timeout(1)`
 //! convention; per job `serve --job-timeout`, answered `503`), and
 //! `--max-nodes` the BDD arena's live nodes (exit 125 instead of an OOM
-//! kill; per job `serve --job-max-nodes`). `--reorder` picks the dynamic
-//! variable-reordering policy (default `auto`; README "Performance").
+//! kill; per job `serve --job-max-nodes`).
 
 use ftrepair::program::{realizability, semantics, DistributedProgram};
-use ftrepair::repair::{ReorderMode, RepairAborted, RepairOptions, Token};
+use ftrepair::repair::{RepairAborted, RepairOptions, Token};
 use ftrepair::server::job::{self, SimStatus};
 use ftrepair::server::{signal, Server, ServerConfig};
 use ftrepair::store::{CheckpointStore, DiskStore};
@@ -102,7 +100,6 @@ const JOB_FLAGS: Flags = &[
     ("--strict-terminal", None),
     ("--timeout", Some("<secs>")),
     ("--max-nodes", Some("<n>")),
-    ("--reorder", Some("none|sift|auto")),
 ];
 
 /// Where a `repair` looks for its result, leaves it, and reports on it.
@@ -126,7 +123,6 @@ const SERVE_FLAGS: Flags = &[
     ("--job-timeout", Some("<secs>")),
     ("--job-max-nodes", Some("<n>")),
     ("--metrics-out", Some("<path>")),
-    ("--reorder", Some("none|sift|auto")),
     ("--store-dir", Some("<path>")),
     ("--store-budget-mb", Some("N")),
     ("--no-warm-start", None),
@@ -258,16 +254,6 @@ fn parsed_flag<T: std::str::FromStr>(
     }
 }
 
-/// Parse `--reorder none|sift|auto`; the engine default (`auto`) when the
-/// flag is absent.
-fn reorder_flag(flags: &[String]) -> Result<ReorderMode, String> {
-    match flag_value(flags, "--reorder")? {
-        Some(v) => ReorderMode::parse(v)
-            .ok_or_else(|| format!("--reorder: unknown mode {v:?} (use none, sift or auto)")),
-        None => Ok(ReorderMode::default()),
-    }
-}
-
 /// Parse `name` as non-negative seconds (fractional allowed); `None` when
 /// the flag is absent.
 fn duration_flag(flags: &[String], name: &str) -> Result<Option<Duration>, String> {
@@ -290,7 +276,6 @@ fn job_options(flags: &[String]) -> Result<(job::Mode, RepairOptions), String> {
         allow_new_terminal_inside: !has("--strict-terminal"),
         deadline: duration_flag(flags, "--timeout")?,
         max_nodes: parsed_flag(flags, "--max-nodes", 0usize)?,
-        reorder: reorder_flag(flags)?,
         ..Default::default()
     };
     Ok((mode, opts))
@@ -306,7 +291,6 @@ fn serve(flags: &[String]) -> ExitCode {
             cache_cap: parsed_flag(flags, "--cache-cap", defaults.cache_cap)?,
             metrics_out: flag_value(flags, "--metrics-out")?.map(PathBuf::from),
             job_timeout: duration_flag(flags, "--job-timeout")?.unwrap_or(defaults.job_timeout),
-            reorder: reorder_flag(flags)?,
             store_dir: flag_value(flags, "--store-dir")?.map(PathBuf::from),
             store_budget: parsed_flag(flags, "--store-budget-mb", 0u64)? * (1 << 20),
             warm_start: !flags.iter().any(|a| a == "--no-warm-start"),

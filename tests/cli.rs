@@ -82,7 +82,7 @@ fn repair_with_iterative_and_pure_lazy_flags() {
 /// removed `--parallel`, is a usage error rather than a silent default.
 #[test]
 fn unknown_flags_are_rejected_with_usage() {
-    for flag in ["--parallel", "--reoder"] {
+    for flag in ["--parallel", "--reoder", "--reorder"] {
         let (_, stderr, code) = ftrepair_code(&["repair", &spec("toggle_pair.ftr"), flag, "sift"]);
         assert_eq!(code, Some(2), "{flag}: {stderr}");
         assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
