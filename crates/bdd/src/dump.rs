@@ -1,4 +1,4 @@
-//! Serialization (manager-independent DAG form) and Graphviz export.
+//! Serialization (manager-independent DAG form).
 //!
 //! [`SerializedBdd`] is how BDDs travel between managers: the disk store
 //! and the mid-repair checkpoints persist repaired relations in this form,
@@ -325,35 +325,6 @@ impl Manager {
         }
         Ok(ids[s.root as usize])
     }
-
-    /// Graphviz `dot` rendering of the DAG rooted at `f`, with an optional
-    /// naming function for variable indices.
-    pub fn to_dot(&self, f: NodeId, name: impl Fn(u32) -> String) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("digraph bdd {\n  rankdir=TB;\n");
-        out.push_str("  f0 [label=\"0\", shape=box];\n  f1 [label=\"1\", shape=box];\n");
-        let mut seen = crate::hash::FxHashSet::default();
-        let mut stack = vec![f];
-        while let Some(g) = stack.pop() {
-            if g.is_terminal() || !seen.insert(g) {
-                continue;
-            }
-            let node_name = |n: NodeId| match n {
-                FALSE => "f0".to_string(),
-                TRUE => "f1".to_string(),
-                NodeId(i) => format!("n{i}"),
-            };
-            writeln!(out, "  {} [label=\"{}\", shape=circle];", node_name(g), name(self.level(g)))
-                .unwrap();
-            writeln!(out, "  {} -> {} [style=dashed];", node_name(g), node_name(self.lo(g)))
-                .unwrap();
-            writeln!(out, "  {} -> {};", node_name(g), node_name(self.hi(g))).unwrap();
-            stack.push(self.lo(g));
-            stack.push(self.hi(g));
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -661,15 +632,5 @@ mod tests {
         ] {
             assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn dot_output_mentions_all_reachable_levels() {
-        let mut m = Manager::new(3);
-        let f = sample(&mut m);
-        let dot = m.to_dot(f, |l| format!("x{l}"));
-        assert!(dot.contains("x0") && dot.contains("x1") && dot.contains("x2"));
-        assert!(dot.starts_with("digraph bdd {"));
-        assert!(dot.trim_end().ends_with('}'));
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! cargo run --release -p ftrepair-bench --bin tables -- \
-//!     [table1|table2|table3|ablations|ablation_warm|all] [--large] [--metrics-out <path>]
+//!     [table1|table2|table3|ablations|ablation_warm|ablation_checkpoint_resume|all]
+//!     [--large] [--huge] [--metrics-out <path>]
 //! ```
 //!
 //! `--large` extends every sweep to the biggest instances (minutes of
@@ -12,69 +13,146 @@
 //! `--metrics-out <path>` appends every measured row's JSONL run report —
 //! the same schema the CLI's `ftrepair repair --metrics-out` emits — so
 //! downstream tooling can consume table runs and CLI runs uniformly.
+//!
+//! Every selected table prints before any row decides the exit status,
+//! which uses the CLI's codes for the same outcomes: 1 if a row failed to
+//! repair, else 3 if a row repaired but did not verify, lost parity with
+//! its cold repair, or resumed less than [`MIN_RESUME_SPEEDUP`] times
+//! faster than cold; 2 for an argument `tables` does not understand or a
+//! `--metrics-out` file it cannot append to. Pure lazy repair may fail:
+//! Ablation A reports exactly that.
 
 use ftrepair_bench::{
-    ablation_warm_start, measure, render, render_warm_start, table1, table1_lazy_only, table2,
-    table3, Row,
+    ablation_checkpoint_resume, ablation_warm_start, measure, render, render_checkpoint_resume,
+    render_warm_start, table1, table1_lazy_only, table2, table3, Row,
 };
 use ftrepair_casestudies::stabilizing_chain;
 use ftrepair_core::RepairOptions;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let huge = args.iter().any(|a| a == "--huge");
-    let large = huge || args.iter().any(|a| a == "--large");
-    let metrics_out: Option<PathBuf> =
-        args.iter().position(|a| a == "--metrics-out").map(|i| match args.get(i + 1) {
-            Some(p) if !p.starts_with("--") => PathBuf::from(p),
-            _ => {
-                eprintln!("--metrics-out requires a path argument");
-                std::process::exit(1);
+/// The speedup over a cold repair that resuming from a mid-repair
+/// checkpoint is sized for.
+const MIN_RESUME_SPEEDUP: f64 = 2.0;
+
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Size {
+    Default,
+    Large,
+    Huge,
+}
+
+/// Measures and prints one table, adding its rows to the tally.
+type RunTable = fn(&mut Tally, Size);
+
+/// Every selector but `all`, in the order `all` runs them.
+const SELECTORS: [(&str, RunTable); 6] = [
+    ("table1", run_table1),
+    ("table2", run_table2),
+    ("table3", run_table3),
+    ("ablations", run_ablations),
+    ("ablation_warm", run_ablation_warm),
+    ("ablation_checkpoint_resume", run_ablation_checkpoint_resume),
+];
+
+/// The rows measured so far, and every check that failed on them.
+#[derive(Default)]
+struct Tally {
+    rows: Vec<Row>,
+    /// Rows that failed to repair (exit 1).
+    unrepaired: Vec<String>,
+    /// Rows that repaired but got a wrong result (exit 3).
+    wrong: Vec<String>,
+}
+
+impl Tally {
+    /// Keep `row` for `--metrics-out` and check it: it must repair, unless
+    /// `may_fail`, and what it repairs must verify.
+    fn check(&mut self, row: Row, may_fail: bool) {
+        if row.failed {
+            if !may_fail {
+                self.unrepaired.push(format!("{} did not repair", row.instance));
             }
-        });
-    let what = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| !a.starts_with("--") && (i == 0 || args[i - 1] != "--metrics-out"))
-        .map(|(_, a)| a.as_str())
-        .next()
-        .unwrap_or("all");
+        } else if !row.verified {
+            self.wrong.push(format!("{} repaired but did not verify", row.instance));
+        }
+        self.rows.push(row);
+    }
 
-    let rows = match what {
-        "table1" => run_table1(large),
-        "table2" => run_table2(large),
-        "table3" => run_table3(large, huge),
-        "ablations" => run_ablations(large),
-        "ablation_warm" => run_ablation_warm(large),
-        "all" => {
-            let mut rows = run_table1(large);
-            rows.extend(run_table2(large));
-            rows.extend(run_table3(large, huge));
-            rows.extend(run_ablations(large));
-            rows.extend(run_ablation_warm(large));
-            rows
+    fn exit_code(&self) -> u8 {
+        if !self.unrepaired.is_empty() {
+            1
+        } else if !self.wrong.is_empty() {
+            3
+        } else {
+            0
         }
-        other => {
-            eprintln!(
-                "unknown selector {other}; use table1|table2|table3|ablations|ablation_warm|all"
-            );
-            std::process::exit(1);
-        }
-    };
-
-    if let Some(path) = metrics_out {
-        for row in &rows {
-            if let Err(e) = row.report.append_to(&path) {
-                eprintln!("failed to append metrics to {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        eprintln!("wrote {} JSONL report lines to {}", rows.len(), path.display());
     }
 }
 
-fn run_table1(large: bool) -> Vec<Row> {
+fn usage() -> String {
+    let names: Vec<&str> = SELECTORS.iter().map(|&(name, _)| name).collect();
+    format!("usage: tables [{}|all] [--large] [--huge] [--metrics-out <path>]", names.join("|"))
+}
+
+/// The command line, checked: at most one selector (default `all`), known
+/// flags only, and a path after `--metrics-out`.
+fn parse_args(args: &[String]) -> Result<(Option<&str>, Size, Option<PathBuf>), String> {
+    let (mut selector, mut size, mut metrics_out) = (None, Size::Default, None);
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--large" => size = size.max(Size::Large),
+            "--huge" => size = Size::Huge,
+            "--metrics-out" => match args.next() {
+                Some(path) if !path.starts_with("--") => metrics_out = Some(PathBuf::from(path)),
+                _ => return Err("--metrics-out requires a path".into()),
+            },
+            name if name == "all" || SELECTORS.iter().any(|&(s, _)| s == name) => {
+                if let Some(first) = selector.replace(name) {
+                    return Err(format!("one selector at a time, got {first} and {name}"));
+                }
+            }
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    Ok((selector.filter(|&s| s != "all"), size, metrics_out))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (selector, size, metrics_out) = match parse_args(&args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+
+    let mut tally = Tally::default();
+    for (name, run) in SELECTORS {
+        if selector.is_none_or(|s| s == name) {
+            run(&mut tally, size);
+        }
+    }
+
+    for why in tally.unrepaired.iter().chain(&tally.wrong) {
+        eprintln!("tables: {why}");
+    }
+    if let Some(path) = metrics_out {
+        for row in &tally.rows {
+            if let Err(e) = row.report.append_to(&path) {
+                eprintln!("failed to append metrics to {}: {e}", path.display());
+                return ExitCode::from(2);
+            }
+        }
+        eprintln!("wrote {} JSONL report lines to {}", tally.rows.len(), path.display());
+    }
+    ExitCode::from(tally.exit_code())
+}
+
+fn run_table1(tally: &mut Tally, size: Size) {
+    let large = size >= Size::Large;
     let sizes: &[usize] = if large { &[2, 3, 4, 5, 6, 8] } else { &[2, 3, 4, 5] };
     let mut rows = table1(sizes);
     // Lazy-only extension, like the paper's largest rows where the cautious
@@ -82,33 +160,38 @@ fn run_table1(large: bool) -> Vec<Row> {
     let extension: &[usize] = if large { &[10, 12] } else { &[6, 8] };
     rows.extend(table1_lazy_only(extension));
     println!("{}", render(&rows, "Table I — Byzantine agreement: cautious vs lazy repair"));
-    rows
+    for row in rows {
+        tally.check(row, false);
+    }
 }
 
-fn run_table2(large: bool) -> Vec<Row> {
-    let sizes: &[usize] = if large { &[2, 3, 4, 5, 6] } else { &[2, 3, 4] };
+fn run_table2(tally: &mut Tally, size: Size) {
+    let sizes: &[usize] = if size >= Size::Large { &[2, 3, 4, 5, 6] } else { &[2, 3, 4] };
     let rows = table2(sizes);
     println!(
         "{}",
         render(&rows, "Table II — Byzantine agreement with fail-stop faults (lazy repair)")
     );
-    rows
+    for row in rows {
+        tally.check(row, false);
+    }
 }
 
-fn run_table3(large: bool, huge: bool) -> Vec<Row> {
-    let sizes: &[usize] = if huge {
-        &[8, 10, 12, 14, 16, 20]
-    } else if large {
-        &[8, 10, 12, 14, 16]
-    } else {
-        &[6, 8, 10, 12]
+fn run_table3(tally: &mut Tally, size: Size) {
+    let sizes: &[usize] = match size {
+        Size::Huge => &[8, 10, 12, 14, 16, 20],
+        Size::Large => &[8, 10, 12, 14, 16],
+        Size::Default => &[6, 8, 10, 12],
     };
     let rows = table3(sizes, 8);
     println!("{}", render(&rows, "Table III — Stabilizing chain Sc^n (lazy repair, d = 8)"));
-    rows
+    for row in rows {
+        tally.check(row, false);
+    }
 }
 
-fn run_ablations(large: bool) -> Vec<Row> {
+fn run_ablations(tally: &mut Tally, size: Size) {
+    let large = size >= Size::Large;
     // Ablation A: the reachable-states heuristic (paper: "pure lazy repair
     // does not improve the performance"). On the fail-stop model the
     // difference is qualitative: without the heuristic the outer loop
@@ -126,13 +209,11 @@ fn run_ablations(large: bool) -> Vec<Row> {
         &RepairOptions::pure_lazy(),
         false,
     );
-    println!(
-        "{}",
-        render(
-            &[with.clone(), without.clone()],
-            "Ablation A — reachable-states heuristic on/off (Section V-A)"
-        )
-    );
+    let rows = [with, without];
+    println!("{}", render(&rows, "Ablation A — reachable-states heuristic on/off (Section V-A)"));
+    let [with, without] = rows;
+    tally.check(with, false);
+    tally.check(without, true);
 
     // Ablation B: Step 2 strategies — closed form vs Algorithm 2's loop
     // with and without ExpandGroup.
@@ -155,28 +236,103 @@ fn run_ablations(large: bool) -> Vec<Row> {
         &RepairOptions { use_expand_group: false, ..RepairOptions::iterative_step2() },
         false,
     );
+    let rows = [closed, iter_expand, iter_plain];
     println!(
         "{}",
         render(
-            &[closed.clone(), iter_expand.clone(), iter_plain.clone()],
+            &rows,
             "Ablation B — Step 2 strategy: closed form vs Algorithm 2 loop ± ExpandGroup (Section V-B)"
         )
     );
-
-    vec![with, without, closed, iter_expand, iter_plain]
+    for row in rows {
+        tally.check(row, false);
+    }
 }
 
 /// Ablation E: warm-start repair from the disk store. A one-action edit of
 /// a spec whose repair is already persisted seeds Step 1's reachability
 /// from the stored neighbor's invariant/span BDDs; cold and warm results
 /// are compared root-for-root (exact parity) and both re-verified.
-fn run_ablation_warm(large: bool) -> Vec<Row> {
-    let sizes: &[(usize, u64)] =
-        if large { &[(6, 8), (8, 8), (10, 8), (12, 8)] } else { &[(6, 8), (8, 8), (10, 8)] };
+fn run_ablation_warm(tally: &mut Tally, size: Size) {
+    let sizes: &[(usize, u64)] = if size >= Size::Large {
+        &[(6, 8), (8, 8), (10, 8), (12, 8)]
+    } else {
+        &[(6, 8), (8, 8), (10, 8)]
+    };
     let measured = ablation_warm_start(sizes);
     println!(
         "{}",
         render_warm_start(&measured, "Ablation E — warm-start from stored neighbor (ours)")
     );
-    measured.into_iter().flat_map(|r| [r.cold, r.warm]).collect()
+    for r in measured {
+        if !r.parity {
+            tally.wrong.push(format!("{} diverged from its cold repair", r.warm.instance));
+        }
+        tally.check(r.cold, false);
+        tally.check(r.warm, false);
+    }
+}
+
+/// Ablation F: resume from a mid-repair checkpoint. The chain is
+/// cold-repaired, aborted halfway by a deadline (the forced write lands a
+/// slot in an on-disk checkpoint store), and resumed from that slot; the
+/// resumed repair must match the cold one root-for-root, verify, and beat
+/// it by [`MIN_RESUME_SPEEDUP`]. The sizes do not grow with `--large`.
+fn run_ablation_checkpoint_resume(tally: &mut Tally, _size: Size) {
+    let rows = ablation_checkpoint_resume(&[(10, 8), (14, 8)]);
+    println!(
+        "{}",
+        render_checkpoint_resume(&rows, "Ablation F — resume from a mid-repair checkpoint")
+    );
+    for r in rows {
+        if !r.parity {
+            tally.wrong.push(format!("{} resumed diverged from its cold repair", r.instance));
+        }
+        if !r.verified {
+            tally.wrong.push(format!("{} resumed but did not verify", r.instance));
+        }
+        if r.speedup < MIN_RESUME_SPEEDUP {
+            tally.wrong.push(format!(
+                "{} resumed only {:.2}× faster than cold (cold {:.3}s, resumed {:.3}s)",
+                r.instance,
+                r.speedup,
+                r.cold.as_secs_f64(),
+                r.resumed.as_secs_f64(),
+            ));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ftrepair_telemetry::RunReport;
+    use std::time::Duration;
+
+    fn row(failed: bool, verified: bool) -> Row {
+        Row {
+            instance: "X^1".into(),
+            reachable_states: 1.0,
+            cautious: None,
+            step1: Duration::ZERO,
+            step2: Duration::ZERO,
+            outer_iterations: 1,
+            verified,
+            failed,
+            report: RunReport::new("X^1", "lazy"),
+        }
+    }
+
+    #[test]
+    fn exit_code_is_the_worst_row_outcome() {
+        let mut tally = Tally::default();
+        tally.check(row(false, true), false);
+        tally.check(row(true, false), true);
+        assert_eq!(tally.exit_code(), 0, "pure lazy repair may fail");
+        tally.check(row(false, false), true);
+        assert_eq!(tally.exit_code(), 3, "a repair that does not verify is wrong");
+        tally.check(row(true, false), false);
+        assert_eq!(tally.exit_code(), 1, "a row that must repair did not");
+        assert_eq!(tally.rows.len(), 4);
+    }
 }

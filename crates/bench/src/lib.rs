@@ -10,17 +10,18 @@
 //!   times at state counts that grow by roughly a decade per row.
 //!
 //! plus the ablations the paper's narrative calls for (the
-//! reachable-states heuristic and `ExpandGroup`/closed-form Step 2).
+//! reachable-states heuristic and `ExpandGroup`/closed-form Step 2) and
+//! two of our own: warm start from a stored neighbor, and resume from a
+//! mid-repair checkpoint.
 //!
 //! Every measured repair is re-verified (masking + realizability) before a
 //! row is reported; rows carry the measured reachable-state counts so the
 //! tables are self-describing, and every row also carries the same JSONL
 //! [`RunReport`] the CLI's `--metrics-out` emits (one schema, two
 //! producers). Use `cargo run --release -p ftrepair-bench --bin tables --
-//! all` for the paper-style output, or `cargo bench -p ftrepair-bench` for
-//! median-of-N timings on the smaller instances.
-
-pub mod harness;
+//! all` for the paper-style output; the end-to-end and per-layer
+//! benchmark of the engine and the daemon is the separate `ledger/`
+//! package.
 
 use ftrepair_casestudies::{byzantine_agreement, byzantine_failstop, stabilizing_chain};
 use ftrepair_core::{

@@ -76,11 +76,6 @@ impl Token {
         Token { flag: None, deadline: Some(Instant::now() + budget), ckpt: None }
     }
 
-    /// A token that times out at `at`.
-    pub fn deadline_at(at: Instant) -> Token {
-        Token { flag: None, deadline: Some(at), ckpt: None }
-    }
-
     /// Attach a shared cancellation flag (keeps any existing deadline).
     pub fn with_flag(self, flag: Arc<AtomicBool>) -> Token {
         Token { flag: Some(flag), ..self }

@@ -79,6 +79,19 @@ fn heuristic_off_explores_a_larger_span() {
     assert!(m.ok() && r.ok());
 }
 
+/// Pure lazy repair (no reachable-states heuristic) converges on BA^2–BA^4;
+/// the fail-stop model is where it does not (Ablation A).
+#[test]
+fn pure_lazy_repairs_and_verifies_byzantine_agreement_up_to_four() {
+    for n in 2..=4 {
+        let (mut p, _) = byzantine_agreement(n);
+        let out = lazy_repair(&mut p, &RepairOptions::pure_lazy()).unwrap();
+        assert!(!out.failed, "pure lazy repair failed on BA^{n}");
+        let (m, r) = verify_outcome(&mut p, &out);
+        assert!(m.ok() && r.ok(), "pure lazy repair of BA^{n} does not verify");
+    }
+}
+
 #[test]
 fn tiny_node_budget_aborts_with_resource_exhausted() {
     // A budget far below the program's own BDDs cannot be rescued by any

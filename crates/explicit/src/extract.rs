@@ -68,20 +68,6 @@ impl ExplicitProgram {
         all
     }
 
-    /// Record the explicit graph's shape (state/edge counts) as telemetry
-    /// gauges, so run reports can relate symbolic BDD sizes to the concrete
-    /// graph they encode.
-    pub fn record_telemetry(&self, tele: &ftrepair_telemetry::Telemetry) {
-        if !tele.enabled() {
-            return;
-        }
-        tele.set_gauge("explicit.states", self.space.num_states());
-        tele.set_gauge("explicit.program_edges", self.program_trans().len() as u64);
-        tele.set_gauge("explicit.fault_edges", self.faults.len() as u64);
-        tele.set_gauge("explicit.invariant_states", self.invariant.len() as u64);
-        tele.set_gauge("explicit.bad_states", self.bad_states.len() as u64);
-    }
-
     /// Positions of variables process `j` cannot read.
     pub fn unreadable(&self, j: usize) -> Vec<usize> {
         (0..self.space.radices().len()).filter(|p| !self.reads[j].contains(p)).collect()

@@ -103,27 +103,6 @@ pub fn prune_deadlocks_except(
     }
 }
 
-/// BFS ranks toward `target`: `rank[s] = 0` for targets, otherwise the
-/// length of the shortest `edges`-path from `s` into `target`. Unreachable
-/// states are absent.
-pub fn ranks_to(target: &HashSet<u32>, edges: &[(u32, u32)]) -> HashMap<u32, u32> {
-    let pred = predecessors(edges);
-    let mut rank: HashMap<u32, u32> = target.iter().map(|&s| (s, 0)).collect();
-    let mut queue: VecDeque<u32> = target.iter().copied().collect();
-    while let Some(s) = queue.pop_front() {
-        let r = rank[&s];
-        if let Some(prev) = pred.get(&s) {
-            for &p in prev {
-                if let std::collections::hash_map::Entry::Vacant(e) = rank.entry(p) {
-                    e.insert(r + 1);
-                    queue.push_back(p);
-                }
-            }
-        }
-    }
-    rank
-}
-
 /// The largest subset of `states` all of whose members have a successor
 /// (via `edges`) back inside the subset — nonempty iff `edges` restricted to
 /// `states` admits an infinite path. Used to detect non-recovering cycles.
@@ -177,16 +156,6 @@ mod tests {
         assert!(prune_deadlocks(&set(&[0, 1, 2]), &edges).is_empty());
         let edges_cycle = vec![(0, 1), (1, 0), (1, 2)];
         assert_eq!(prune_deadlocks(&set(&[0, 1, 2]), &edges_cycle), set(&[0, 1]));
-    }
-
-    #[test]
-    fn ranks_measure_shortest_distance() {
-        let edges = vec![(0, 1), (1, 2), (0, 2), (3, 3)];
-        let r = ranks_to(&set(&[2]), &edges);
-        assert_eq!(r[&2], 0);
-        assert_eq!(r[&1], 1);
-        assert_eq!(r[&0], 1); // shortcut 0→2
-        assert!(!r.contains_key(&3));
     }
 
     #[test]

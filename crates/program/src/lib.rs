@@ -32,8 +32,6 @@ pub mod realizability;
 pub mod semantics;
 pub mod spec;
 pub mod verify;
-pub mod viz;
-pub mod witness;
 
 pub use decompile::{decompile_process, GuardedCommand};
 pub use model::{DistributedProgram, Process, ProgramBuilder, Update};

@@ -50,8 +50,9 @@ impl DistributedProgram {
         acc
     }
 
-    /// The per-process transition predicates, in process order — the
-    /// partitioned form of `δ_P` used by partitioned image computation.
+    /// The per-process transition predicates `δ_j`, in process order. Step 2
+    /// and the realizability checks work process by process; images and
+    /// fixpoints take the monolithic union ([`Self::program_trans`]).
     pub fn partitions(&self) -> Vec<NodeId> {
         self.processes.iter().map(|p| p.trans).collect()
     }

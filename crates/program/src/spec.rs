@@ -19,16 +19,6 @@ impl Safety {
         Safety { bad_states: ftrepair_bdd::FALSE, bad_trans: ftrepair_bdd::FALSE }
     }
 
-    /// All transitions whose *execution* violates safety: bad transitions,
-    /// transitions entering a bad state, and transitions leaving a bad state
-    /// (a computation standing in a bad state has already violated safety,
-    /// so such transitions are only relevant for completeness of `mt`).
-    pub fn violating_trans(&self, cx: &mut SymbolicContext) -> NodeId {
-        let into_bad = cx.as_next(self.bad_states);
-        let m = cx.mgr();
-        m.or(self.bad_trans, into_bad)
-    }
-
     /// Union with another safety specification.
     pub fn union(&self, cx: &mut SymbolicContext, other: &Safety) -> Safety {
         let bad_states = cx.mgr().or(self.bad_states, other.bad_states);
@@ -81,29 +71,6 @@ mod tests {
         let s = Safety::none();
         assert_eq!(s.bad_states, FALSE);
         assert_eq!(s.bad_trans, FALSE);
-    }
-
-    #[test]
-    fn violating_trans_includes_entries_into_bad_states() {
-        let mut cx = SymbolicContext::new();
-        let x = cx.add_var("x", 2);
-        let bad = cx.assign_eq(x, 1);
-        let spec = Safety { bad_states: bad, bad_trans: FALSE };
-        let viol = spec.violating_trans(&mut cx);
-        let into_bad = cx.transition_cube(&[0], &[1]);
-        assert!(cx.mgr().leq(into_bad, viol));
-        let fine = cx.transition_cube(&[1], &[0]);
-        assert!(cx.mgr().disjoint(fine, viol));
-    }
-
-    #[test]
-    fn violating_trans_includes_bad_trans() {
-        let mut cx = SymbolicContext::new();
-        let _x = cx.add_var("x", 2);
-        let bt = cx.transition_cube(&[0], &[0]);
-        let spec = Safety { bad_states: FALSE, bad_trans: bt };
-        let viol = spec.violating_trans(&mut cx);
-        assert!(cx.mgr().leq(bt, viol));
     }
 
     #[test]

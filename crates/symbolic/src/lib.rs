@@ -16,8 +16,8 @@
 //!
 //! On top of the encoding it provides the operations every fixpoint in the
 //! repair algorithms is made of: `image`, `preimage`, forward/backward
-//! reachability (monolithic or partitioned over per-process relations), and
-//! state counting/enumeration used by tests and the experiment harness.
+//! reachability over one monolithic transition relation, and state
+//! counting/enumeration used by tests and the experiment harness.
 //!
 //! ```
 //! use ftrepair_symbolic::SymbolicContext;

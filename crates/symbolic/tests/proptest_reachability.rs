@@ -130,26 +130,3 @@ fn count_transitions_matches_edge_count() {
         assert_eq!(cx.count_transitions(trans), unique.len() as f64, "case {i}: {bp:?}");
     });
 }
-
-#[test]
-fn partitioned_reachability_equals_monolithic() {
-    for_cases(6, |bp, i| {
-        // Split the edges into two arbitrary partitions.
-        let (mut cx, _, _) = build(bp);
-        let mut t1 = ftrepair_bdd::FALSE;
-        let mut t2 = ftrepair_bdd::FALSE;
-        for (k, (from, to)) in bp.edges.iter().enumerate() {
-            let t = cx.transition_cube(from, to);
-            if k % 2 == 0 {
-                t1 = cx.mgr().or(t1, t);
-            } else {
-                t2 = cx.mgr().or(t2, t);
-            }
-        }
-        let mono = cx.mgr().or(t1, t2);
-        let init = cx.state_cube(&bp.init);
-        let a = cx.forward_reachable(init, mono);
-        let b = cx.forward_reachable_partitioned(init, &[t1, t2]);
-        assert_eq!(a, b, "case {i}: {bp:?}");
-    });
-}

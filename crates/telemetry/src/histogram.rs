@@ -151,12 +151,6 @@ impl HistogramSnapshot {
         self.buckets.last().map(|&(upper, _)| upper).unwrap_or(0)
     }
 
-    /// [`HistogramSnapshot::percentile`] as a `Duration`, under the
-    /// values-are-nanoseconds convention.
-    pub fn percentile_duration(&self, p: f64) -> Duration {
-        Duration::from_nanos(self.percentile(p))
-    }
-
     /// Mean observed value (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

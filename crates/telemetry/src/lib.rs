@@ -182,11 +182,6 @@ impl Telemetry {
         }
     }
 
-    /// Is hierarchical span recording on?
-    pub fn spans_enabled(&self) -> bool {
-        self.span_log().is_some()
-    }
-
     /// Drain all recorded spans (empty unless built with
     /// [`Telemetry::with_spans`]).
     pub fn take_spans(&self) -> Vec<SpanRecord> {

@@ -1,7 +1,7 @@
 //! Trace IDs and Chrome `trace_event` export.
 //!
 //! A trace ID is a nonzero 64-bit value identifying one job end to end:
-//! minted by the client (loadgen sends `X-Trace-Id`), or by the server for
+//! minted by the client (sent as `X-Trace-Id`), or by the server for
 //! requests without one, echoed in the response, and keyed into the
 //! server's `/jobs/<trace-id>` introspection ring. IDs render as 16
 //! lowercase hex digits — the in-tree JSON number is an `f64`, which only
