@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! cargo run --release -p ftrepair-bench --bin tables -- \
-//!     [table1|table2|table3|ablations|ablation_warm|ablation_checkpoint_resume|all]
+//!     [table1|table2|table3|ablations|ablation_warm|ablation_checkpoint_resume|
+//!      ablation_verify|all]
 //!     [--large] [--huge] [--metrics-out <path>]
 //! ```
 //!
@@ -17,16 +18,18 @@
 //! Every selected table prints before any row decides the exit status,
 //! which uses the CLI's codes for the same outcomes: 1 if a row failed to
 //! repair, else 3 if a row repaired but did not verify, lost parity with
-//! its cold repair, or resumed less than [`MIN_RESUME_SPEEDUP`] times
-//! faster than cold; 2 for an argument `tables` does not understand or a
-//! `--metrics-out` file it cannot append to. Pure lazy repair may fail:
-//! Ablation A reports exactly that.
+//! its cold repair, resumed less than [`MIN_RESUME_SPEEDUP`] times faster
+//! than cold, or had its fault-span certificate fall back or disagree
+//! with the exact verifier; 2 for an argument `tables` does not
+//! understand or a `--metrics-out` file it cannot append to. Pure lazy
+//! repair may fail: Ablation A reports exactly that.
 
 use ftrepair_bench::{
-    ablation_checkpoint_resume, ablation_warm_start, measure, render, render_checkpoint_resume,
-    render_warm_start, table1, table1_lazy_only, table2, table3, Row,
+    ablation_checkpoint_resume, ablation_warm_start, measure, measure_verify, render,
+    render_checkpoint_resume, render_verify, render_warm_start, table1, table1_lazy_only, table2,
+    table3, Row,
 };
-use ftrepair_casestudies::stabilizing_chain;
+use ftrepair_casestudies::{byzantine_agreement, byzantine_failstop, stabilizing_chain};
 use ftrepair_core::RepairOptions;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,13 +49,14 @@ enum Size {
 type RunTable = fn(&mut Tally, Size);
 
 /// Every selector but `all`, in the order `all` runs them.
-const SELECTORS: [(&str, RunTable); 6] = [
+const SELECTORS: [(&str, RunTable); 7] = [
     ("table1", run_table1),
     ("table2", run_table2),
     ("table3", run_table3),
     ("ablations", run_ablations),
     ("ablation_warm", run_ablation_warm),
     ("ablation_checkpoint_resume", run_ablation_checkpoint_resume),
+    ("ablation_verify", run_ablation_verify),
 ];
 
 /// The rows measured so far, and every check that failed on them.
@@ -299,6 +303,35 @@ fn run_ablation_checkpoint_resume(tally: &mut Tally, _size: Size) {
                 r.cold.as_secs_f64(),
                 r.resumed.as_secs_f64(),
             ));
+        }
+    }
+}
+
+/// Ablation G: verify by fault-span certificate. Each row's masking
+/// verification runs twice, on two fresh repairs: the least-fixpoint
+/// oracle, and the certificate check on the repair's own span. The
+/// certificate must hold and the reports must agree on every check.
+fn run_ablation_verify(tally: &mut Tally, size: Size) {
+    let mut rows = vec![
+        measure_verify("BA^5", || byzantine_agreement(5).0, false),
+        measure_verify("BA^5 cautious", || byzantine_agreement(5).0, true),
+        measure_verify("BA^8", || byzantine_agreement(8).0, false),
+        measure_verify("BAFS^5", || byzantine_failstop(5).0, false),
+    ];
+    let chains: &[usize] = if size >= Size::Large { &[10, 12, 14] } else { &[10] };
+    for &n in chains {
+        rows.push(measure_verify(format!("Sc^{n}(d=8)"), || stabilizing_chain(n, 8).0, false));
+    }
+    println!("{}", render_verify(&rows, "Ablation G — verify by fault-span certificate (ours)"));
+    for r in rows {
+        if !r.verified {
+            tally.wrong.push(format!("{} repaired but did not verify", r.instance));
+        }
+        if !r.span_certified {
+            tally.wrong.push(format!("{} fault-span certificate fell back", r.instance));
+        }
+        if !r.agree {
+            tally.wrong.push(format!("{} certificate disagrees with verify_masking", r.instance));
         }
     }
 }

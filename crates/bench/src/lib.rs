@@ -11,8 +11,8 @@
 //!
 //! plus the ablations the paper's narrative calls for (the
 //! reachable-states heuristic and `ExpandGroup`/closed-form Step 2) and
-//! two of our own: warm start from a stored neighbor, and resume from a
-//! mid-repair checkpoint.
+//! three of our own: warm start from a stored neighbor, resume from a
+//! mid-repair checkpoint, and verification by fault-span certificate.
 //!
 //! Every measured repair is re-verified (masking + realizability) before a
 //! row is reported; rows carry the measured reachable-state counts so the
@@ -578,6 +578,112 @@ pub fn render_checkpoint_resume(rows: &[CheckpointResumeRow], title: &str) -> St
             r.resumed.as_secs_f64(),
             r.speedup,
             if r.parity { "exact" } else { "DIVERGED" },
+            if r.verified { "yes" } else { "NO" },
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// One measurement of the verify ablation: masking verification of the
+/// same repair by the least-fixpoint oracle and by the fault-span
+/// certificate, each on its own fresh repair with the repair's caches
+/// still warm (as every job verifies).
+#[derive(Clone, Debug)]
+pub struct VerifyRow {
+    /// Instance label, e.g. `BA^5 cautious`.
+    pub instance: String,
+    /// Wall-clock of the repair the certificate checked.
+    pub repair: Duration,
+    /// `verify_masking` (recomputes the fault-span).
+    pub exact: Duration,
+    /// `verify_masking_certified` (checks the repair's fault-span).
+    pub certified: Duration,
+    /// `exact / certified`.
+    pub speedup: f64,
+    /// The certificate held (no fallback to the least fixpoint).
+    pub span_certified: bool,
+    /// Both reports agree on every check field.
+    pub agree: bool,
+    /// The oracle's verdict.
+    pub verified: bool,
+}
+
+/// Measure one verify-ablation row on two fresh instances from
+/// `factory`, repaired lazily or, with `cautious`, by the baseline.
+pub fn measure_verify(
+    label: impl Into<String>,
+    factory: impl Fn() -> DistributedProgram,
+    cautious: bool,
+) -> VerifyRow {
+    use ftrepair_program::verify::{verify_masking, verify_masking_certified};
+    use ftrepair_program::MaskingReport;
+    use std::time::Instant;
+
+    let instance = label.into();
+    let run_repair = |prog: &mut DistributedProgram| {
+        let opts = RepairOptions::default();
+        let t0 = Instant::now();
+        let out = if cautious {
+            cautious_repair(prog, &opts)
+        } else {
+            lazy_repair_traced(prog, &opts, &Telemetry::off())
+        }
+        .expect("bench runs have no deadline");
+        assert!(!out.failed, "repair failed on {instance}");
+        (t0.elapsed(), out)
+    };
+
+    let mut prog = factory();
+    let (_, out) = run_repair(&mut prog);
+    let t0 = Instant::now();
+    let orig = prog.program_trans();
+    let (inv, faults, safety) = (prog.invariant, prog.faults, prog.safety);
+    let exact_report =
+        verify_masking(&mut prog.cx, orig, inv, out.trans, out.invariant, faults, &safety);
+    let exact = t0.elapsed();
+    drop(prog);
+
+    let mut prog = factory();
+    let (repair, out) = run_repair(&mut prog);
+    let t0 = Instant::now();
+    let report = verify_masking_certified(&mut prog, out.trans, out.invariant, out.span);
+    let certified = t0.elapsed();
+
+    VerifyRow {
+        instance,
+        repair,
+        exact,
+        certified,
+        speedup: exact.as_secs_f64() / certified.as_secs_f64().max(f64::EPSILON),
+        span_certified: report.span_certified,
+        agree: MaskingReport { span_certified: false, ..report } == exact_report,
+        verified: exact_report.ok(),
+    }
+}
+
+/// Render verify-ablation rows as a markdown table.
+pub fn render_verify(rows: &[VerifyRow], title: &str) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    writeln!(out, "### {title}\n").unwrap();
+    writeln!(
+        out,
+        "| Instance | Repair | verify_masking | Certificate | Speedup | Certified | Agrees | Verified |"
+    )
+    .unwrap();
+    writeln!(out, "|---|---|---|---|---|---|---|---|").unwrap();
+    for r in rows {
+        writeln!(
+            out,
+            "| {} | {:.3}s | {:.1}ms | {:.1}ms | {:.1}× | {} | {} | {} |",
+            r.instance,
+            r.repair.as_secs_f64(),
+            r.exact.as_secs_f64() * 1e3,
+            r.certified.as_secs_f64() * 1e3,
+            r.speedup,
+            if r.span_certified { "yes" } else { "FELL BACK" },
+            if r.agree { "yes" } else { "NO" },
             if r.verified { "yes" } else { "NO" },
         )
         .unwrap();

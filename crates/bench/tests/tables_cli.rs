@@ -20,6 +20,7 @@ fn misused_arguments_exit_2_with_the_usage_line() {
             "ablations",
             "ablation_warm",
             "ablation_checkpoint_resume",
+            "ablation_verify",
             "all",
             "--large",
             "--huge",

@@ -20,7 +20,9 @@ pub struct LazyOutcome {
     pub processes: Vec<Process>,
     /// The repaired invariant `S'`.
     pub invariant: NodeId,
-    /// The fault-span `T'`.
+    /// The fault-span `T'`: it contains `S'` and is closed under
+    /// `δ_P' ∪ f`, which `verify::verify_outcome` checks and then uses as
+    /// a certificate instead of recomputing reachability.
     pub span: NodeId,
     /// `δ_P'` — union of the per-process predicates.
     pub trans: NodeId,

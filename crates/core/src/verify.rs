@@ -1,29 +1,25 @@
 //! Convenience wrapper: verify a repair outcome against both masking
 //! fault-tolerance (Definition 15) and realizability (Definitions 19/20).
+//!
+//! The outcome's fault-span is checked as a certificate
+//! ([`verify_masking_certified`]) instead of being recomputed: when it
+//! contains the invariant and is closed under the repaired program plus
+//! faults, verification costs a few BDD operations; otherwise the report
+//! comes from the exact least-fixpoint oracle, with the same verdicts.
 
 use crate::lazy::LazyOutcome;
-use ftrepair_program::verify::{verify_masking, verify_realizability};
+use ftrepair_program::verify::{verify_masking_certified, verify_realizability};
 use ftrepair_program::{DistributedProgram, MaskingReport, RealizabilityReport};
 
 /// Re-check a [`LazyOutcome`] (or anything shaped like one) against the
-/// original program. `verify_masking` handles Definition 18's stuttering
-/// internally, so the raw process-union relation is passed.
+/// original program, with `outcome.span` as the fault-span certificate.
+/// [`MaskingReport::span_certified`] is false when the certificate did not
+/// hold and the span was recomputed.
 pub fn verify_outcome(
     prog: &mut DistributedProgram,
     outcome: &LazyOutcome,
 ) -> (MaskingReport, RealizabilityReport) {
-    let orig = prog.program_trans();
-    let (orig_inv, faults) = (prog.invariant, prog.faults);
-    let safety = prog.safety;
-    let masking = verify_masking(
-        &mut prog.cx,
-        orig,
-        orig_inv,
-        outcome.trans,
-        outcome.invariant,
-        faults,
-        &safety,
-    );
+    let masking = verify_masking_certified(prog, outcome.trans, outcome.invariant, outcome.span);
     let realizability = verify_realizability(prog, &outcome.processes);
     (masking, realizability)
 }

@@ -9,7 +9,7 @@ use ftrepair_core::{add_masking, lazy_repair, RepairOptions};
 use ftrepair_explicit::{
     add_masking as add_masking_explicit, extract, AddMaskingOptions, ExplicitProgram,
 };
-use ftrepair_program::{DistributedProgram, ProgramBuilder, Update};
+use ftrepair_program::{DistributedProgram, MaskingReport, ProgramBuilder, Update};
 use std::collections::HashSet;
 
 /// Compare a symbolic repair against the explicit reference on `prog`.
@@ -300,6 +300,7 @@ fn lazy_outputs_always_verify_or_fail() {
             let (m, r) = ftrepair_core::verify::verify_outcome(&mut p, &out);
             assert!(m.ok(), "case {i} masking: {m:?}");
             assert!(r.ok(), "case {i} realizability: {r:?}");
+            assert_span_certifies(&mut p, &out, m, i);
         }
     });
 }
@@ -321,6 +322,30 @@ fn cautious_outputs_always_verify_or_fail() {
             let (m, r) = ftrepair_core::verify::verify_outcome(&mut p, &lazy_shape);
             assert!(m.ok(), "case {i} masking: {m:?}");
             assert!(r.ok(), "case {i} realizability: {r:?}");
+            assert_span_certifies(&mut p, &lazy_shape, m, i);
         }
     });
+}
+
+/// `m` — `verify_outcome`'s report on `out` — must come from the span
+/// certificate and equal the least-fixpoint oracle's on every check field.
+fn assert_span_certifies(
+    p: &mut DistributedProgram,
+    out: &ftrepair_core::LazyOutcome,
+    m: MaskingReport,
+    i: u64,
+) {
+    assert!(m.span_certified, "case {i}: certificate fell back: {m:?}");
+    let orig = p.program_trans();
+    let (inv, faults, safety) = (p.invariant, p.faults, p.safety);
+    let exact = ftrepair_program::verify::verify_masking(
+        &mut p.cx,
+        orig,
+        inv,
+        out.trans,
+        out.invariant,
+        faults,
+        &safety,
+    );
+    assert_eq!(MaskingReport { span_certified: false, ..m }, exact, "case {i}");
 }

@@ -4,6 +4,15 @@
 //! experiment and test can re-check their output against the definitions:
 //! masking fault-tolerance (Definition 15) via [`verify_masking`], and
 //! realizability (Definitions 19/20) via [`verify_realizability`].
+//!
+//! [`verify_masking`] is the exact oracle: it recomputes the fault-span as
+//! the least fixpoint of reachability from `S'` under `δ' ∪ f`. A repair
+//! already returns a fault-span `T'`, and [`verify_masking_certified`]
+//! treats it as a certificate: if `T'` contains `S'` and is closed under
+//! `δ' ∪ f`, it contains the least fixpoint, and since every check that
+//! reads the span is monotone in it, passing on `T'` means passing on the
+//! fixpoint. Any other outcome falls back to the oracle, so both entries
+//! return the same verdicts on every input.
 
 use crate::model::{DistributedProgram, Process};
 use crate::realizability;
@@ -34,6 +43,11 @@ pub struct MaskingReport {
     /// Every fault-span state recovers: no deadlock and no infinite
     /// program-only path inside `T' − S'`.
     pub recovery_guaranteed: bool,
+    /// The span-side checks passed on a claimed fault-span, so no least
+    /// fixpoint was computed ([`verify_masking_certified`]). How the
+    /// verdict was reached, not part of it: [`MaskingReport::ok`] and
+    /// [`MaskingReport::ok_strict`] ignore it.
+    pub span_certified: bool,
 }
 
 impl MaskingReport {
@@ -79,6 +93,57 @@ pub fn verify_masking(
     faults: NodeId,
     safety: &Safety,
 ) -> MaskingReport {
+    let report = invariant_checks(cx, orig_trans, orig_inv, new_trans, new_inv);
+    least_span_checks(cx, report, new_trans, new_inv, faults, safety)
+}
+
+/// [`verify_masking`] of `prog` against the candidate (`new_trans`,
+/// `new_inv`), with `span` — the fault-span `T'` the repair claims — as a
+/// certificate. The span-side checks run on `T' ∩ universe` when it
+/// contains `S'` and is closed under `δ' ∪ f`; if that fails, or any check
+/// fails on it (a strict superset of the least fixpoint may hold bad
+/// states the program never reaches), the report is [`verify_masking`]'s.
+/// Every check field therefore equals the oracle's on every input;
+/// [`MaskingReport::span_certified`] says which path decided.
+pub fn verify_masking_certified(
+    prog: &mut DistributedProgram,
+    new_trans: NodeId,
+    new_inv: NodeId,
+    span: NodeId,
+) -> MaskingReport {
+    let orig_trans = prog.program_trans();
+    let (orig_inv, faults, safety) = (prog.invariant, prog.faults, prog.safety);
+    let cx = &mut prog.cx;
+    let report = invariant_checks(cx, orig_trans, orig_inv, new_trans, new_inv);
+
+    let combined = cx.mgr().or(new_trans, faults);
+    let universe = cx.state_universe();
+    let span = cx.mgr().and(span, universe);
+    let executable = cx.mgr().and(combined, span);
+    let primed = cx.as_next(span);
+    if cx.mgr().leq(new_inv, span)
+        && cx.mgr().leq(executable, primed)
+        && span_checks(cx, new_trans, new_inv, &safety, span, executable) == (true, true)
+    {
+        return MaskingReport {
+            safe_under_faults: true,
+            recovery_guaranteed: true,
+            span_certified: true,
+            ..report
+        };
+    }
+    least_span_checks(cx, report, new_trans, new_inv, faults, &safety)
+}
+
+/// The checks that do not read the fault-span. The span-side fields are
+/// left `false` for [`least_span_checks`] or the certificate to fill in.
+fn invariant_checks(
+    cx: &mut SymbolicContext,
+    orig_trans: NodeId,
+    orig_inv: NodeId,
+    new_trans: NodeId,
+    new_inv: NodeId,
+) -> MaskingReport {
     let invariant_nonempty = new_inv != FALSE;
     let invariant_shrunk = cx.mgr().leq(new_inv, orig_inv);
 
@@ -99,14 +164,51 @@ pub fn verify_masking(
     let orig_dead = cx.deadlocks(new_inv, orig_trans);
     let no_new_deadlocks_inside = cx.mgr().leq(new_dead, orig_dead);
 
-    // Fault-span: everything reachable from S' under δ' ∪ f.
+    MaskingReport {
+        invariant_nonempty,
+        invariant_shrunk,
+        no_new_behavior,
+        invariant_closed,
+        no_new_deadlocks_inside,
+        safe_under_faults: false,
+        recovery_guaranteed: false,
+        span_certified: false,
+    }
+}
+
+/// Fill in `report`'s span-side fields on the exact fault-span: everything
+/// reachable from S' under δ' ∪ f.
+fn least_span_checks(
+    cx: &mut SymbolicContext,
+    report: MaskingReport,
+    new_trans: NodeId,
+    new_inv: NodeId,
+    faults: NodeId,
+    safety: &Safety,
+) -> MaskingReport {
     let combined = cx.mgr().or(new_trans, faults);
     let span = cx.forward_reachable(new_inv, combined);
+    let executable = cx.mgr().and(combined, span);
+    let (safe_under_faults, recovery_guaranteed) =
+        span_checks(cx, new_trans, new_inv, safety, span, executable);
+    MaskingReport { safe_under_faults, recovery_guaranteed, span_certified: false, ..report }
+}
 
+/// `(safe_under_faults, recovery_guaranteed)` on the fault-span `span`,
+/// where `executable` is `(δ' ∪ f) ∧ span`. Both are monotone in `span`:
+/// a bigger span has more states and steps that can be bad, more states
+/// that can deadlock, and a bigger greatest fixpoint of avoiding paths.
+fn span_checks(
+    cx: &mut SymbolicContext,
+    new_trans: NodeId,
+    new_inv: NodeId,
+    safety: &Safety,
+    span: NodeId,
+    executable: NodeId,
+) -> (bool, bool) {
     // Safety under faults: no reachable bad state; no executable bad
     // transition out of the span.
     let bad_reach = cx.mgr().and(span, safety.bad_states);
-    let executable = cx.mgr().and(combined, span);
     let bad_exec = cx.mgr().and(executable, safety.bad_trans);
     let safe_under_faults = bad_reach == FALSE && bad_exec == FALSE;
 
@@ -114,13 +216,12 @@ pub fn verify_masking(
     // alone must make progress toward S' on *every* computation:
     //  (a) no deadlock in T' − S',
     //  (b) no infinite program path avoiding S' — i.e. the greatest fixpoint
-    //      of X ↦ (T'−S') ∩ pre_δ'(X ∩ (T'−S')) is empty.
+    //      of X ↦ X ∩ pre_δ'(X), started from T' − S', is empty.
     let outside = cx.mgr().diff(span, new_inv);
     let dead_outside = cx.deadlocks(outside, new_trans);
     let mut avoid = outside;
     loop {
-        let inside_avoid = semantics::project(cx, new_trans, avoid);
-        let has_successor_in_avoid = cx.preimage_of_anything(inside_avoid);
+        let has_successor_in_avoid = cx.preimage(avoid, new_trans);
         let next = cx.mgr().and(avoid, has_successor_in_avoid);
         if next == avoid {
             break;
@@ -128,16 +229,7 @@ pub fn verify_masking(
         avoid = next;
     }
     let recovery_guaranteed = dead_outside == FALSE && avoid == FALSE;
-
-    MaskingReport {
-        invariant_nonempty,
-        invariant_shrunk,
-        no_new_behavior,
-        invariant_closed,
-        no_new_deadlocks_inside,
-        safe_under_faults,
-        recovery_guaranteed,
-    }
+    (safe_under_faults, recovery_guaranteed)
 }
 
 /// Check one leads-to property `L ↝ T` (Definition 8) of computations that
@@ -164,8 +256,7 @@ pub fn check_leads_to(
     let dead = cx.deadlocks(not_t, region_trans);
     let mut avoid = not_t;
     loop {
-        let into_avoid = cx.trans_to(region_trans, avoid);
-        let has_succ_in_avoid = cx.preimage_of_anything(into_avoid);
+        let has_succ_in_avoid = cx.preimage(avoid, region_trans);
         let keep = cx.mgr().or(dead, has_succ_in_avoid);
         let next = cx.mgr().and(avoid, keep);
         if next == avoid {
@@ -233,12 +324,13 @@ mod tests {
     use crate::model::{ProgramBuilder, Update};
     use ftrepair_bdd::TRUE;
 
-    /// A toy system that is already masking tolerant: x ∈ {0,1,2};
-    /// invariant x=0; program: self-loop via 0→0 is... use x toggling 0↔1
-    /// inside invariant {0,1}; fault pushes x to 2; recovery 2→0 exists.
+    /// A toy system that is already masking tolerant: x ∈ {0,1,2,3};
+    /// the program toggles x between 0 and 1 inside the invariant {0,1};
+    /// the fault pushes x from 1 to 2; recovery 2→0 exists. x = 3 is never
+    /// reached, but recovers too (3→0).
     fn tolerant() -> DistributedProgram {
         let mut b = ProgramBuilder::new("toy");
-        let x = b.var("x", 3);
+        let x = b.var("x", 4);
         b.process("p", &[x], &[x]);
         let g0 = b.cx().assign_eq(x, 0);
         b.action(g0, &[(x, Update::Const(1))]);
@@ -246,6 +338,8 @@ mod tests {
         b.action(g1, &[(x, Update::Const(0))]);
         let g2 = b.cx().assign_eq(x, 2);
         b.action(g2, &[(x, Update::Const(0))]);
+        let g3 = b.cx().assign_eq(x, 3);
+        b.action(g3, &[(x, Update::Const(0))]);
         let inv = {
             let a = b.cx().assign_eq(x, 0);
             let c = b.cx().assign_eq(x, 1);
@@ -255,6 +349,99 @@ mod tests {
         let fg = b.cx().assign_eq(x, 1);
         b.fault_action(fg, &[(x, Update::Const(2))]);
         b.build()
+    }
+
+    /// Verify `p` against the candidate both ways, with `span` as the
+    /// certificate: the certified report must equal the oracle's on every
+    /// check field.
+    fn certified(
+        p: &mut DistributedProgram,
+        new_trans: NodeId,
+        new_inv: NodeId,
+        span: NodeId,
+    ) -> MaskingReport {
+        let orig = p.program_trans();
+        let (inv, faults, safety) = (p.invariant, p.faults, p.safety);
+        let exact = verify_masking(&mut p.cx, orig, inv, new_trans, new_inv, faults, &safety);
+        let r = verify_masking_certified(p, new_trans, new_inv, span);
+        assert_eq!(MaskingReport { span_certified: false, ..r }, exact);
+        r
+    }
+
+    /// The toy's states `values` as one set.
+    fn states(p: &mut DistributedProgram, values: &[u64]) -> NodeId {
+        let x = p.cx.find_var("x").unwrap();
+        let mut acc = FALSE;
+        for &v in values {
+            let s = p.cx.assign_eq(x, v);
+            acc = p.cx.mgr().or(acc, s);
+        }
+        acc
+    }
+
+    #[test]
+    fn honest_span_certifies() {
+        let mut p = tolerant();
+        let (t, inv) = (p.program_trans(), p.invariant);
+        let span = states(&mut p, &[0, 1, 2]);
+        let r = certified(&mut p, t, inv, span);
+        assert!(r.span_certified && r.ok(), "{r:?}");
+    }
+
+    #[test]
+    fn unclosed_span_falls_back() {
+        // The fault step 1→2 leaves {0,1}.
+        let mut p = tolerant();
+        let (t, inv) = (p.program_trans(), p.invariant);
+        let span = states(&mut p, &[0, 1]);
+        let r = certified(&mut p, t, inv, span);
+        assert!(!r.span_certified && r.ok(), "{r:?}");
+    }
+
+    #[test]
+    fn span_missing_invariant_states_falls_back() {
+        let mut p = tolerant();
+        let (t, inv) = (p.program_trans(), p.invariant);
+        let span = states(&mut p, &[1, 2]);
+        let r = certified(&mut p, t, inv, span);
+        assert!(!r.span_certified && r.ok(), "{r:?}");
+    }
+
+    #[test]
+    fn bad_unreachable_state_in_span_needs_the_fallback() {
+        // The whole universe is closed and recovers, but holds the bad
+        // state 3, which no computation reaches: the certificate fails,
+        // and only the least fixpoint shows the program is safe.
+        let mut p = tolerant();
+        let bad = states(&mut p, &[3]);
+        p.safety = Safety { bad_states: bad, bad_trans: FALSE };
+        let (t, inv) = (p.program_trans(), p.invariant);
+        let universe = p.cx.state_universe();
+        let r = certified(&mut p, t, inv, universe);
+        assert!(!r.span_certified && r.ok(), "{r:?}");
+    }
+
+    #[test]
+    fn dropped_recovery_is_caught_through_the_certificate() {
+        let mut p = tolerant();
+        let (t, inv) = (p.program_trans(), p.invariant);
+        let recovery = p.cx.transition_cube(&[2], &[0]);
+        let crippled = p.cx.mgr().diff(t, recovery);
+        let span = states(&mut p, &[0, 1, 2]);
+        let r = certified(&mut p, crippled, inv, span);
+        assert!(!r.span_certified && !r.recovery_guaranteed, "{r:?}");
+    }
+
+    #[test]
+    fn added_bad_transition_is_caught_through_the_certificate() {
+        let mut p = tolerant();
+        let bad = p.cx.transition_cube(&[2], &[1]);
+        p.safety = Safety { bad_states: FALSE, bad_trans: bad };
+        let (t, inv) = (p.program_trans(), p.invariant);
+        let with_bad = p.cx.mgr().or(t, bad);
+        let span = states(&mut p, &[0, 1, 2]);
+        let r = certified(&mut p, with_bad, inv, span);
+        assert!(!r.span_certified && !r.safe_under_faults, "{r:?}");
     }
 
     #[test]

@@ -464,6 +464,9 @@ pub fn execute(
             return (false, false);
         }
         let (m, r) = verify_outcome(prog, out);
+        // Adding 0 on a certified span still registers the counter, so
+        // `/metrics` shows it from the first verified job on.
+        tele.add("repair.verify_fallbacks", u64::from(!m.span_certified));
         (m.ok(), r.ok())
     };
 

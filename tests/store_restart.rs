@@ -202,6 +202,10 @@ fn edited_spec_warm_starts_from_stored_neighbor() {
     assert!(counter(&metrics, "repair.warm_starts") >= 1, "{metrics}");
     assert_eq!(counter(&metrics, "server.jobs.warm_started"), 1, "{metrics}");
     assert_eq!(counter(&metrics, "repair.warm_verify_failures"), 0, "{metrics}");
+    // Every verify registers the counter, so a present 0 means the
+    // warm-seeded span certified.
+    let fallbacks = metrics.get("counters").and_then(|c| c.get("repair.verify_fallbacks"));
+    assert_eq!(fallbacks.and_then(Json::as_u64), Some(0), "{metrics}");
 
     handle.shutdown();
     join.join().unwrap();
