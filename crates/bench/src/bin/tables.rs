@@ -3,14 +3,15 @@
 //! ```text
 //! cargo run --release -p ftrepair-bench --bin tables -- \
 //!     [table1|table2|table3|ablations|ablation_warm|ablation_checkpoint_resume|
-//!      ablation_verify|all]
+//!      ablation_verify|ablation_reach|all]
 //!     [--large] [--huge] [--metrics-out <path>]
 //! ```
 //!
 //! `--large` extends every sweep to the biggest instances (minutes of
 //! runtime); without it each table completes in well under a minute.
-//! `--huge` additionally runs the chain at Sc^20 (≈10^18 states — several
-//! minutes and ~10 GB of peak memory, measurement plus re-verification).
+//! `--huge` additionally runs the chain at Sc^20, Sc^25 and Sc^30 (up to
+//! ≈10^27 states — about four minutes and half a gigabyte of peak memory
+//! for Sc^30, measurement plus re-verification).
 //! `--metrics-out <path>` appends every measured row's JSONL run report —
 //! the same schema the CLI's `ftrepair repair --metrics-out` emits — so
 //! downstream tooling can consume table runs and CLI runs uniformly.
@@ -19,17 +20,20 @@
 //! which uses the CLI's codes for the same outcomes: 1 if a row failed to
 //! repair, else 3 if a row repaired but did not verify, lost parity with
 //! its cold repair, resumed less than [`MIN_RESUME_SPEEDUP`] times faster
-//! than cold, or had its fault-span certificate fall back or disagree
-//! with the exact verifier; 2 for an argument `tables` does not
+//! than cold, had its fault-span certificate fall back or disagree
+//! with the exact verifier, or reached a different set chained than
+//! breadth-first; 2 for an argument `tables` does not
 //! understand or a `--metrics-out` file it cannot append to. Pure lazy
 //! repair may fail: Ablation A reports exactly that.
 
 use ftrepair_bench::{
-    ablation_checkpoint_resume, ablation_warm_start, measure, measure_verify, render,
-    render_checkpoint_resume, render_verify, render_warm_start, table1, table1_lazy_only, table2,
-    table3, Row,
+    ablation_checkpoint_resume, ablation_warm_start, measure, measure_reach, measure_verify,
+    render, render_checkpoint_resume, render_reach, render_verify, render_warm_start, table1,
+    table1_lazy_only, table2, table3, Row,
 };
-use ftrepair_casestudies::{byzantine_agreement, byzantine_failstop, stabilizing_chain};
+use ftrepair_casestudies::{
+    byzantine_agreement, byzantine_failstop, stabilizing_chain, tmr, token_ring,
+};
 use ftrepair_core::RepairOptions;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -49,7 +53,7 @@ enum Size {
 type RunTable = fn(&mut Tally, Size);
 
 /// Every selector but `all`, in the order `all` runs them.
-const SELECTORS: [(&str, RunTable); 7] = [
+const SELECTORS: [(&str, RunTable); 8] = [
     ("table1", run_table1),
     ("table2", run_table2),
     ("table3", run_table3),
@@ -57,6 +61,7 @@ const SELECTORS: [(&str, RunTable); 7] = [
     ("ablation_warm", run_ablation_warm),
     ("ablation_checkpoint_resume", run_ablation_checkpoint_resume),
     ("ablation_verify", run_ablation_verify),
+    ("ablation_reach", run_ablation_reach),
 ];
 
 /// The rows measured so far, and every check that failed on them.
@@ -183,7 +188,7 @@ fn run_table2(tally: &mut Tally, size: Size) {
 
 fn run_table3(tally: &mut Tally, size: Size) {
     let sizes: &[usize] = match size {
-        Size::Huge => &[8, 10, 12, 14, 16, 20],
+        Size::Huge => &[8, 10, 12, 14, 16, 20, 25, 30],
         Size::Large => &[8, 10, 12, 14, 16],
         Size::Default => &[6, 8, 10, 12],
     };
@@ -332,6 +337,33 @@ fn run_ablation_verify(tally: &mut Tally, size: Size) {
         }
         if !r.agree {
             tally.wrong.push(format!("{} certificate disagrees with verify_masking", r.instance));
+        }
+    }
+}
+
+/// Ablation H: Step 1's reachability from the invariant under `δ_P ∪ f`,
+/// breadth-first over the union against chained over the writer parts,
+/// each on a fresh instance. Both must reach the same root.
+fn run_ablation_reach(tally: &mut Tally, size: Size) {
+    let mut rows = vec![
+        measure_reach("BA^8", || byzantine_agreement(8).0),
+        measure_reach("BAFS^5", || byzantine_failstop(5).0),
+        measure_reach("TMR(3)", || tmr(3).0),
+        measure_reach("TokenRing(5,5)", || token_ring(5, 5).0),
+    ];
+    let chains: &[usize] = if size >= Size::Large { &[10, 12, 14] } else { &[10, 12] };
+    for &n in chains {
+        rows.push(measure_reach(format!("Sc^{n}(d=8)"), || stabilizing_chain(n, 8).0));
+    }
+    println!(
+        "{}",
+        render_reach(&rows, "Ablation H — reachability: breadth-first vs chained over writers")
+    );
+    for r in rows {
+        if !r.same_root {
+            tally
+                .wrong
+                .push(format!("{} chained reachability differs from breadth-first", r.instance));
         }
     }
 }

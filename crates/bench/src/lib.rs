@@ -11,8 +11,9 @@
 //!
 //! plus the ablations the paper's narrative calls for (the
 //! reachable-states heuristic and `ExpandGroup`/closed-form Step 2) and
-//! three of our own: warm start from a stored neighbor, resume from a
-//! mid-repair checkpoint, and verification by fault-span certificate.
+//! four of our own: warm start from a stored neighbor, resume from a
+//! mid-repair checkpoint, verification by fault-span certificate, and
+//! Step 1's reachability breadth-first against chained over writer parts.
 //!
 //! Every measured repair is re-verified (masking + realizability) before a
 //! row is reported; rows carry the measured reachable-state counts so the
@@ -67,11 +68,28 @@ impl Row {
 
 /// Count the states reachable from the invariant under `δ_P ∪ f`.
 pub fn reachable_states(prog: &mut DistributedProgram) -> f64 {
+    let reach = chained_reach(prog).reach;
+    prog.cx.count_states(reach)
+}
+
+/// Step 1's reachability from the invariant under `δ_P ∪ f`: chained over
+/// the program's writer parts, exactly as the repair's Phase 3 runs it.
+fn chained_reach(prog: &mut DistributedProgram) -> Fixpoint {
     let t = prog.program_trans();
     let combined = prog.cx.mgr().or(t, prog.faults);
+    let frames = prog.write_frames();
+    let parts = prog.cx.split_by_frames(combined, &frames);
     let inv = prog.invariant;
-    let reach = prog.cx.forward_reachable(inv, combined);
-    prog.cx.count_states(reach)
+    let (reach, sweeps) = prog.cx.forward_reachable_keep(inv, &parts, &[]);
+    Fixpoint { reach, parts: parts.len(), sweeps }
+}
+
+/// One chained reachability fixpoint: its result, the number of parts it
+/// chained over, and its sweeps.
+struct Fixpoint {
+    reach: ftrepair_bdd::NodeId,
+    parts: usize,
+    sweeps: usize,
 }
 
 /// Run lazy repair on a fresh instance from `factory`, verify the result,
@@ -685,6 +703,114 @@ pub fn render_verify(rows: &[VerifyRow], title: &str) -> String {
             if r.span_certified { "yes" } else { "FELL BACK" },
             if r.agree { "yes" } else { "NO" },
             if r.verified { "yes" } else { "NO" },
+        )
+        .unwrap();
+    }
+    out
+}
+
+/// One measurement of the reachability ablation: the states reachable from
+/// the invariant under `δ_P ∪ f`, computed breadth-first over the union
+/// and chained over the writer parts, each on its own fresh instance.
+#[derive(Clone, Debug)]
+pub struct ReachRow {
+    /// Instance label, e.g. `Sc^12(d=8)`.
+    pub instance: String,
+    /// Size of the reachable set.
+    pub states: f64,
+    /// Breadth-first iterations over the union, the last one included.
+    pub bfs_iterations: usize,
+    /// Wall-clock of the breadth-first fixpoint.
+    pub bfs_time: Duration,
+    /// Live-node high-water mark of the breadth-first instance.
+    pub bfs_peak: usize,
+    /// Parts the chained fixpoint applies in turn (writer parts, then the
+    /// steps no single writer covers).
+    pub parts: usize,
+    /// Chained sweeps, the last one included.
+    pub sweeps: usize,
+    /// Wall-clock of the chained fixpoint, frames and split included.
+    pub chained_time: Duration,
+    /// Live-node high-water mark of the chained instance.
+    pub chained_peak: usize,
+    /// The chained root, exported and imported into the breadth-first
+    /// manager, is the breadth-first root.
+    pub same_root: bool,
+}
+
+/// Measure one reachability-ablation row on two fresh instances from
+/// `factory`. Each arms the repair's garbage-collection trigger
+/// ([`ftrepair_core::GC_THRESHOLD`]), so the peaks are what a repair's
+/// Phase 3 sees. The breadth-first side is `forward_reachable_keep` over
+/// the single part `δ_P ∪ f`: it takes exactly the images of the
+/// monolithic `forward_reachable`, and counts them.
+pub fn measure_reach(
+    label: impl Into<String>,
+    factory: impl Fn() -> DistributedProgram,
+) -> ReachRow {
+    use std::time::Instant;
+
+    let fresh = || {
+        let mut prog = factory();
+        prog.cx.mgr().set_gc_threshold(ftrepair_core::GC_THRESHOLD);
+        prog.protect_base();
+        prog
+    };
+
+    let mut bfs = fresh();
+    let t0 = Instant::now();
+    let t = bfs.program_trans();
+    let combined = bfs.cx.mgr().or(t, bfs.faults);
+    let inv = bfs.invariant;
+    let (bfs_reach, bfs_iterations) = bfs.cx.forward_reachable_keep(inv, &[combined], &[]);
+    let bfs_time = t0.elapsed();
+
+    let mut chained = fresh();
+    let t0 = Instant::now();
+    let fix = chained_reach(&mut chained);
+    let chained_time = t0.elapsed();
+
+    let exported = chained.cx.mgr_ref().export(fix.reach);
+    ReachRow {
+        instance: label.into(),
+        states: bfs.cx.count_states(bfs_reach),
+        bfs_iterations,
+        bfs_time,
+        bfs_peak: bfs.cx.mgr_ref().stats().peak_live_nodes,
+        parts: fix.parts,
+        sweeps: fix.sweeps,
+        chained_time,
+        chained_peak: chained.cx.mgr_ref().stats().peak_live_nodes,
+        same_root: bfs.cx.mgr().try_import(&exported) == Ok(bfs_reach),
+    }
+}
+
+/// Render reachability-ablation rows as a markdown table.
+pub fn render_reach(rows: &[ReachRow], title: &str) -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    writeln!(out, "### {title}\n").unwrap();
+    writeln!(
+        out,
+        "| Instance | Reachable states | BFS iterations | BFS time | BFS peak nodes | Parts | Chained sweeps | Chained time | Chained peak nodes | Speedup | Same root |"
+    )
+    .unwrap();
+    writeln!(out, "|---|---|---|---|---|---|---|---|---|---|---|").unwrap();
+    for r in rows {
+        writeln!(
+            out,
+            "| {} | 10^{:.1} | {} | {:.1}ms | {} | {} | {} | {:.1}ms | {} | {:.1}× | {} |",
+            r.instance,
+            r.states.log10(),
+            r.bfs_iterations,
+            r.bfs_time.as_secs_f64() * 1e3,
+            r.bfs_peak,
+            r.parts,
+            r.sweeps,
+            r.chained_time.as_secs_f64() * 1e3,
+            r.chained_peak,
+            r.bfs_time.as_secs_f64() / r.chained_time.as_secs_f64().max(f64::EPSILON),
+            if r.same_root { "yes" } else { "NO" },
         )
         .unwrap();
     }

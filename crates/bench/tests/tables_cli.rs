@@ -21,6 +21,7 @@ fn misused_arguments_exit_2_with_the_usage_line() {
             "ablation_warm",
             "ablation_checkpoint_resume",
             "ablation_verify",
+            "ablation_reach",
             "all",
             "--large",
             "--huge",

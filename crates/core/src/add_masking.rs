@@ -65,9 +65,11 @@ pub fn add_masking(
 /// [`add_masking`] with telemetry and warm-start seeds.
 ///
 /// Telemetry adds a span around the Phase 1 `ms` fixpoint (carrying its
-/// iteration count as a structured field) and one span per Phase 4
-/// joint-fixpoint iteration (carrying the iteration index), so a Chrome
-/// trace of a repair shows exactly where a slow Step 1 spends its time.
+/// iteration count as a structured field), one around Phase 3's chained
+/// reachability (carrying its part and sweep counts), one per Phase 4
+/// joint-fixpoint iteration (carrying the iteration index) and one around
+/// Phase 5's cycle breaking, so a Chrome trace of a repair shows exactly
+/// where a slow Step 1 spends its time.
 ///
 /// With seeds, Phase 3's forward reachability starts from
 /// `s1 ∪ (seed ∩ universe)` instead of `s1`. Any seed is sound — the span
@@ -142,17 +144,21 @@ pub fn add_masking_seeded(
     s1 = cx.mgr().diff(s1, ms);
     s1 = semantics::prune_deadlocks_except(cx, s1, safe_delta, stutters);
 
-    // Phase 3: initial fault-span guess. The reachability fixpoint is one
-    // of the two places the arena peaks on the big chain instances, so it
-    // checkpoints per frontier step — every local still live here rides
-    // along as a root.
+    // Phase 3: initial fault-span guess — reachability under δ_P ∪ f,
+    // chained over the writer parts (one write set's share of δ_P ∪ f at a
+    // time, then the steps no single writer covers). It checkpoints before
+    // every image, with every local still live here as a root; the frames
+    // stay rooted because `one_writer` reuses them after the fixpoint.
+    let frames = prog.write_frames();
+    let cx = &mut prog.cx;
     let mut t1 = if restrict_to_reachable {
-        let _reach_span = tele.span("step1.reachability");
+        let mut reach_span = tele.span("step1.reachability");
         let combined = cx.mgr().or(delta_p, faults);
+        let parts = cx.split_by_frames(combined, &frames);
         // Warm start: widen the frontier with the cached neighbor's
         // invariant ∪ span, clamped to this program's universe. The fixpoint
-        // from a superset start converges in O(1) frontier steps when the
-        // seed already covers the reachable set, and the extra states are
+        // from a superset start converges in O(1) sweeps when the seed
+        // already covers the reachable set, and the extra states are
         // swept out by `− ms` here and by Phase 4's shrinking fixpoint —
         // the seeded span never exceeds the non-heuristic `universe − ms`.
         let mut start = s1;
@@ -165,7 +171,7 @@ pub fn add_masking_seeded(
             seed = cx.mgr().and(seed, universe);
             start = cx.mgr().or(start, seed);
         }
-        let keep = [
+        let mut keep = vec![
             invariant,
             safety.bad_states,
             safety.bad_trans,
@@ -180,7 +186,10 @@ pub fn add_masking_seeded(
             s1,
             start,
         ];
-        let reach = cx.forward_reachable_keep(start, combined, &keep);
+        keep.extend(&frames);
+        let (reach, sweeps) = cx.forward_reachable_keep(start, &parts, &keep);
+        reach_span.field("parts", Json::from(parts.len() as u64));
+        reach_span.field("sweeps", Json::from(sweeps as u64));
         cx.mgr().diff(reach, ms)
     } else {
         cx.mgr().diff(universe, ms)
@@ -192,17 +201,7 @@ pub fn add_masking_seeded(
     // as recovery would only bloat the relation and postpone failures to
     // the outer loop. (This is also how the per-process cautious tool
     // builds recovery.)
-    let one_writer = {
-        let frames: Vec<Vec<ftrepair_symbolic::VarId>> =
-            (0..prog.processes.len()).map(|j| prog.unwritable(j)).collect();
-        let cx = &mut prog.cx;
-        let mut acc = FALSE;
-        for unwritable in frames {
-            let frame = cx.unchanged_all(&unwritable);
-            acc = cx.mgr().or(acc, frame);
-        }
-        acc
-    };
+    let one_writer = frames.iter().fold(FALSE, |acc, &frame| cx.mgr().or(acc, frame));
 
     // Phase 4: joint fixpoint on (S₁, T₁).
     let mut p1;
@@ -298,7 +297,10 @@ pub fn add_masking_seeded(
     // original program's acyclic recovery structure first so its groups
     // survive Step 2, admit shortcuts consistent with the peeling order,
     // and fall back to BFS jump layers for everything else.
-    let trans = crate::ranking::break_cycles(cx, p1, safe_delta, s1, t1);
+    let trans = {
+        let _ranking_span = tele.span("step1.ranking");
+        crate::ranking::break_cycles(cx, p1, safe_delta, s1, t1)
+    };
 
     Ok(AddMaskingResult { ms, mt, invariant: s1, span: t1, trans, allowed: p1, failed: false })
 }

@@ -114,7 +114,9 @@ fn cautious_repair_inner(
         (ms, cx.mgr().not(mt))
     };
 
-    // Initial estimates.
+    // Initial estimates; the span guess is Step 1's chained reachability
+    // (see `add_masking`), checkpointing with every live local as a root.
+    let frames = prog.write_frames();
     let (mut s1, mut t1) = {
         let cx = &mut prog.cx;
         let safe_delta = cx.mgr().and(delta_p, not_mt);
@@ -123,7 +125,10 @@ fn cautious_repair_inner(
         s1 = semantics::prune_deadlocks_except(cx, s1, safe_delta, stutters);
         let t1 = if opts.restrict_to_reachable {
             let combined = cx.mgr().or(delta_p, faults);
-            let reach = cx.forward_reachable(s1, combined);
+            let parts = cx.split_by_frames(combined, &frames);
+            let mut keep = vec![delta_p, t_universe, stutters, ms, not_mt, s1];
+            keep.extend(&frames);
+            let (reach, _) = cx.forward_reachable_keep(s1, &parts, &keep);
             cx.mgr().diff(reach, ms)
         } else {
             cx.mgr().diff(universe, ms)
@@ -133,17 +138,7 @@ fn cautious_repair_inner(
 
     // Recovery candidates must be single-writer (see
     // `add_masking::allowed_transitions`).
-    let one_writer = {
-        let frames: Vec<Vec<ftrepair_symbolic::VarId>> =
-            (0..prog.processes.len()).map(|j| prog.unwritable(j)).collect();
-        let cx = &mut prog.cx;
-        let mut acc = FALSE;
-        for unwritable in frames {
-            let frame = cx.unchanged_all(&unwritable);
-            acc = cx.mgr().or(acc, frame);
-        }
-        acc
-    };
+    let one_writer = frames.iter().fold(FALSE, |acc, &frame| prog.cx.mgr().or(acc, frame));
 
     // Transitions permanently outlawed by cycle breaking (grows only).
     let mut banned = FALSE;

@@ -6,7 +6,7 @@
 //! extracted state/edge sets through the `ftrepair-explicit` oracle — a
 //! direct check of the checkpoints' rooting discipline.
 
-use ftrepair_core::{lazy_repair, RepairOptions};
+use ftrepair_core::{cautious_repair, lazy_repair, RepairOptions};
 use ftrepair_explicit::{extract, ExplicitProgram};
 use ftrepair_program::DistributedProgram;
 use std::collections::HashSet;
@@ -20,10 +20,12 @@ struct Shape {
     per_process: Vec<Vec<(u32, u32)>>,
 }
 
-/// Run lazy repair on `prog` and enumerate its outputs.
-fn shape_of(prog: &mut DistributedProgram) -> Shape {
+/// Run lazy repair (or, with `cautious`, the cautious baseline) on `prog`
+/// and enumerate its outputs.
+fn shape_of(prog: &mut DistributedProgram, cautious: bool) -> Shape {
     let explicit = ExplicitProgram::from_symbolic(prog);
-    let out = lazy_repair(prog, &RepairOptions::default()).expect("no deadline configured");
+    let repair = if cautious { cautious_repair } else { lazy_repair };
+    let out = repair(prog, &RepairOptions::default()).expect("no deadline configured");
     assert!(!out.failed, "{} unexpectedly failed to repair", prog.name);
     Shape {
         invariant: extract::bdd_to_states(prog, &explicit.space, out.invariant),
@@ -42,13 +44,28 @@ fn forced_low_threshold_trigger_preserves_the_repair() {
     // Arm the trigger at a toy threshold so it fires constantly during the
     // repair — every checkpoint then collects with the arena at a few
     // hundred nodes. The repair entry keeps a floor the caller armed.
-    let baseline = shape_of(&mut ftrepair_casestudies::token_ring(3, 3).0);
+    // Cautious repair too: its initial span comes from the checkpointed
+    // reachability fixpoint, so a root missing from its `keep` list would
+    // show up here as a different shape. Byzantine agreement has a safety
+    // specification, so `ms` and `mt` are not constants there, as they are
+    // on the token ring.
+    let instances: [fn() -> DistributedProgram; 2] = [
+        || ftrepair_casestudies::token_ring(3, 3).0,
+        || ftrepair_casestudies::byzantine_agreement(1).0,
+    ];
+    for (instance, cautious) in instances.into_iter().flat_map(|i| [(i, false), (i, true)]) {
+        let baseline = shape_of(&mut instance(), cautious);
 
-    let mut prog = ftrepair_casestudies::token_ring(3, 3).0;
-    prog.cx.mgr().set_gc_threshold(64);
-    let got = shape_of(&mut prog);
+        let mut prog = instance();
+        prog.cx.mgr().set_gc_threshold(64);
+        let got = shape_of(&mut prog, cautious);
 
-    let stats = prog.cx.mgr_ref().stats();
-    assert!(stats.gc_runs > 0, "trigger never fired; threshold too high for this instance");
-    assert_eq!(got, baseline, "mid-repair garbage collection changed the repair");
+        let stats = prog.cx.mgr_ref().stats();
+        assert!(stats.gc_runs > 0, "trigger never fired; threshold too high for this instance");
+        assert_eq!(
+            got, baseline,
+            "mid-repair garbage collection changed the repair of {} (cautious: {cautious})",
+            prog.name
+        );
+    }
 }

@@ -51,10 +51,29 @@ impl DistributedProgram {
     }
 
     /// The per-process transition predicates `δ_j`, in process order. Step 2
-    /// and the realizability checks work process by process; images and
-    /// fixpoints take the monolithic union ([`Self::program_trans`]).
+    /// and the realizability checks work process by process. Step 1's
+    /// forward reachability chains over writer parts instead
+    /// ([`Self::write_frames`]), and every other image and fixpoint takes
+    /// the monolithic union ([`Self::program_trans`]).
     pub fn partitions(&self) -> Vec<NodeId> {
         self.processes.iter().map(|p| p.trans).collect()
+    }
+
+    /// One frame `unchanged(V ∖ W_j)` per distinct write set `W_j`, in
+    /// process order: the transitions some single process could take
+    /// under the write restriction. Their union bounds recovery to one
+    /// writer, and [`SymbolicContext::split_by_frames`] cuts a relation
+    /// into the writer parts that chained reachability applies in turn.
+    pub fn write_frames(&mut self) -> Vec<NodeId> {
+        let mut frames = Vec::new();
+        for j in 0..self.processes.len() {
+            let unwritable = self.unwritable(j);
+            let frame = self.cx.unchanged_all(&unwritable);
+            if !frames.contains(&frame) {
+                frames.push(frame);
+            }
+        }
+        frames
     }
 
     /// Variables **not** writable by process `j` (the complement of `W_j`),

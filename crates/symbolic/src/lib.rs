@@ -15,9 +15,11 @@
 //!   constraints** (`v < d`) into every universe.
 //!
 //! On top of the encoding it provides the operations every fixpoint in the
-//! repair algorithms is made of: `image`, `preimage`, forward/backward
-//! reachability over one monolithic transition relation, and state
-//! counting/enumeration used by tests and the experiment harness.
+//! repair algorithms is made of: `image`, `preimage`, forward reachability
+//! chained over a relation's parts (and breadth-first over one monolithic
+//! relation, as a reference), backward reachability over one monolithic
+//! relation, and state counting/enumeration used by tests and the
+//! experiment harness.
 //!
 //! ```
 //! use ftrepair_symbolic::SymbolicContext;

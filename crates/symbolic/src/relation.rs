@@ -1,9 +1,17 @@
-//! Image, preimage and reachability fixpoints. Every image is taken over
-//! one monolithic relation: per-process partitioned images measured
-//! 4–6.5× slower on the chain's span and recovery fixpoints.
+//! Image, preimage and reachability fixpoints. Forward reachability for
+//! the repair is *chained* over a program's writer parts
+//! ([`SymbolicContext::forward_reachable_keep`], parts from
+//! [`SymbolicContext::split_by_frames`]): one part's image at a time
+//! reaches the same least fixpoint without the breadth-first frontier's
+//! intermediate blow-up. Every other image is taken over one monolithic
+//! relation: chaining the backward fixpoint over the same parts made
+//! Step 1 slower on byzantine agreement in a prototype, and per-process
+//! partitioned images (a separate image per part at every breadth-first
+//! step) measured 4–6.5× slower on the chain's span and recovery
+//! fixpoints.
 
 use crate::context::SymbolicContext;
-use ftrepair_bdd::NodeId;
+use ftrepair_bdd::{NodeId, FALSE};
 
 impl SymbolicContext {
     /// One-step image: the states reachable from `states` by one `trans`
@@ -24,7 +32,10 @@ impl SymbolicContext {
         self.mgr().and_exists(primed, trans, next)
     }
 
-    /// Least fixpoint of forward reachability from `init` under `trans`.
+    /// Least fixpoint of forward reachability from `init` under `trans`,
+    /// breadth-first over the monolithic relation. This is the reference
+    /// the exact verifier and the tests use; the repair's reachability is
+    /// the chained [`Self::forward_reachable_keep`].
     pub fn forward_reachable(&mut self, init: NodeId, trans: NodeId) -> NodeId {
         let mut reach = init;
         loop {
@@ -37,30 +48,66 @@ impl SymbolicContext {
         }
     }
 
-    /// [`Self::forward_reachable`] with a governance checkpoint
-    /// ([`Self::maybe_gc`]) per frontier iteration: long reachability runs
-    /// are where the arena peaks, so the trigger must get a chance to
-    /// collect *between* image steps. `keep` is every NodeId the caller
-    /// still holds across this call — the fixpoint's own state is rooted
-    /// automatically.
+    /// Least fixpoint of forward reachability from `init` under the union
+    /// of `parts`, chained: each sweep applies every part's image in turn
+    /// to the set grown so far, and the fixpoint ends with the first sweep
+    /// that adds nothing. Returns the reachable set and the number of
+    /// sweeps run (the last one included).
+    ///
+    /// Every step images reachable states under a subset of the union, so
+    /// every sweep stays inside the union's least fixpoint; a sweep that
+    /// adds nothing leaves a set that contains `init` and is closed under
+    /// every part, hence under the union — so the result *is* that least
+    /// fixpoint, after no more sweeps than breadth-first iterations. One
+    /// part is the breadth-first fixpoint of [`Self::forward_reachable`].
+    ///
+    /// A governance checkpoint ([`Self::maybe_gc`]) runs before every
+    /// image: long reachability runs are where the arena peaks, so the
+    /// trigger must get a chance to collect between images. `keep` is
+    /// every NodeId the caller still holds across this call — `parts` and
+    /// the fixpoint's own state are rooted automatically.
     pub fn forward_reachable_keep(
         &mut self,
         init: NodeId,
-        trans: NodeId,
+        parts: &[NodeId],
         keep: &[NodeId],
-    ) -> NodeId {
+    ) -> (NodeId, usize) {
+        let mut roots = [keep, parts, &[init]].concat();
         let mut reach = init;
+        let mut sweeps = 0;
         loop {
-            let mut roots = keep.to_vec();
-            roots.extend([reach, trans]);
-            self.maybe_gc(&roots);
-            let step = self.image(reach, trans);
-            let next = self.mgr().or(reach, step);
-            if next == reach {
-                return reach;
+            sweeps += 1;
+            let mut grew = false;
+            for &part in parts {
+                *roots.last_mut().expect("the reached set is a root") = reach;
+                self.maybe_gc(&roots);
+                let step = self.image(reach, part);
+                let next = self.mgr().or(reach, step);
+                grew |= next != reach;
+                reach = next;
             }
-            reach = next;
+            if !grew {
+                return (reach, sweeps);
+            }
         }
+    }
+
+    /// Split `trans` into one part per frame (`trans ∧ frame`, in the order
+    /// of `frames`), then the transitions that no frame covers. The parts
+    /// may overlap and their union is `trans`. With the frames of
+    /// `unchanged(V ∖ W_j)` over a program's distinct write sets `W_j`,
+    /// each part holds the steps one writer could take; the last holds the
+    /// steps that write outside every single write set (such as faults on
+    /// a variable no process writes).
+    pub fn split_by_frames(&mut self, trans: NodeId, frames: &[NodeId]) -> Vec<NodeId> {
+        let mut covered = FALSE;
+        let mut parts = Vec::with_capacity(frames.len() + 1);
+        for &frame in frames {
+            parts.push(self.mgr().and(trans, frame));
+            covered = self.mgr().or(covered, frame);
+        }
+        parts.push(self.mgr().diff(trans, covered));
+        parts
     }
 
     /// Least fixpoint of backward reachability: all states that can reach

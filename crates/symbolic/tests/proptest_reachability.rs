@@ -5,7 +5,7 @@
 //! [`SplitMix64`] PRNG with fixed per-test seeds, so every run checks the
 //! same instances and failures reproduce exactly.
 
-use ftrepair_bdd::SplitMix64;
+use ftrepair_bdd::{NodeId, SplitMix64, FALSE};
 use ftrepair_symbolic::{SymbolicContext, VarId};
 use std::collections::HashSet;
 
@@ -68,14 +68,60 @@ fn explicit_reach(bp: &Blueprint) -> HashSet<Vec<u64>> {
     seen
 }
 
+/// A random split of the edge list into up to 4 parts that together hold
+/// every edge: 1–3 parts get each edge, a third of the edges also land in
+/// a second part (overlap), and one part is always empty.
+fn random_parts(cx: &mut SymbolicContext, bp: &Blueprint, rng: &mut SplitMix64) -> Vec<NodeId> {
+    let k = 1 + rng.gen_range(3) as usize;
+    let mut parts = vec![FALSE; k];
+    for (from, to) in &bp.edges {
+        let t = cx.transition_cube(from, to);
+        let first = rng.gen_range(k as u64) as usize;
+        parts[first] = cx.mgr().or(parts[first], t);
+        if rng.gen_range(3) == 0 {
+            let second = rng.gen_range(k as u64) as usize;
+            parts[second] = cx.mgr().or(parts[second], t);
+        }
+    }
+    let empty_at = rng.gen_range(k as u64 + 1) as usize;
+    parts.insert(empty_at, FALSE);
+    parts
+}
+
 #[test]
 fn forward_reachability_matches_bruteforce() {
     for_cases(1, |bp, i| {
-        let (mut cx, _, trans) = build(bp);
+        let (mut cx, vars, trans) = build(bp);
         let init = cx.state_cube(&bp.init);
+        let expected = explicit_reach(bp);
         let reach = cx.forward_reachable(init, trans);
         let symbolic: HashSet<Vec<u64>> = cx.enumerate_states(reach, 10_000).into_iter().collect();
-        assert_eq!(symbolic, explicit_reach(bp), "case {i}: {bp:?}");
+        assert_eq!(symbolic, expected, "case {i}: {bp:?}");
+        let (_, breadth_first) = cx.forward_reachable_keep(init, &[trans], &[]);
+
+        // Chained over one frame per variable: each part's steps change at
+        // most that variable, and the last part holds the rest.
+        let frames: Vec<NodeId> = vars
+            .iter()
+            .map(|&v| {
+                let others: Vec<VarId> = vars.iter().copied().filter(|&w| w != v).collect();
+                cx.unchanged_all(&others)
+            })
+            .collect();
+        let parts = cx.split_by_frames(trans, &frames);
+        assert_eq!(parts.len(), frames.len() + 1, "case {i}");
+        let union = parts.iter().fold(FALSE, |acc, &p| cx.mgr().or(acc, p));
+        assert_eq!(union, trans, "case {i}: the frame parts do not OR back to trans: {bp:?}");
+
+        let mut rng = SplitMix64::seed_from_u64(0xC4A1_0000 + i);
+        let random = random_parts(&mut cx, bp, &mut rng);
+        for (kind, parts) in [("frame", parts), ("random", random)] {
+            let (chained, sweeps) = cx.forward_reachable_keep(init, &parts, &[]);
+            let symbolic: HashSet<Vec<u64>> =
+                cx.enumerate_states(chained, 10_000).into_iter().collect();
+            assert_eq!(symbolic, expected, "case {i}, {kind} parts {parts:?}: {bp:?}");
+            assert!(sweeps <= breadth_first, "case {i}, {kind}: {sweeps} > {breadth_first}");
+        }
     });
 }
 

@@ -340,7 +340,7 @@ fn aborted_repair_checkpoints_and_resume_completes() {
     let chain = spec("stabilizing_chain10.ftr");
 
     let (_, stderr, code) =
-        ftrepair_code(&["repair", &chain, "--max-nodes", "20000", "--checkpoint-dir", dir_str]);
+        ftrepair_code(&["repair", &chain, "--max-nodes", "2000", "--checkpoint-dir", dir_str]);
     assert_eq!(code, Some(125), "{stderr}");
     assert!(stderr.contains("rerun with --resume"), "{stderr}");
     let slots = || {

@@ -88,7 +88,7 @@ fn trace_out_on_token_ring_nests_phases_under_one_job_root() {
             "bad nesting for {phase}"
         );
     }
-    for fix in ["step1.ms_fixpoint", "step1.reachability", "step1.fixpoint"] {
+    for fix in ["step1.ms_fixpoint", "step1.reachability", "step1.fixpoint", "step1.ranking"] {
         let chain = ancestry(find(fix));
         assert!(chain.contains(&"step1".to_string()), "{fix} not under step1: {chain:?}");
         assert_eq!(chain.last().map(String::as_str), Some("job"), "{fix} chain: {chain:?}");
