@@ -1,11 +1,11 @@
 //! Microbenchmarks for the core BDD operations on transition-relation-shaped
-//! workloads (interleaved variables, mod-2^k counters) — the op mix the
-//! repair fixpoints are made of.
+//! workloads (interleaved variables, mod-2^k counters, a stabilizing chain)
+//! — the op mix the repair fixpoints are made of.
 //!
 //! Self-contained timing harness (median of repeated runs after warmup) so
 //! the bench builds offline; run with `cargo bench -p ftrepair-bdd`.
 
-use ftrepair_bdd::{Manager, NodeId};
+use ftrepair_bdd::{Manager, NodeId, FALSE, TRUE};
 use std::time::{Duration, Instant};
 
 /// Build the transition relation of a k-bit binary counter over interleaved
@@ -25,13 +25,79 @@ fn counter_relation(m: &mut Manager, bits: u32) -> NodeId {
     rel
 }
 
-/// Time `f` (median over `runs` after one warmup) and print one line.
-fn bench<T>(name: &str, runs: usize, mut f: impl FnMut() -> T) {
-    std::hint::black_box(f());
+/// `x_a = x_b` over the current copies of two `bits`-bit cells.
+fn cells_equal(m: &mut Manager, bits: u32, a: u32, b: u32) -> NodeId {
+    let mut eq = TRUE;
+    for j in 0..bits {
+        let (xa, xb) = (m.var(2 * (a * bits + j)), m.var(2 * (b * bits + j)));
+        let same = m.iff(xa, xb);
+        eq = m.and(eq, same);
+    }
+    eq
+}
+
+/// The stabilizing chain of `cells` cells of `bits` bits (the repair's
+/// `Sc^n` case study) over interleaved current/next levels: cell `i`
+/// copies cell `i - 1` when they differ, every other cell unchanged.
+/// Returns the relation and the legitimate states (all cells equal).
+fn chain_relation(m: &mut Manager, cells: u32, bits: u32) -> (NodeId, NodeId) {
+    let mut rel = FALSE;
+    let mut legit = TRUE;
+    for i in 1..cells {
+        let eq = cells_equal(m, bits, i - 1, i);
+        legit = m.and(legit, eq);
+        let mut step = m.not(eq);
+        for k in 0..cells {
+            for j in 0..bits {
+                let next = m.var(2 * (k * bits + j) + 1);
+                let source = if k == i { i - 1 } else { k };
+                let cur = m.var(2 * (source * bits + j));
+                let bit = m.iff(next, cur);
+                step = m.and(step, bit);
+            }
+        }
+        rel = m.or(rel, step);
+    }
+    (rel, legit)
+}
+
+/// Phase 5's fallback BFS (`ranking::break_cycles`) on the chain: layer by
+/// layer toward the legitimate states, accumulate
+/// `rel ∧ layer ∧ next(assigned)`. Returns the accumulated relation and the
+/// manager, whose counters the caller reports.
+fn phase5_layers(cells: u32, bits: u32) -> (NodeId, Manager) {
+    let mut m = Manager::new(2 * cells * bits);
+    let (rel, legit) = chain_relation(&mut m, cells, bits);
+    let next: Vec<u32> = (0..cells * bits).map(|g| 2 * g + 1).collect();
+    let next_vs = m.varset(&next);
+    let up = m.varmap(&(0..cells * bits).map(|g| (2 * g, 2 * g + 1)).collect::<Vec<_>>());
+    let mut assigned = legit;
+    let mut trans = FALSE;
+    loop {
+        let target = m.rename(assigned, up);
+        let pre = m.and_exists(rel, target, next_vs);
+        let layer = m.diff(pre, assigned);
+        if layer == FALSE {
+            break;
+        }
+        let from_layer = m.and(rel, layer);
+        let kept = m.and(from_layer, target);
+        trans = m.or(trans, kept);
+        assigned = m.or(assigned, layer);
+    }
+    // Every state of the chain recovers: the layers cover the universe.
+    assert_eq!(assigned, TRUE);
+    (trans, m)
+}
+
+/// Time `f` (median over `runs` after one warmup), print one line, and
+/// return the last run's result.
+fn bench<T>(name: &str, runs: usize, mut f: impl FnMut() -> T) -> T {
+    let mut last = f();
     let mut times: Vec<Duration> = (0..runs)
         .map(|_| {
             let start = Instant::now();
-            std::hint::black_box(f());
+            last = std::hint::black_box(f());
             start.elapsed()
         })
         .collect();
@@ -39,6 +105,7 @@ fn bench<T>(name: &str, runs: usize, mut f: impl FnMut() -> T) {
     let median = times[times.len() / 2];
     let (min, max) = (times[0], times[times.len() - 1]);
     println!("{name:<28} median {median:>10.3?}   min {min:>10.3?}   max {max:>10.3?}");
+    last
 }
 
 fn main() {
@@ -71,5 +138,20 @@ fn main() {
             let vs = m.varset(&half);
             m.exists(rel, vs)
         });
+    }
+    for &cells in &[8u32, 10] {
+        let (_, m) = bench(&format!("phase5_layers/{cells}x3"), 10, || phase5_layers(cells, 3));
+        let (s, cs) = (m.stats(), m.cache_stats());
+        let (hits, lookups) =
+            cs.op_caches().iter().fold((0, 0), |(h, l), (_, c)| (h + c.hits, l + c.lookups()));
+        println!(
+            "  computed table: hit rate {:.1}% of {lookups} probes, {} of {} slots resident; \
+             unique table: {} nodes in {} slots",
+            100.0 * hits as f64 / lookups.max(1) as f64,
+            s.cache_entries,
+            s.cache_slots,
+            s.live_nodes,
+            s.unique_slots,
+        );
     }
 }

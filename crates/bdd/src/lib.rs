@@ -8,9 +8,11 @@
 //!
 //! The engine is deliberately classical:
 //!
-//! * a flat node arena with a hash-consing *unique table* guaranteeing
+//! * a flat node arena with a hash-consing *unique table* (one
+//!   open-addressed subtable of arena indices per level) guaranteeing
 //!   canonicity (structural equality ⇔ pointer equality),
-//! * memoized `NOT`/`AND`/`OR`/`XOR`/`ITE`,
+//! * `NOT`/`AND`/`OR`/`XOR`/`ITE` memoized, like every recursive operation,
+//!   in one bounded, lossy *computed table*,
 //! * set-quantification (`exists`/`forall`) over interned variable sets,
 //! * fused relational products (`and_exists`) with early termination — the
 //!   workhorse of image/preimage computation,
@@ -42,6 +44,7 @@
 //! assert_eq!(m.sat_count(g), 5.0); // a∧b ∨ c has 5 satisfying assignments
 //! ```
 
+mod cache;
 mod dump;
 mod hash;
 mod manager;
@@ -51,6 +54,7 @@ mod quant;
 mod rename;
 pub mod rng;
 mod sat;
+mod unique;
 
 pub use dump::{DecodeError, ImportError, SerializedBdd};
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};

@@ -1,127 +1,19 @@
-//! The BDD manager: node arena, unique table, garbage collection.
+//! The BDD manager: node arena, unique table, computed table, garbage
+//! collection.
 
+use crate::cache::{ComputedTable, Op};
 use crate::hash::FxHashMap;
-use crate::node::{Node, NodeId, FALSE, TERMINAL_LEVEL, TRUE};
+use crate::node::{Node, NodeId, FALSE, FREE_LEVEL, TERMINAL_LEVEL, TRUE};
+use crate::unique::Subtable;
 
-/// One memoization cache with hit/miss accounting.
-///
-/// Lookups go through [`MemoCache::get`], which counts every probe; the
-/// counters survive [`MemoCache::clear`] (cache trims and GC wipe entries,
-/// not history), so [`Manager::cache_stats`] reports rates over the whole
-/// run.
-pub(crate) struct MemoCache<K> {
-    map: FxHashMap<K, NodeId>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<K> Default for MemoCache<K> {
-    fn default() -> Self {
-        MemoCache { map: FxHashMap::default(), hits: 0, misses: 0 }
-    }
-}
-
-impl<K: std::hash::Hash + Eq> MemoCache<K> {
-    #[inline]
-    pub fn get(&mut self, key: &K) -> Option<NodeId> {
-        match self.map.get(key) {
-            Some(&r) => {
-                self.hits += 1;
-                Some(r)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    #[inline]
-    pub fn insert(&mut self, key: K, value: NodeId) {
-        self.map.insert(key, value);
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    fn retain(&mut self, keep: impl FnMut(&K, NodeId) -> bool) {
-        let mut keep = keep;
-        self.map.retain(|k, v| keep(k, *v));
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    fn counter(&self) -> CacheCounter {
-        CacheCounter { hits: self.hits, misses: self.misses, entries: self.map.len() }
-    }
-}
-
-/// Memoization caches for the recursive operations.
-///
-/// Garbage collection drops exactly the entries that reference a dead node
-/// ([`Caches::retain_live`]); every surviving entry stays valid because a
-/// surviving `NodeId`'s *function* never changes — GC never rebinds a live
-/// slot. Keys embed everything the result depends on, so the caches never
-/// need invalidation otherwise.
-#[derive(Default)]
-pub(crate) struct Caches {
-    /// `NOT f ↦ result`.
-    pub not: MemoCache<NodeId>,
-    /// `(op, f, g) ↦ result` for the binary boolean connectives; commutative
-    /// operations normalize `f <= g`.
-    pub apply: MemoCache<(u8, NodeId, NodeId)>,
-    /// `ite(f, g, h) ↦ result`.
-    pub ite: MemoCache<(NodeId, NodeId, NodeId)>,
-    /// `(∃/∀, f, varset) ↦ result`.
-    pub quant: MemoCache<(u8, NodeId, u32)>,
-    /// `∃ vs. f ∧ g ↦ result` (the relational product).
-    pub and_exists: MemoCache<(NodeId, NodeId, u32)>,
-    /// `(f, varmap) ↦ result` for order-preserving renaming.
-    pub rename: MemoCache<(NodeId, u32)>,
-}
-
-impl Caches {
-    /// Drop every entry that references a node `live` rejects. Cached
-    /// results are function identities (and the interned varset/varmap
-    /// indices in the quantification/rename keys are never recycled), so
-    /// liveness of the mentioned nodes is the *only* validity condition.
-    pub(crate) fn retain_live(&mut self, live: impl Fn(NodeId) -> bool) {
-        self.not.retain(|&f, v| live(f) && live(v));
-        self.apply.retain(|&(_, f, g), v| live(f) && live(g) && live(v));
-        self.ite.retain(|&(f, g, h), v| live(f) && live(g) && live(h) && live(v));
-        self.quant.retain(|&(_, f, _), v| live(f) && live(v));
-        self.and_exists.retain(|&(f, g, _), v| live(f) && live(g) && live(v));
-        self.rename.retain(|&(f, _), v| live(f) && live(v));
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.not.clear();
-        self.apply.clear();
-        self.ite.clear();
-        self.quant.clear();
-        self.and_exists.clear();
-        self.rename.clear();
-    }
-
-    fn len(&self) -> usize {
-        self.not.len()
-            + self.apply.len()
-            + self.ite.len()
-            + self.quant.len()
-            + self.and_exists.len()
-            + self.rename.len()
-    }
-}
-
-/// Hit/miss tally of one cache (or of the unique table).
+/// Hit/miss tally of one operation's share of the computed table (or of
+/// the unique table). Counters cover the manager's whole life: GC sweeps
+/// and table growth drop or move entries, not history.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounter {
     pub hits: u64,
     pub misses: u64,
-    /// Entries currently resident (post any trims/GCs).
+    /// Entries currently resident.
     pub entries: usize,
 }
 
@@ -142,8 +34,9 @@ impl CacheCounter {
     }
 }
 
-/// Per-cache hit/miss snapshot covering all six op caches plus the unique
-/// table. Rates, not raw counts, are the headline numbers
+/// Per-cache hit/miss snapshot covering the six operation families of the
+/// computed table plus the unique table. Rates, not raw counts, are the
+/// headline numbers
 /// ([`CacheCounter::hit_rate`]); raw counts stay available for summing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -157,8 +50,8 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// The six op caches as `(name, counter)` pairs, excluding the unique
-    /// table.
+    /// The six operation families of the computed table as
+    /// `(name, counter)` pairs, excluding the unique table.
     pub fn op_caches(&self) -> [(&'static str, CacheCounter); 6] {
         [
             ("not", self.not),
@@ -182,8 +75,13 @@ pub struct ManagerStats {
     pub allocated_nodes: usize,
     /// Slots currently on the free list.
     pub free_nodes: usize,
-    /// Entries across all memo caches.
+    /// Entries resident in the computed table.
     pub cache_entries: usize,
+    /// Slots of the computed table: the most entries it can hold.
+    pub cache_slots: usize,
+    /// Slots across the unique subtables (4 bytes each, at most half
+    /// full).
+    pub unique_slots: usize,
     /// Number of garbage collections performed.
     pub gc_runs: usize,
     /// `mk` calls that found an existing node in the unique table.
@@ -214,13 +112,15 @@ struct GcTrigger {
 /// to move functions between managers.
 pub struct Manager {
     pub(crate) nodes: Vec<Node>,
-    /// The unique table, split into one subtable per level keyed by
-    /// `(lo, hi)`: with the order fixed a node's level never changes, and
-    /// many small tables never ask the allocator for one huge block.
-    unique: Vec<FxHashMap<(NodeId, NodeId), NodeId>>,
+    /// The unique table: one open-addressed subtable of arena indices per
+    /// level (see `unique.rs`).
+    unique: Vec<Subtable>,
+    /// Freed arena slots; a freed node's `var` is [`FREE_LEVEL`].
     pub(crate) free: Vec<u32>,
     num_vars: u32,
-    pub(crate) caches: Caches,
+    /// The computed table every recursive operation memoizes in (see
+    /// `cache.rs`).
+    cache: ComputedTable,
     /// Externally protected roots (refcounted) that GC must keep alive.
     pub(crate) protected: FxHashMap<NodeId, u32>,
     /// Interned variable sets for quantification (see `quant.rs`), stored as
@@ -258,10 +158,10 @@ impl Manager {
         nodes.push(Node { var: TERMINAL_LEVEL, lo: TRUE, hi: TRUE });
         Manager {
             nodes,
-            unique: (0..num_vars).map(|_| FxHashMap::default()).collect(),
+            unique: (0..num_vars).map(|_| Subtable::default()).collect(),
             free: Vec::new(),
             num_vars,
-            caches: Caches::default(),
+            cache: ComputedTable::default(),
             protected: FxHashMap::default(),
             varsets: Vec::new(),
             varset_ids: FxHashMap::default(),
@@ -289,7 +189,7 @@ impl Manager {
     /// all existing nodes).
     pub fn add_vars(&mut self, extra: u32) {
         self.num_vars += extra;
-        self.unique.resize_with(self.num_vars as usize, FxHashMap::default);
+        self.unique.resize_with(self.num_vars as usize, Subtable::default);
     }
 
     /// The branching variable of a node, which is also its level
@@ -320,10 +220,13 @@ impl Manager {
             return lo; // reduction rule
         }
         debug_assert!(var < self.level(lo) && var < self.level(hi), "order violation");
-        if let Some(&id) = self.unique[var as usize].get(&(lo, hi)) {
-            self.unique_hits += 1;
-            return id;
-        }
+        let slot = match self.unique[var as usize].find(&self.nodes, lo, hi) {
+            Ok(id) => {
+                self.unique_hits += 1;
+                return id;
+            }
+            Err(slot) => slot,
+        };
         self.unique_misses += 1;
         let node = Node { var, lo, hi };
         let id = match self.free.pop() {
@@ -337,7 +240,7 @@ impl Manager {
                 NodeId(slot)
             }
         };
-        self.unique[var as usize].insert((lo, hi), id);
+        self.unique[var as usize].insert_at(slot, id, &self.nodes);
         self.live_count += 1;
         if self.live_count > self.peak_live {
             self.peak_live = self.live_count;
@@ -392,19 +295,17 @@ impl Manager {
         }
     }
 
-    /// Clear all operation caches if they hold more than `max_entries`
-    /// memo entries. Caches are pure memoization — clearing them is always
-    /// sound and costs only recomputation. Long fixpoints call this
-    /// between iterations to bound memory (the caches, not the node arena,
-    /// dominate the footprint of big runs). Returns whether a trim
-    /// happened.
-    pub fn maybe_trim_caches(&mut self, max_entries: usize) -> bool {
-        if self.caches.len() > max_entries {
-            self.caches.clear();
-            true
-        } else {
-            false
-        }
+    /// Look a key up in the computed table.
+    #[inline]
+    pub(crate) fn cache_get(&mut self, op: Op, a: NodeId, b: NodeId, c: u32) -> Option<NodeId> {
+        self.cache.get(op, a, b, c)
+    }
+
+    /// Memoize `key ↦ r` in the computed table, which may grow while it is
+    /// small next to the live-node count.
+    #[inline]
+    pub(crate) fn cache_insert(&mut self, op: Op, a: NodeId, b: NodeId, c: u32, r: NodeId) {
+        self.cache.insert(op, a, b, c, r, self.live_count);
     }
 
     /// Arm (or, with 0, disarm) a live-node budget, clearing any latched
@@ -485,9 +386,10 @@ impl Manager {
     ///
     /// Keeps every node reachable from `roots` or from a
     /// [`Manager::protect`]ed root; all other slots go to the free list and
-    /// node ids of survivors remain stable. Memo entries touching a dead
-    /// node are dropped; the rest stay (see `Caches::retain_live`), so a
-    /// GC mid-fixpoint does not force the next iteration to recompute
+    /// node ids of survivors remain stable. Each unique subtable is rebuilt
+    /// from its level's survivors, at a size that fits them. Computed-table
+    /// entries naming a dead node are dropped and the rest stay, so a GC
+    /// mid-fixpoint does not force the next iteration to recompute
     /// everything from scratch.
     pub fn gc<I: IntoIterator<Item = NodeId>>(&mut self, roots: I) {
         let mut marked = vec![false; self.nodes.len()];
@@ -510,16 +412,27 @@ impl Manager {
         // Propagation above is top-down only through pushed children, which is
         // complete because children are pushed exactly when the parent is
         // first marked.
-        let already_free: crate::hash::FxHashSet<u32> = self.free.iter().copied().collect();
+        let mut survivors = vec![0usize; self.unique.len()];
         for (idx, &is_marked) in marked.iter().enumerate().skip(2) {
-            if !is_marked && !already_free.contains(&(idx as u32)) {
-                let node = self.nodes[idx];
-                self.unique[node.var as usize].remove(&(node.lo, node.hi));
+            let node = &mut self.nodes[idx];
+            if is_marked {
+                survivors[node.var as usize] += 1;
+            } else if node.var != FREE_LEVEL {
+                node.var = FREE_LEVEL;
                 self.free.push(idx as u32);
             }
         }
+        for (table, &n) in self.unique.iter_mut().zip(&survivors) {
+            *table = Subtable::sized_for(n);
+        }
+        for (idx, &is_marked) in marked.iter().enumerate().skip(2) {
+            if is_marked {
+                let node = &self.nodes[idx];
+                self.unique[node.var as usize].place(NodeId(idx as u32), node);
+            }
+        }
         self.live_count = self.nodes.len() - 2 - self.free.len();
-        self.caches.retain_live(|f| marked[f.0 as usize]);
+        self.cache.retain_live(|f| marked[f as usize]);
         self.gc_runs += 1;
     }
 
@@ -547,13 +460,19 @@ impl Manager {
     /// Validate the structural invariants of the arena: every live node is
     /// reduced (`lo != hi`), ordered (children at strictly greater levels),
     /// canonical (present in the unique table exactly once), and refers only
-    /// to live slots. Panics with a description on the first violation.
-    /// O(arena size); meant for tests and debugging, not hot paths.
+    /// to live slots; every free-list slot is marked free. Panics with a
+    /// description on the first violation. O(arena size); meant for tests
+    /// and debugging, not hot paths.
     pub fn check_integrity(&self) {
         let free: crate::hash::FxHashSet<u32> = self.free.iter().copied().collect();
         assert_eq!(free.len(), self.free.len(), "duplicate slots on the free list");
         for idx in 2..self.nodes.len() {
             let id = NodeId(idx as u32);
+            assert_eq!(
+                free.contains(&(idx as u32)),
+                self.nodes[idx].var == FREE_LEVEL,
+                "free list and arena disagree on slot {id:?}"
+            );
             if free.contains(&(idx as u32)) {
                 continue;
             }
@@ -574,13 +493,13 @@ impl Manager {
                 );
             }
             assert_eq!(
-                self.unique[node.var as usize].get(&(node.lo, node.hi)),
-                Some(&id),
+                self.unique[node.var as usize].find(&self.nodes, node.lo, node.hi),
+                Ok(id),
                 "node {id:?} missing from or duplicated in the unique table"
             );
         }
         assert_eq!(
-            self.unique.iter().map(|t| t.len()).sum::<usize>(),
+            self.unique.iter().map(Subtable::len).sum::<usize>(),
             self.nodes.len() - 2 - self.free.len(),
             "unique table size does not match live node count"
         );
@@ -591,20 +510,21 @@ impl Manager {
         );
     }
 
-    /// Per-cache hit/miss snapshot across all six op caches and the unique
-    /// table (see [`CacheStats`]).
+    /// Per-cache hit/miss snapshot across the computed table's six
+    /// operation families and the unique table (see [`CacheStats`]).
     pub fn cache_stats(&self) -> CacheStats {
+        let [not, apply, ite, quant, and_exists, rename] = self.cache.counters();
         CacheStats {
-            not: self.caches.not.counter(),
-            apply: self.caches.apply.counter(),
-            ite: self.caches.ite.counter(),
-            quant: self.caches.quant.counter(),
-            and_exists: self.caches.and_exists.counter(),
-            rename: self.caches.rename.counter(),
+            not,
+            apply,
+            ite,
+            quant,
+            and_exists,
+            rename,
             unique: CacheCounter {
                 hits: self.unique_hits,
                 misses: self.unique_misses,
-                entries: self.unique.iter().map(|t| t.len()).sum(),
+                entries: self.unique.iter().map(Subtable::len).sum(),
             },
         }
     }
@@ -616,7 +536,9 @@ impl Manager {
             peak_live_nodes: self.peak_live,
             allocated_nodes: self.nodes.len() - 2,
             free_nodes: self.free.len(),
-            cache_entries: self.caches.len(),
+            cache_entries: self.cache.len(),
+            cache_slots: self.cache.slots(),
+            unique_slots: self.unique.iter().map(Subtable::slots).sum(),
             gc_runs: self.gc_runs,
             unique_hits: self.unique_hits,
             unique_misses: self.unique_misses,
@@ -916,19 +838,6 @@ mod tests {
     }
 
     #[test]
-    fn trim_caches_respects_threshold() {
-        let mut m = Manager::new(8);
-        let a = m.var(0);
-        let b = m.var(1);
-        let _ = m.xor(a, b);
-        assert!(m.stats().cache_entries > 0);
-        assert!(!m.maybe_trim_caches(1_000_000), "below threshold: no trim");
-        assert!(m.maybe_trim_caches(0), "above threshold: trim");
-        assert_eq!(m.stats().cache_entries, 0);
-        m.check_integrity();
-    }
-
-    #[test]
     fn cache_stats_cover_all_six_op_caches() {
         let mut m = Manager::new(6);
         let (a, b, c) = (m.var(0), m.var(2), m.var(4));
@@ -956,18 +865,95 @@ mod tests {
         assert_eq!(after.misses, before.misses);
     }
 
+    /// OR `n` random minterms over `vars` variables into one function —
+    /// thousands of live nodes and `or` results for `vars = 20`.
+    fn random_minterms(m: &mut Manager, vars: u32, n: usize, seed: u64) -> NodeId {
+        let mut rng = crate::SplitMix64::seed_from_u64(seed);
+        let mut f = FALSE;
+        for _ in 0..n {
+            let lits: Vec<(u32, bool)> = (0..vars).map(|v| (v, rng.coin())).collect();
+            let c = m.cube(&lits);
+            f = m.or(f, c);
+        }
+        f
+    }
+
+    fn assert_resident_within_slots(m: &Manager) {
+        let (s, cs) = (m.stats(), m.cache_stats());
+        let per_op: usize = cs.op_caches().iter().map(|(_, c)| c.entries).sum();
+        assert_eq!(per_op, s.cache_entries, "per-op entries must add up");
+        assert!(
+            s.cache_entries <= s.cache_slots,
+            "{} entries in {} slots",
+            s.cache_entries,
+            s.cache_slots
+        );
+    }
+
     #[test]
-    fn cache_counters_survive_trims() {
-        let mut m = Manager::new(4);
-        let a = m.var(0);
-        let b = m.var(1);
-        let _ = m.xor(a, b);
+    fn cache_counters_survive_growth_and_gc_sweeps() {
+        let mut m = Manager::new(20);
+        let mut seen = m.cache_stats();
+        let mut grew = 0;
+        let mut f = FALSE;
+        for seed in 0..8 {
+            let slots = m.stats().cache_slots;
+            let g = random_minterms(&mut m, 20, 500, seed);
+            f = m.or(f, g);
+            grew += usize::from(m.stats().cache_slots > slots);
+            let now = m.cache_stats();
+            for ((name, a), (_, b)) in seen.op_caches().iter().zip(now.op_caches()) {
+                assert!(b.hits >= a.hits && b.misses >= a.misses, "{name} counters went back");
+            }
+            seen = now;
+        }
+        assert!(grew > 0, "setup: the table must grow");
+        let nf = m.not(f);
         let before = m.cache_stats();
-        assert!(m.maybe_trim_caches(0));
+        m.gc([f, nf]);
         let after = m.cache_stats();
-        assert_eq!(after.apply.hits, before.apply.hits);
-        assert_eq!(after.apply.misses, before.apply.misses);
-        assert_eq!(after.apply.entries, 0, "trim empties entries");
+        for ((name, a), (_, b)) in before.op_caches().iter().zip(after.op_caches()) {
+            assert_eq!((a.hits, a.misses), (b.hits, b.misses), "{name} counters reset by GC");
+            assert!(b.entries <= a.entries, "{name} entries grew in a sweep");
+        }
+        assert!(after.apply.entries < before.apply.entries, "dead `or` results swept");
+        // Entries over surviving nodes stay: both negations are still hits.
+        assert_eq!(m.not(f), nf);
+        assert_eq!(m.not(nf), f);
+        assert_eq!(m.cache_stats().not.hits, after.not.hits + 2);
+        m.check_integrity();
+    }
+
+    #[test]
+    fn resident_entries_never_exceed_slots() {
+        let mut m = Manager::new(20);
+        for seed in 0..6 {
+            let f = random_minterms(&mut m, 20, 400, seed);
+            assert_resident_within_slots(&m);
+            let vs = m.varset(&[0, 3, 7]);
+            let _ = m.exists(f, vs);
+            assert_resident_within_slots(&m);
+            m.gc([f]);
+            assert_resident_within_slots(&m);
+        }
+        assert!(m.stats().cache_slots > crate::cache::MIN_SLOTS, "setup: the table must grow");
+    }
+
+    #[test]
+    fn small_manager_table_stays_at_its_floor() {
+        // Tens of thousands of stores, but never more live nodes than the
+        // floor has slots: insert pressure alone must not grow the table.
+        let mut m = Manager::new(10);
+        for seed in 0..40 {
+            let f = random_minterms(&mut m, 10, 200, seed);
+            let _ = m.not(f);
+            assert!(m.stats().live_nodes < crate::cache::MIN_SLOTS, "setup: a small manager");
+            m.gc([]);
+        }
+        // Every `or` miss is a store.
+        assert!(m.cache_stats().apply.misses > 4 * crate::cache::MIN_SLOTS as u64);
+        assert_eq!(m.stats().cache_slots, crate::cache::MIN_SLOTS);
+        assert_resident_within_slots(&m);
     }
 
     #[test]

@@ -19,6 +19,10 @@ pub const TRUE: NodeId = NodeId(1);
 /// branching variable.
 pub(crate) const TERMINAL_LEVEL: u32 = u32::MAX;
 
+/// The `var` of a freed arena slot, so garbage collection can tell a slot
+/// it freed earlier from one it frees now without a set of free slots.
+pub(crate) const FREE_LEVEL: u32 = u32::MAX - 1;
+
 impl NodeId {
     /// Whether this is one of the two terminal nodes.
     #[inline]

@@ -1,17 +1,9 @@
 //! Boolean connectives: `NOT`, `AND`, `OR`, `XOR`, `ITE`, difference and
 //! implication, plus the containment test `implies_cheap`.
 
+use crate::cache::Op;
 use crate::manager::Manager;
 use crate::node::{NodeId, FALSE, TRUE};
-
-/// Binary operation tags used as cache discriminants.
-#[derive(Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-enum Op {
-    And = 0,
-    Or = 1,
-    Xor = 2,
-}
 
 impl Manager {
     /// `¬f`.
@@ -20,17 +12,17 @@ impl Manager {
             FALSE => TRUE,
             TRUE => FALSE,
             _ => {
-                if let Some(r) = self.caches.not.get(&f) {
+                if let Some(r) = self.cache_get(Op::Not, f, FALSE, 0) {
                     return r;
                 }
                 let (level, lo, hi) = (self.level(f), self.lo(f), self.hi(f));
                 let nlo = self.not(lo);
                 let nhi = self.not(hi);
                 let r = self.mk(level, nlo, nhi);
-                self.caches.not.insert(f, r);
+                self.cache_insert(Op::Not, f, FALSE, 0, r);
                 // Negation is an involution; caching both directions halves
                 // the work of round trips, which the repair fixpoints do a lot.
-                self.caches.not.insert(r, f);
+                self.cache_insert(Op::Not, r, FALSE, 0, f);
                 r
             }
         }
@@ -108,28 +100,26 @@ impl Manager {
         self.and(f, g) == FALSE
     }
 
+    /// The shared recursion of `and`, `or` and `xor` (`op` is one of
+    /// those three).
     fn apply(&mut self, op: Op, f: NodeId, g: NodeId) -> NodeId {
         // All three ops are commutative: normalize the cache key.
         let (a, b) = if f <= g { (f, g) } else { (g, f) };
-        if let Some(r) = self.caches.apply.get(&(op as u8, a, b)) {
+        if let Some(r) = self.cache_get(op, a, b, 0) {
             return r;
         }
         let (la, lb) = (self.level(a), self.level(b));
         let level = la.min(lb);
         let (a_lo, a_hi) = if la == level { (self.lo(a), self.hi(a)) } else { (a, a) };
         let (b_lo, b_hi) = if lb == level { (self.lo(b), self.hi(b)) } else { (b, b) };
-        let lo = match op {
-            Op::And => self.and(a_lo, b_lo),
-            Op::Or => self.or(a_lo, b_lo),
-            Op::Xor => self.xor(a_lo, b_lo),
-        };
-        let hi = match op {
-            Op::And => self.and(a_hi, b_hi),
-            Op::Or => self.or(a_hi, b_hi),
-            Op::Xor => self.xor(a_hi, b_hi),
+        let (lo, hi) = match op {
+            Op::And => (self.and(a_lo, b_lo), self.and(a_hi, b_hi)),
+            Op::Or => (self.or(a_lo, b_lo), self.or(a_hi, b_hi)),
+            Op::Xor => (self.xor(a_lo, b_lo), self.xor(a_hi, b_hi)),
+            _ => unreachable!("apply takes and, or or xor"),
         };
         let r = self.mk(level, lo, hi);
-        self.caches.apply.insert((op as u8, a, b), r);
+        self.cache_insert(op, a, b, 0, r);
         r
     }
 
@@ -150,7 +140,7 @@ impl Manager {
         if g == FALSE && h == TRUE {
             return self.not(f);
         }
-        if let Some(r) = self.caches.ite.get(&(f, g, h)) {
+        if let Some(r) = self.cache_get(Op::Ite, f, g, h.0) {
             return r;
         }
         let level = self.level(f).min(self.level(g)).min(self.level(h));
@@ -170,7 +160,7 @@ impl Manager {
         let hi = self.ite(f1, g1, h1);
         let lo = self.ite(f0, g0, h0);
         let r = self.mk(level, lo, hi);
-        self.caches.ite.insert((f, g, h), r);
+        self.cache_insert(Op::Ite, f, g, h.0, r);
         r
     }
 }

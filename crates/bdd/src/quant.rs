@@ -1,6 +1,7 @@
 //! Quantification: `∃ V. f`, `∀ V. f`, and the fused relational product
 //! `∃ V. f ∧ g` that image/preimage computation is built on.
 
+use crate::cache::Op;
 use crate::manager::Manager;
 use crate::node::{NodeId, FALSE, TRUE};
 
@@ -10,22 +11,20 @@ use crate::node::{NodeId, FALSE, TRUE};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct VarSetId(pub(crate) u32);
 
-const Q_EXISTS: u8 = 0;
-const Q_FORALL: u8 = 1;
-
 impl Manager {
     /// `∃ vs. f`: erase the variables in `vs`, keeping assignments that have
     /// *some* completion satisfying `f`.
     pub fn exists(&mut self, f: NodeId, vs: VarSetId) -> NodeId {
-        self.quantify(f, vs, Q_EXISTS)
+        self.quantify(f, vs, Op::Exists)
     }
 
     /// `∀ vs. f`: keep assignments all of whose completions satisfy `f`.
     pub fn forall(&mut self, f: NodeId, vs: VarSetId) -> NodeId {
-        self.quantify(f, vs, Q_FORALL)
+        self.quantify(f, vs, Op::Forall)
     }
 
-    fn quantify(&mut self, f: NodeId, vs: VarSetId, q: u8) -> NodeId {
+    /// `q` is [`Op::Exists`] or [`Op::Forall`].
+    fn quantify(&mut self, f: NodeId, vs: VarSetId, q: Op) -> NodeId {
         if f.is_terminal() {
             return f;
         }
@@ -36,13 +35,13 @@ impl Manager {
         self.quantify_rec(f, vs, last, q)
     }
 
-    fn quantify_rec(&mut self, f: NodeId, vs: VarSetId, last: u32, q: u8) -> NodeId {
+    fn quantify_rec(&mut self, f: NodeId, vs: VarSetId, last: u32, q: Op) -> NodeId {
         let level = self.level(f);
         // Below the last quantified variable nothing changes.
         if f.is_terminal() || level > last {
             return f;
         }
-        if let Some(r) = self.caches.quant.get(&(q, f, vs.0)) {
+        if let Some(r) = self.cache_get(q, f, FALSE, vs.0) {
             return r;
         }
         let (lo, hi) = (self.lo(f), self.hi(f));
@@ -50,7 +49,7 @@ impl Manager {
         let qhi = self.quantify_rec(hi, vs, last, q);
         let quantified = self.varsets[vs.0 as usize].binary_search(&level).is_ok();
         let r = if quantified {
-            if q == Q_EXISTS {
+            if q == Op::Exists {
                 self.or(qlo, qhi)
             } else {
                 self.and(qlo, qhi)
@@ -58,7 +57,7 @@ impl Manager {
         } else {
             self.mk(level, qlo, qhi)
         };
-        self.caches.quant.insert((q, f, vs.0), r);
+        self.cache_insert(q, f, FALSE, vs.0, r);
         r
     }
 
@@ -82,7 +81,7 @@ impl Manager {
             return TRUE;
         }
         if f == g {
-            return self.quantify_rec(f, vs, last, Q_EXISTS);
+            return self.quantify_rec(f, vs, last, Op::Exists);
         }
         let (lf, lg) = (self.level(f), self.level(g));
         let level = lf.min(lg);
@@ -91,7 +90,7 @@ impl Manager {
             return self.and(f, g);
         }
         let (a, b) = if f <= g { (f, g) } else { (g, f) };
-        if let Some(r) = self.caches.and_exists.get(&(a, b, vs.0)) {
+        if let Some(r) = self.cache_get(Op::AndExists, a, b, vs.0) {
             return r;
         }
         let (f_lo, f_hi) = if lf == level { (self.lo(f), self.hi(f)) } else { (f, f) };
@@ -110,7 +109,7 @@ impl Manager {
             let hi = self.and_exists_rec(f_hi, g_hi, vs, last);
             self.mk(level, lo, hi)
         };
-        self.caches.and_exists.insert((a, b, vs.0), r);
+        self.cache_insert(Op::AndExists, a, b, vs.0, r);
         r
     }
 }

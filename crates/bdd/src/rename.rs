@@ -5,8 +5,9 @@
 //! `ftrepair-symbolic` (`x0, x0', x1, x1', …`) the maps are always
 //! order-preserving, so renaming is a single linear rebuild.
 
+use crate::cache::Op;
 use crate::manager::Manager;
-use crate::node::{NodeId, TRUE};
+use crate::node::{NodeId, FALSE, TRUE};
 
 /// Handle to an interned, order-preserving variable map
 /// (see [`Manager::varmap`]).
@@ -39,7 +40,7 @@ impl Manager {
         if f.is_terminal() {
             return f;
         }
-        if let Some(r) = self.caches.rename.get(&(f, map.0)) {
+        if let Some(r) = self.cache_get(Op::Rename, f, FALSE, map.0) {
             return r;
         }
         let level = self.level(f);
@@ -52,7 +53,7 @@ impl Manager {
             Err(_) => level,
         };
         let r = self.mk(new_level, rlo, rhi);
-        self.caches.rename.insert((f, map.0), r);
+        self.cache_insert(Op::Rename, f, FALSE, map.0, r);
         r
     }
 

@@ -11,10 +11,6 @@ use ftrepair_bdd::{NodeId, FALSE};
 use ftrepair_program::{semantics, DistributedProgram, Safety};
 use ftrepair_telemetry::{Json, Telemetry};
 
-/// Memo caches above this size are cleared between fixpoint iterations —
-/// they, not the node arena, dominate memory on the big chain instances.
-pub(crate) const CACHE_TRIM_THRESHOLD: usize = 8_000_000;
-
 /// Output of symbolic Add-Masking.
 #[derive(Clone, Copy, Debug)]
 pub struct AddMaskingResult {
@@ -216,7 +212,6 @@ pub fn add_masking_seeded(
         let mut fixpoint_span = tele.span("step1.fixpoint");
         fixpoint_span.field("iter", Json::from(fixpoint_iter));
         let (old_s1, old_t1) = (s1, t1);
-        prog.cx.maybe_trim_caches(CACHE_TRIM_THRESHOLD);
         prog.cx.maybe_gc(&[
             invariant,
             safety.bad_states,
@@ -296,10 +291,16 @@ pub fn add_masking_seeded(
     // Phase 5: break recovery cycles (see `crate::ranking`): peel the
     // original program's acyclic recovery structure first so its groups
     // survive Step 2, admit shortcuts consistent with the peeling order,
-    // and fall back to BFS jump layers for everything else.
+    // and fall back to BFS jump layers for everything else. Its rounds
+    // poll the token and enforce the node budget with the result's roots
+    // (and the inputs) live. (S₁, T₁, ms) has converged, so an abort there
+    // leaves it as the resume point, the state the caller would have
+    // offered after Step 1.
     let trans = {
         let _ranking_span = tele.span("step1.ranking");
-        crate::ranking::break_cycles(cx, p1, safe_delta, s1, t1)
+        let roots = [invariant, safety.bad_states, safety.bad_trans, ms, mt];
+        crate::ranking::break_cycles(cx, token, &roots, p1, safe_delta, s1, t1)
+            .inspect_err(|_| token.offer_checkpoint(cx, s1, t1, ms))?
     };
 
     Ok(AddMaskingResult { ms, mt, invariant: s1, span: t1, trans, allowed: p1, failed: false })

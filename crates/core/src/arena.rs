@@ -40,14 +40,19 @@ pub(crate) fn protect_outcome(
     }
 }
 
-/// Emit the manager's live-node high-water mark as the
-/// `bdd.peak_live_nodes` gauge — called once when a traced repair finishes
-/// (success, declared failure, or abort), so every run report and
-/// `/jobs/<id>` record carries the same number as `ManagerStats`.
+/// Emit the manager's live-node high-water mark and the sizes of its
+/// tables as gauges — `bdd.peak_live_nodes`, `bdd.cache_entries`,
+/// `bdd.cache_slots` and `bdd.unique_slots` — called once when a traced
+/// repair finishes (success, declared failure, or abort), so every run
+/// report, `/jobs/<id>` record and `/metrics` scrape carries the same
+/// numbers as `ManagerStats` (and the run report's `bdd` object).
 pub(crate) fn emit_bdd_tele(tele: &Telemetry, prog: &DistributedProgram) {
     if !tele.enabled() {
         return;
     }
-    let peak = prog.cx.mgr_ref().stats().peak_live_nodes;
-    tele.max_gauge("bdd.peak_live_nodes", peak as u64);
+    let s = prog.cx.mgr_ref().stats();
+    tele.max_gauge("bdd.peak_live_nodes", s.peak_live_nodes as u64);
+    tele.max_gauge("bdd.cache_entries", s.cache_entries as u64);
+    tele.max_gauge("bdd.cache_slots", s.cache_slots as u64);
+    tele.max_gauge("bdd.unique_slots", s.unique_slots as u64);
 }

@@ -278,7 +278,10 @@ fn cautious_repair_inner(
         // else; the next group enforcement drops the offenders' groups.
         let outside = cx.mgr().diff(t1_new, s1_new);
         let safe_orig = cx.mgr().and(delta_p, not_mt);
-        let kept = crate::ranking::break_cycles(cx, p1, safe_orig, s1_new, t1_new);
+        let mut roots =
+            vec![delta_p, t_universe, stutters, not_mt, one_writer, banned, s1, t1, outside];
+        roots.extend(&grouped);
+        let kept = crate::ranking::break_cycles(cx, token, &roots, p1, safe_orig, s1_new, t1_new)?;
         let cx = &mut prog.cx;
         let recovery_part = cx.mgr().and(p1, outside);
         let nondecreasing = cx.mgr().diff(recovery_part, kept);

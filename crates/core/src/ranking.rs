@@ -20,7 +20,15 @@
 //! 3. **Fallback BFS** over `p1` for the states the original program cannot
 //!    bring back (including any originally-cyclic region): pure synthesized
 //!    recovery, layered the same way.
+//!
+//! On the chains these rounds are most of Step 1, so each one starts, like
+//! every other repair loop, by polling the token and enforcing the node
+//! budget. It does not collect at the garbage-collection trigger: each
+//! round reuses the previous round's intermediate results through the
+//! computed table, and collecting them there made Sc^20's repair 8×
+//! slower (DESIGN.md §6 item 10).
 
+use crate::cancel::{RepairAborted, Token};
 use ftrepair_bdd::{NodeId, FALSE};
 use ftrepair_program::semantics;
 use ftrepair_symbolic::SymbolicContext;
@@ -29,13 +37,20 @@ use ftrepair_symbolic::SymbolicContext;
 /// recovery structure. `orig_safe` is the original transition relation
 /// minus `mt`; `t1` is the fault-span. Returns the final transition
 /// relation: `p1|S₁` plus the layered recovery edges.
+///
+/// `token` is polled at the head of every peel and BFS round, where the
+/// node budget is also enforced; `roots` are the caller's live `NodeId`s
+/// that are not protected, which the budget's rescue collection keeps
+/// alive.
 pub fn break_cycles(
     cx: &mut SymbolicContext,
+    token: &Token,
+    roots: &[NodeId],
     p1: NodeId,
     orig_safe: NodeId,
     s1: NodeId,
     t1: NodeId,
-) -> NodeId {
+) -> Result<NodeId, RepairAborted> {
     let mut trans = semantics::project(cx, p1, s1);
 
     // Original safe edges within the span.
@@ -44,9 +59,16 @@ pub fn break_cycles(
     let region = cx.backward_reachable(s1, orig_in_span);
 
     let mut assigned = s1;
+    let checkpoint = |cx: &mut SymbolicContext, trans: NodeId, assigned: NodeId| {
+        token.check_governed(cx)?;
+        let mut live = vec![p1, orig_safe, s1, t1, orig_in_span, region, trans, assigned];
+        live.extend_from_slice(roots);
+        cx.mgr().enforce_node_budget(&live);
+        Ok(())
+    };
     // Phase 1+2: reverse-topological peeling of the original subgraph.
     loop {
-        cx.maybe_trim_caches(crate::add_masking::CACHE_TRIM_THRESHOLD);
+        checkpoint(cx, trans, assigned)?;
         let remaining = {
             let r = cx.mgr().diff(region, assigned);
             cx.mgr().and(r, t1)
@@ -73,7 +95,7 @@ pub fn break_cycles(
 
     // Phase 3: BFS over p1 for everything else.
     loop {
-        cx.maybe_trim_caches(crate::add_masking::CACHE_TRIM_THRESHOLD);
+        checkpoint(cx, trans, assigned)?;
         let pre = cx.preimage(assigned, p1);
         let layer = {
             let fresh = cx.mgr().diff(pre, assigned);
@@ -89,7 +111,7 @@ pub fn break_cycles(
         assigned = cx.mgr().or(assigned, layer);
     }
 
-    trans
+    Ok(trans)
 }
 
 #[cfg(test)]
@@ -97,6 +119,9 @@ mod tests {
     use super::*;
     use ftrepair_bdd::TRUE;
     use ftrepair_program::{ProgramBuilder, Update};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::Duration;
 
     /// Line 3←2←1←0 plus full jump relation; peeling must keep every
     /// original edge and admit only forward shortcuts.
@@ -117,7 +142,7 @@ mod tests {
         let t1 = TRUE;
         // p1 = everything except self-loops... keep it simple: all pairs.
         let p1 = cx.transition_universe();
-        let out = break_cycles(cx, p1, orig, s1, t1);
+        let out = break_cycles(cx, &Token::unbounded(), &[], p1, orig, s1, t1).unwrap();
         // Original edges kept.
         for v in 1..4u64 {
             let e = cx.transition_cube(&[v], &[v - 1]);
@@ -150,7 +175,7 @@ mod tests {
         let orig = p.processes[0].trans;
         let s1 = cx.assign_eq(x, 0);
         let p1 = cx.transition_universe();
-        let out = break_cycles(cx, p1, orig, s1, TRUE);
+        let out = break_cycles(cx, &Token::unbounded(), &[], p1, orig, s1, TRUE).unwrap();
         // Both cycle states recover directly to 0.
         for v in 1..3u64 {
             let rec = cx.transition_cube(&[v], &[0]);
@@ -170,5 +195,48 @@ mod tests {
             avoid = next;
         }
         assert_eq!(avoid, FALSE);
+    }
+
+    /// The line of `peel_keeps_original_line_edges`: three peel rounds'
+    /// worth of work, so an abort must come from the first poll, at the
+    /// head of the first round, before any layer is added. `budget` arms
+    /// the manager's node budget (0 = unlimited).
+    fn break_line_under(token: &Token, budget: usize) -> Result<NodeId, RepairAborted> {
+        let mut b = ProgramBuilder::new("line");
+        let x = b.var("x", 4);
+        b.process("p", &[x], &[x]);
+        for v in 1..4u64 {
+            let g = b.cx().assign_eq(x, v);
+            b.action(g, &[(x, Update::Const(v - 1))]);
+        }
+        b.invariant(TRUE);
+        let mut p = b.build();
+        let orig = p.processes[0].trans;
+        let s1 = p.cx.assign_eq(x, 0);
+        let p1 = p.cx.transition_universe();
+        p.cx.set_node_budget(budget);
+        break_cycles(&mut p.cx, token, &[], p1, orig, s1, TRUE)
+    }
+
+    #[test]
+    fn raised_flag_cancels_before_the_first_layer() {
+        let flag = Arc::new(AtomicBool::new(true));
+        let token = Token::unbounded().with_flag(flag);
+        assert_eq!(break_line_under(&token, 0), Err(RepairAborted::Cancelled));
+    }
+
+    #[test]
+    fn expired_deadline_times_out_before_the_first_layer() {
+        let token = Token::deadline_in(Duration::ZERO);
+        assert_eq!(break_line_under(&token, 0), Err(RepairAborted::Timeout));
+    }
+
+    #[test]
+    fn node_budget_binds_inside_the_rounds() {
+        // The rescue collection keeps every root, so the arena stays over
+        // a one-node budget: the first round latches, the next aborts.
+        let unbounded = Token::unbounded();
+        assert!(break_line_under(&unbounded, 0).is_ok());
+        assert_eq!(break_line_under(&unbounded, 1), Err(RepairAborted::ResourceExhausted));
     }
 }

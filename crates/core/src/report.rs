@@ -34,15 +34,20 @@ pub fn build_run_report(
     r
 }
 
-/// Node-count statistics from the manager: live nodes, their high-water
-/// mark (the same number as the `bdd.peak_live_nodes` gauge), and the
-/// garbage collections that bounded it.
+/// Node-count and table statistics from the manager: live nodes, their
+/// high-water mark, the garbage collections that bounded it, the computed
+/// table's resident entries and slots (its bound), and the unique tables'
+/// total slots (each holding one live node at most half full). Each field
+/// has the same number as the `bdd.<field>` gauge where one exists.
 pub fn bdd_stats_json(cx: &SymbolicContext) -> Json {
     let s = cx.mgr_ref().stats();
     let mut o = Json::obj();
     o.set("live_nodes", (s.live_nodes as u64).into());
     o.set("peak_live_nodes", (s.peak_live_nodes as u64).into());
     o.set("gc_runs", (s.gc_runs as u64).into());
+    o.set("cache_entries", (s.cache_entries as u64).into());
+    o.set("cache_slots", (s.cache_slots as u64).into());
+    o.set("unique_slots", (s.unique_slots as u64).into());
     o
 }
 
@@ -162,8 +167,16 @@ mod tests {
         assert!(peak > 0);
         // One name, one quantity: the gauge is the manager's high-water
         // mark, the same number the report's `bdd` object carries.
-        let bdd_peak = j.get("bdd").unwrap().get("peak_live_nodes").unwrap().as_u64();
-        assert_eq!(Some(peak), bdd_peak);
+        let bdd = j.get("bdd").unwrap();
+        let field = |name: &str| bdd.get(name).and_then(Json::as_u64).unwrap();
+        assert_eq!(peak, field("peak_live_nodes"));
+        for name in ["cache_entries", "cache_slots", "unique_slots"] {
+            let gauge = gauges.get(&format!("bdd.{name}")).and_then(Json::as_u64);
+            assert_eq!(gauge, Some(field(name)), "{name}");
+        }
+        // Each table's load is readable against its bound.
+        assert!(field("cache_entries") <= field("cache_slots"));
+        assert!(2 * field("live_nodes") <= field("unique_slots"));
     }
 
     #[test]

@@ -166,12 +166,6 @@ impl SymbolicContext {
         self.m.varmap(&pairs)
     }
 
-    /// Trim the manager's memo caches when they exceed `max_entries`
-    /// (see [`Manager::maybe_trim_caches`]).
-    pub fn maybe_trim_caches(&mut self, max_entries: usize) -> bool {
-        self.m.maybe_trim_caches(max_entries)
-    }
-
     /// The manager's governance checkpoint ([`Manager::maybe_gc`]): enforce
     /// the node budget, then collect garbage if the armed trigger's
     /// threshold is reached. `roots` are kept alive in addition to the

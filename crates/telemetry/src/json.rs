@@ -94,7 +94,7 @@ impl Json {
 
     /// Parse a complete JSON document (rejects trailing garbage).
     pub fn parse(input: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+        let mut p = Parser { input, bytes: input.as_bytes(), pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -206,6 +206,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -311,10 +312,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
+                    // Consume one UTF-8 scalar: `pos` only ever advances by
+                    // whole scalars, so it is a char boundary of `input`
+                    // (decoding from there reads one scalar, not the rest
+                    // of the document).
+                    let c = self.input[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -410,6 +412,17 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].as_f64(), Some(25.0));
         assert_eq!(arr[2].as_str(), Some("xA\n"));
+    }
+
+    #[test]
+    fn parses_multibyte_characters_in_strings() {
+        let doc = "{\"case\":\"Sc³ → ∀x ✓ 😀\",\"ünï\":[\"ß\", \"\"]}";
+        let v = Json::parse(doc).unwrap();
+        assert_eq!(v.get("case").and_then(Json::as_str), Some("Sc³ → ∀x ✓ 😀"));
+        let arr = v.get("ünï").unwrap().as_arr().unwrap();
+        assert_eq!(arr[0].as_str(), Some("ß"));
+        assert_eq!(arr[1].as_str(), Some(""));
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
     }
 
     #[test]
