@@ -12,18 +12,10 @@ use ftrepair_program::DistributedProgram;
 fn check_cautious(p: &mut DistributedProgram) -> LazyOutcome {
     let c = cautious_repair(p, &RepairOptions::default()).unwrap();
     assert!(!c.failed, "cautious failed on {}", p.name);
-    let shaped = LazyOutcome {
-        processes: c.processes,
-        invariant: c.invariant,
-        span: c.span,
-        trans: c.trans,
-        failed: false,
-        stats: c.stats,
-    };
-    let (m, r) = verify_outcome(p, &shaped);
+    let (m, r) = verify_outcome(p, &c);
     assert!(m.ok(), "{}: {m:?}", p.name);
     assert!(r.ok(), "{}: {r:?}", p.name);
-    shaped
+    c
 }
 
 #[test]

@@ -3,12 +3,15 @@
 //!
 //! Mirrors `ftrepair_explicit::add_masking` fixpoint-for-fixpoint; the two
 //! are required to agree exactly on enumerable instances (see the
-//! cross-validation tests).
+//! cross-validation tests). The cautious baseline runs the same Phases 1–3
+//! (`prelude`) and the same allowed relation (`allowed_transitions`), and
+//! replaces only the joint fixpoint and cycle breaking.
 
 use crate::cancel::{RepairAborted, Token};
 use crate::warm::WarmSeeds;
 use ftrepair_bdd::{NodeId, FALSE};
 use ftrepair_program::{semantics, DistributedProgram, Safety};
+use ftrepair_symbolic::SymbolicContext;
 use ftrepair_telemetry::{Json, Telemetry};
 
 /// Output of symbolic Add-Masking.
@@ -33,46 +36,49 @@ pub struct AddMaskingResult {
     pub failed: bool,
 }
 
-/// Run Add-Masking on `prog` with explicit `invariant` and `safety` inputs
-/// (Algorithm 1 re-invokes it with a shrunk invariant and a grown
-/// bad-transition set).
-///
-/// `restrict_to_reachable` is the heuristic of Section V-A. `token` is
-/// checked before any work and at every fixpoint iteration; an expired
-/// deadline aborts before a single transition is added.
-pub fn add_masking(
-    prog: &mut DistributedProgram,
-    invariant: NodeId,
-    safety: &Safety,
-    restrict_to_reachable: bool,
-    token: &Token,
-) -> Result<AddMaskingResult, RepairAborted> {
-    add_masking_seeded(
-        prog,
-        invariant,
-        safety,
-        restrict_to_reachable,
-        &Telemetry::off(),
-        token,
-        &WarmSeeds::none(),
-    )
+/// Add-Masking's Phases 1–3: what both Step 1 and the cautious baseline
+/// compute before their joint invariant/fault-span fixpoints.
+pub(crate) struct Prelude {
+    /// `δ_P`, the union of the processes' relations.
+    pub delta_p: NodeId,
+    /// Originally-terminal states, exempt from deadlock pruning.
+    pub stutters: NodeId,
+    pub ms: NodeId,
+    pub mt: NodeId,
+    pub not_mt: NodeId,
+    /// `δ_P ∧ ¬mt`.
+    pub safe_delta: NodeId,
+    /// The union of the write frames: the transitions a single process
+    /// could take under the write restriction.
+    pub one_writer: NodeId,
+    /// The initial invariant guess `S₁`.
+    pub s1: NodeId,
+    /// The initial fault-span guess `T₁`.
+    pub t1: NodeId,
 }
 
-/// [`add_masking`] with telemetry and warm-start seeds.
-///
-/// Telemetry adds a span around the Phase 1 `ms` fixpoint (carrying its
-/// iteration count as a structured field), one around Phase 3's chained
-/// reachability (carrying its part and sweep counts), one per Phase 4
-/// joint-fixpoint iteration (carrying the iteration index) and one around
-/// Phase 5's cycle breaking, so a Chrome trace of a repair shows exactly
-/// where a slow Step 1 spends its time.
-///
-/// With seeds, Phase 3's forward reachability starts from
-/// `s1 ∪ (seed ∩ universe)` instead of `s1`. Any seed is sound — the span
-/// stays within `universe − ms` (the non-heuristic mode's span) and Phase 4
-/// shrinks it to the same fixpoint; see [`crate::warm`]. Empty seeds
-/// reproduce the cold path bit-for-bit.
-pub fn add_masking_seeded(
+impl Prelude {
+    /// The values every later checkpoint must keep, besides the caller's
+    /// inputs and its evolving `(S₁, T₁)`.
+    pub fn roots(&self) -> [NodeId; 7] {
+        [
+            self.delta_p,
+            self.stutters,
+            self.ms,
+            self.mt,
+            self.not_mt,
+            self.safe_delta,
+            self.one_writer,
+        ]
+    }
+}
+
+/// Phases 1–3 of Add-Masking on `prog` with `invariant` and `safety` as
+/// inputs: `ms`, `mt` and the safe relation, the initial invariant, and
+/// the initial fault-span (chained reachability from the invariant, or
+/// from it and `seeds`, with `restrict_to_reachable`; everything outside
+/// `ms` without). Checks `token` on entry and at every fixpoint iteration.
+pub(crate) fn prelude(
     prog: &mut DistributedProgram,
     invariant: NodeId,
     safety: &Safety,
@@ -80,7 +86,7 @@ pub fn add_masking_seeded(
     tele: &Telemetry,
     token: &Token,
     seeds: &WarmSeeds,
-) -> Result<AddMaskingResult, RepairAborted> {
+) -> Result<Prelude, RepairAborted> {
     token.check()?;
     let cx = &mut prog.cx;
     let mut delta_p = FALSE;
@@ -147,7 +153,7 @@ pub fn add_masking_seeded(
     // stay rooted because `one_writer` reuses them after the fixpoint.
     let frames = prog.write_frames();
     let cx = &mut prog.cx;
-    let mut t1 = if restrict_to_reachable {
+    let t1 = if restrict_to_reachable {
         let mut reach_span = tele.span("step1.reachability");
         let combined = cx.mgr().or(delta_p, faults);
         let parts = cx.split_by_frames(combined, &frames);
@@ -199,6 +205,45 @@ pub fn add_masking_seeded(
     // builds recovery.)
     let one_writer = frames.iter().fold(FALSE, |acc, &frame| cx.mgr().or(acc, frame));
 
+    Ok(Prelude { delta_p, stutters, ms, mt, not_mt, safe_delta, one_writer, s1, t1 })
+}
+
+/// Run Add-Masking on `prog` with explicit `invariant` and `safety` inputs
+/// (Algorithm 1 re-invokes it with a shrunk invariant and a grown
+/// bad-transition set).
+///
+/// `restrict_to_reachable` is the heuristic of Section V-A. `token` is
+/// checked before any work and at every fixpoint iteration; an expired
+/// deadline aborts before a single transition is added.
+///
+/// Telemetry adds a span around the Phase 1 `ms` fixpoint (carrying its
+/// iteration count as a structured field), one around Phase 3's chained
+/// reachability (carrying its part and sweep counts), one per Phase 4
+/// joint-fixpoint iteration (carrying the iteration index) and one around
+/// Phase 5's cycle breaking, so a Chrome trace of a repair shows exactly
+/// where a slow Step 1 spends its time.
+///
+/// With seeds, Phase 3's forward reachability starts from
+/// `s1 ∪ (seed ∩ universe)` instead of `s1`. Any seed is sound — the span
+/// stays within `universe − ms` (the non-heuristic mode's span) and Phase 4
+/// shrinks it to the same fixpoint; see [`crate::warm`].
+/// [`WarmSeeds::none`] reproduces the cold path bit-for-bit.
+pub fn add_masking(
+    prog: &mut DistributedProgram,
+    invariant: NodeId,
+    safety: &Safety,
+    restrict_to_reachable: bool,
+    tele: &Telemetry,
+    token: &Token,
+    seeds: &WarmSeeds,
+) -> Result<AddMaskingResult, RepairAborted> {
+    let pre = prelude(prog, invariant, safety, restrict_to_reachable, tele, token, seeds)?;
+    let (ms, mt) = (pre.ms, pre.mt);
+    let (mut s1, mut t1) = (pre.s1, pre.t1);
+    // Every checkpoint below keeps the inputs and Phases 1–3's values.
+    let mut base = vec![invariant, safety.bad_states, safety.bad_trans];
+    base.extend(pre.roots());
+
     // Phase 4: joint fixpoint on (S₁, T₁).
     let mut p1;
     let mut fixpoint_iter = 0u64;
@@ -212,38 +257,13 @@ pub fn add_masking_seeded(
         let mut fixpoint_span = tele.span("step1.fixpoint");
         fixpoint_span.field("iter", Json::from(fixpoint_iter));
         let (old_s1, old_t1) = (s1, t1);
-        prog.cx.maybe_gc(&[
-            invariant,
-            safety.bad_states,
-            safety.bad_trans,
-            delta_p,
-            stutters,
-            ms,
-            mt,
-            not_mt,
-            safe_delta,
-            s1,
-            t1,
-            one_writer,
-        ]);
+        let mut live = base.clone();
+        live.extend([s1, t1]);
+        prog.cx.maybe_gc(&live);
 
-        p1 = allowed_transitions(prog, delta_p, not_mt, one_writer, s1, t1);
         let cx = &mut prog.cx;
-        let live = [
-            invariant,
-            safety.bad_states,
-            safety.bad_trans,
-            delta_p,
-            stutters,
-            ms,
-            mt,
-            not_mt,
-            safe_delta,
-            s1,
-            t1,
-            one_writer,
-            p1,
-        ];
+        p1 = allowed_transitions(cx, &pre, s1, t1);
+        live.push(p1);
 
         // (a) span states must be able to recover to S₁ via p1 — the other
         // arena peak; checkpoints per frontier step like Phase 3.
@@ -254,11 +274,11 @@ pub fn add_masking_seeded(
         loop {
             token.offer_checkpoint(cx, s1, t1, ms);
             token.check_governed(cx)?;
-            let mut roots = live.to_vec();
+            let mut roots = live.clone();
             roots.push(t1);
             cx.maybe_gc(&roots);
             let not_t1 = cx.mgr().not(t1);
-            let escaping = cx.preimage(not_t1, faults);
+            let escaping = cx.preimage(not_t1, prog.faults);
             let keep = cx.mgr().diff(t1, escaping);
             if keep == t1 {
                 break;
@@ -268,7 +288,7 @@ pub fn add_masking_seeded(
 
         // (c) invariant inside span, (d) deadlock-pruned.
         s1 = cx.mgr().and(s1, t1);
-        s1 = semantics::prune_deadlocks_except(cx, s1, safe_delta, stutters);
+        s1 = semantics::prune_deadlocks_except(cx, s1, pre.safe_delta, pre.stutters);
 
         if s1 == FALSE {
             return Ok(AddMaskingResult {
@@ -299,7 +319,7 @@ pub fn add_masking_seeded(
     let trans = {
         let _ranking_span = tele.span("step1.ranking");
         let roots = [invariant, safety.bad_states, safety.bad_trans, ms, mt];
-        crate::ranking::break_cycles(cx, token, &roots, p1, safe_delta, s1, t1)
+        crate::ranking::break_cycles(cx, token, &roots, p1, pre.safe_delta, s1, t1)
             .inspect_err(|_| token.offer_checkpoint(cx, s1, t1, ms))?
     };
 
@@ -307,26 +327,23 @@ pub fn add_masking_seeded(
 }
 
 /// The "all possible available transitions" relation: original transitions
-/// within the invariant, plus any recovery transition from `T₁ − S₁` back
-/// into `T₁` — minus `mt` (already folded into `not_mt` and `safe` parts).
-fn allowed_transitions(
-    prog: &mut DistributedProgram,
-    delta_p: NodeId,
-    not_mt: NodeId,
-    one_writer: NodeId,
+/// within the invariant, plus any single-writer recovery transition from
+/// `T₁ − S₁` back into `T₁` — minus `mt`.
+pub(crate) fn allowed_transitions(
+    cx: &mut SymbolicContext,
+    pre: &Prelude,
     s1: NodeId,
     t1: NodeId,
 ) -> NodeId {
-    let cx = &mut prog.cx;
-    let inside_orig = semantics::project(cx, delta_p, s1);
-    let inside = cx.mgr().and(inside_orig, not_mt);
+    let inside_orig = semantics::project(cx, pre.delta_p, s1);
+    let inside = cx.mgr().and(inside_orig, pre.not_mt);
     let outside_src = cx.mgr().diff(t1, s1);
     let span_tgt = cx.as_next(t1);
     let t_universe = cx.transition_universe();
     let mut recovery = cx.mgr().and(outside_src, span_tgt);
-    recovery = cx.mgr().and(recovery, not_mt);
+    recovery = cx.mgr().and(recovery, pre.not_mt);
     recovery = cx.mgr().and(recovery, t_universe);
-    recovery = cx.mgr().and(recovery, one_writer);
+    recovery = cx.mgr().and(recovery, pre.one_writer);
     cx.mgr().or(inside, recovery)
 }
 
@@ -334,6 +351,25 @@ fn allowed_transitions(
 mod tests {
     use super::*;
     use ftrepair_program::{verify::verify_masking, ProgramBuilder, Update};
+
+    /// Cold, untraced Add-Masking.
+    fn run(
+        p: &mut DistributedProgram,
+        invariant: NodeId,
+        safety: &Safety,
+        restrict_to_reachable: bool,
+        token: &Token,
+    ) -> Result<AddMaskingResult, RepairAborted> {
+        add_masking(
+            p,
+            invariant,
+            safety,
+            restrict_to_reachable,
+            &Telemetry::off(),
+            token,
+            &WarmSeeds::none(),
+        )
+    }
 
     fn needs_recovery() -> DistributedProgram {
         let mut b = ProgramBuilder::new("needs-recovery");
@@ -358,7 +394,7 @@ mod tests {
     fn synthesized_recovery_verifies() {
         let mut p = needs_recovery();
         let (inv, safety) = (p.invariant, p.safety);
-        let r = add_masking(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
+        let r = run(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
         assert!(!r.failed);
         assert_eq!(p.cx.count_states(r.invariant), 2.0);
         assert_eq!(p.cx.count_states(r.span), 3.0);
@@ -387,7 +423,7 @@ mod tests {
         b.bad_states(bad);
         let mut p = b.build();
         let (inv, safety) = (p.invariant, p.safety);
-        let r = add_masking(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
+        let r = run(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
         assert_eq!(p.cx.count_states(r.ms), 3.0);
         // mt = 4 sources × 3 targets (into ms).
         assert_eq!(p.cx.count_transitions(r.mt), 12.0);
@@ -409,7 +445,7 @@ mod tests {
         b.bad_states(bad);
         let mut p = b.build();
         let (inv, safety) = (p.invariant, p.safety);
-        let r = add_masking(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
+        let r = run(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
         assert!(r.failed);
         assert_eq!(r.invariant, FALSE);
     }
@@ -435,8 +471,8 @@ mod tests {
         b.fault_action(fg, &[(x, Update::Const(2))]);
         let mut p = b.build();
         let (inv, safety) = (p.invariant, p.safety);
-        let with = add_masking(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
-        let without = add_masking(&mut p, inv, &safety, false, &Token::unbounded()).unwrap();
+        let with = run(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
+        let without = run(&mut p, inv, &safety, false, &Token::unbounded()).unwrap();
         assert!(!with.failed && !without.failed);
         assert_eq!(p.cx.count_states(with.span), 3.0);
         assert_eq!(p.cx.count_states(without.span), 4.0);
@@ -470,7 +506,7 @@ mod tests {
         b.fault_action(fg, &[(x, Update::Const(2))]);
         let mut p = b.build();
         let (inv, safety) = (p.invariant, p.safety);
-        let r = add_masking(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
+        let r = run(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
         assert!(!r.failed);
         assert_eq!(p.cx.count_states(r.invariant), 2.0, "terminal state must survive");
         // Recovery from 2 exists.
@@ -486,7 +522,7 @@ mod tests {
     fn cycle_breaking_leaves_no_loops_outside_invariant() {
         let mut p = needs_recovery();
         let (inv, safety) = (p.invariant, p.safety);
-        let r = add_masking(&mut p, inv, &safety, false, &Token::unbounded()).unwrap();
+        let r = run(&mut p, inv, &safety, false, &Token::unbounded()).unwrap();
         let outside = p.cx.mgr().diff(r.span, r.invariant);
         let outside_trans = semantics::project(&mut p.cx, r.trans, outside);
         // Greatest fixpoint of states with successors staying outside: ∅.
@@ -507,7 +543,7 @@ mod tests {
     fn allowed_relation_is_superset_of_final() {
         let mut p = needs_recovery();
         let (inv, safety) = (p.invariant, p.safety);
-        let r = add_masking(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
+        let r = run(&mut p, inv, &safety, true, &Token::unbounded()).unwrap();
         assert!(p.cx.mgr().leq(r.trans, r.allowed));
     }
 
@@ -516,7 +552,7 @@ mod tests {
         let mut p = needs_recovery();
         let (inv, safety) = (p.invariant, p.safety);
         let expired = Token::deadline_in(std::time::Duration::ZERO);
-        let r = add_masking(&mut p, inv, &safety, true, &expired);
+        let r = run(&mut p, inv, &safety, true, &expired);
         assert_eq!(r.unwrap_err(), RepairAborted::Timeout);
     }
 }

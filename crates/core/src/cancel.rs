@@ -95,11 +95,6 @@ impl Token {
         Token { ckpt: Some(ckpt), ..self }
     }
 
-    /// The attached checkpointer, if any.
-    pub fn checkpointer(&self) -> Option<&Arc<Checkpointer>> {
-        self.ckpt.as_ref()
-    }
-
     /// Has the cancellation flag been raised?
     pub fn cancelled(&self) -> bool {
         self.flag.as_ref().is_some_and(|f| f.load(Ordering::Relaxed))

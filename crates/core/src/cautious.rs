@@ -11,12 +11,18 @@
 //! restarts the fixpoint…). The model being repaired is realizable at every
 //! step — that is the property the paper's reference \[2\] maintains — and
 //! the price is exactly the per-iteration group work this module does.
+//! Everything else is Step 1's own: Phases 1–3 (`ms`, `mt`, the initial
+//! invariant and fault-span) and each iteration's allowed relation come
+//! from [`mod@crate::add_masking`], so the two algorithms differ only in where
+//! the group work happens.
 
+use crate::add_masking::{allowed_transitions, prelude};
 use crate::cancel::{RepairAborted, Token};
 use crate::lazy::LazyOutcome;
-use crate::options::RepairOptions;
+use crate::options::{RepairOptions, MAX_OUTER_ITERATIONS};
 use crate::stats::RepairStats;
 use crate::step2::{partition_for, with_outside_span};
+use crate::warm::WarmSeeds;
 use ftrepair_bdd::{NodeId, FALSE};
 use ftrepair_program::{semantics, DistributedProgram, Process};
 use ftrepair_telemetry::Telemetry;
@@ -56,15 +62,7 @@ pub fn cautious_repair_cancellable(
     token: &Token,
 ) -> Result<LazyOutcome, RepairAborted> {
     let r = cautious_repair_inner(prog, opts, tele, token);
-    if let Ok(out) = &r {
-        let roots: Vec<NodeId> = [out.invariant, out.span, out.trans]
-            .into_iter()
-            .chain(out.processes.iter().map(|p| p.trans))
-            .collect();
-        crate::arena::protect_outcome(prog, roots);
-    }
-    crate::arena::emit_bdd_tele(tele, prog);
-    r
+    crate::arena::finish(prog, tele, r)
 }
 
 fn cautious_repair_inner(
@@ -78,67 +76,12 @@ fn cautious_repair_inner(
     let started = Instant::now();
     let mut stats = RepairStats::default();
 
-    let (delta_p, faults, universe, t_universe, stutters) = {
-        let mut delta_p = FALSE;
-        let parts = prog.partitions();
-        let cx = &mut prog.cx;
-        for t in parts {
-            delta_p = cx.mgr().or(delta_p, t);
-        }
-        let universe = cx.state_universe();
-        let t_universe = cx.transition_universe();
-        let stutters = cx.deadlocks(universe, delta_p);
-        (delta_p, prog.faults, universe, t_universe, stutters)
-    };
-    let safety = prog.safety;
-
-    // ms / mt exactly as in Step 1 — faults are not subject to grouping.
-    let (ms, not_mt) = {
-        let cx = &mut prog.cx;
-        let bad_fault = cx.mgr().and(faults, safety.bad_trans);
-        let bad_fault_sources = cx.preimage_of_anything(bad_fault);
-        let mut ms = cx.mgr().or(safety.bad_states, bad_fault_sources);
-        ms = cx.mgr().and(ms, universe);
-        loop {
-            token.check_governed(cx)?;
-            let pre = cx.preimage(ms, faults);
-            let next = cx.mgr().or(ms, pre);
-            if next == ms {
-                break;
-            }
-            ms = next;
-        }
-        let ms_next = cx.as_next(ms);
-        let mut mt = cx.mgr().or(safety.bad_trans, ms_next);
-        mt = cx.mgr().and(mt, t_universe);
-        (ms, cx.mgr().not(mt))
-    };
-
-    // Initial estimates; the span guess is Step 1's chained reachability
-    // (see `add_masking`), checkpointing with every live local as a root.
-    let frames = prog.write_frames();
-    let (mut s1, mut t1) = {
-        let cx = &mut prog.cx;
-        let safe_delta = cx.mgr().and(delta_p, not_mt);
-        let mut s1 = cx.mgr().and(prog.invariant, universe);
-        s1 = cx.mgr().diff(s1, ms);
-        s1 = semantics::prune_deadlocks_except(cx, s1, safe_delta, stutters);
-        let t1 = if opts.restrict_to_reachable {
-            let combined = cx.mgr().or(delta_p, faults);
-            let parts = cx.split_by_frames(combined, &frames);
-            let mut keep = vec![delta_p, t_universe, stutters, ms, not_mt, s1];
-            keep.extend(&frames);
-            let (reach, _) = cx.forward_reachable_keep(s1, &parts, &keep);
-            cx.mgr().diff(reach, ms)
-        } else {
-            cx.mgr().diff(universe, ms)
-        };
-        (s1, t1)
-    };
-
-    // Recovery candidates must be single-writer (see
-    // `add_masking::allowed_transitions`).
-    let one_writer = frames.iter().fold(FALSE, |acc, &frame| prog.cx.mgr().or(acc, frame));
+    // Step 1's Phases 1–3: ms and mt (faults are not subject to grouping)
+    // and the initial (S₁, T₁).
+    let (invariant, safety) = (prog.invariant, prog.safety);
+    let restrict = opts.restrict_to_reachable;
+    let pre = prelude(prog, invariant, &safety, restrict, tele, token, &WarmSeeds::none())?;
+    let (mut s1, mut t1) = (pre.s1, pre.t1);
 
     // Transitions permanently outlawed by cycle breaking (grows only).
     let mut banned = FALSE;
@@ -150,42 +93,28 @@ fn cautious_repair_inner(
     let h_group = tele.histogram("cautious.group_enforcement.seconds");
 
     let mut iterations = 0usize;
-    let fail = |stats: RepairStats| LazyOutcome {
-        processes: Vec::new(),
-        invariant: FALSE,
-        span: FALSE,
-        trans: FALSE,
-        failed: true,
-        stats,
-    };
-
     loop {
         stats.cancel_checks += 1;
         token.check_governed(&prog.cx)?;
         // Previous-iteration `p1`/`grouped` values are dead here (both are
         // fully rebuilt before their next use), so only the long-lived
-        // locals are roots.
-        prog.cx.maybe_gc(&[delta_p, t_universe, stutters, not_mt, one_writer, banned, s1, t1]);
+        // locals are roots. They stay unchanged until the iteration ends.
+        let mut live = pre.roots().to_vec();
+        live.extend([banned, s1, t1]);
+        prog.cx.maybe_gc(&live);
         iterations += 1;
         stats.outer_iterations = iterations;
         tele.add("repair.outer_iterations", 1);
-        if iterations > opts.max_outer_iterations * 8 {
+        if iterations > MAX_OUTER_ITERATIONS * 8 {
             stats.step1_time = started.elapsed();
-            return Ok(fail(stats));
+            return Ok(LazyOutcome::failed(stats));
         }
 
-        // Ungrouped allowed relation for the current (S₁, T₁) estimate.
+        // Step 1's allowed relation for the current (S₁, T₁) estimate, less
+        // what cycle breaking has outlawed.
         let p1_raw = {
             let cx = &mut prog.cx;
-            let inside_orig = semantics::project(cx, delta_p, s1);
-            let inside = cx.mgr().and(inside_orig, not_mt);
-            let outside_src = cx.mgr().diff(t1, s1);
-            let span_tgt = cx.as_next(t1);
-            let mut recovery = cx.mgr().and(outside_src, span_tgt);
-            recovery = cx.mgr().and(recovery, not_mt);
-            recovery = cx.mgr().and(recovery, t_universe);
-            recovery = cx.mgr().and(recovery, one_writer);
-            let allowed = cx.mgr().or(inside, recovery);
+            let allowed = allowed_transitions(cx, &pre, s1, t1);
             let not_banned = cx.mgr().not(banned);
             cx.mgr().and(allowed, not_banned)
         };
@@ -203,10 +132,8 @@ fn cautious_repair_inner(
                 let write = prog.processes[j].write.clone();
                 // Checkpoint roots: the loop's long-lived locals plus this
                 // iteration's fresh partitions (earlier `grouped` slots).
-                let mut keep = vec![
-                    delta_p, t_universe, stutters, not_mt, one_writer, banned, s1, t1, with_free,
-                    p1,
-                ];
+                let mut keep = live.clone();
+                keep.extend([with_free, p1]);
                 keep.extend(grouped.iter().take(j).copied());
                 let dj = partition_for(
                     &mut prog.cx,
@@ -232,7 +159,7 @@ fn cautious_repair_inner(
         loop {
             token.check_governed(cx)?;
             let not_t1 = cx.mgr().not(t1_new);
-            let escaping = cx.preimage(not_t1, faults);
+            let escaping = cx.preimage(not_t1, prog.faults);
             let keep = cx.mgr().diff(t1_new, escaping);
             if keep == t1_new {
                 break;
@@ -245,44 +172,26 @@ fn cautious_repair_inner(
         // lazy repair's policy. With the strict policy they are pruned.
         if !opts.allow_new_terminal_inside {
             let interior = semantics::project(cx, p1, s1_new);
-            s1_new = semantics::prune_deadlocks_except(cx, s1_new, interior, stutters);
+            s1_new = semantics::prune_deadlocks_except(cx, s1_new, interior, pre.stutters);
         }
         if s1_new == FALSE {
             stats.step1_time = started.elapsed();
-            return Ok(fail(stats));
+            return Ok(LazyOutcome::failed(stats));
         }
 
-        // Per-iteration BDD shape, mirroring the lazy pipeline's series so
-        // run reports of both modes plot the same columns.
-        if tele.enabled() {
-            let mgr = cx.mgr_ref();
-            let inv_nodes = mgr.node_count(s1_new) as u64;
-            let span_nodes = mgr.node_count(t1_new) as u64;
-            let live = mgr.stats().live_nodes as u64;
-            tele.max_gauge("bdd.peak_invariant_nodes", inv_nodes);
-            tele.max_gauge("bdd.peak_span_nodes", span_nodes);
-            tele.push_sample(
-                "iterations",
-                &[
-                    ("iter", iterations as f64),
-                    ("invariant_nodes", inv_nodes as f64),
-                    ("span_nodes", span_nodes as f64),
-                    ("live_nodes", live as f64),
-                ],
-            );
-        }
+        crate::arena::sample_shape(tele, prog, iterations, s1_new, t1_new, None);
 
         // Cycle breaking, group-consciously: compute the acyclic layered
         // subrelation (same peeling as lazy's Phase 5 — original recovery
         // first, then shortcuts, then jump layers) and outlaw everything
         // else; the next group enforcement drops the offenders' groups.
-        let outside = cx.mgr().diff(t1_new, s1_new);
-        let safe_orig = cx.mgr().and(delta_p, not_mt);
-        let mut roots =
-            vec![delta_p, t_universe, stutters, not_mt, one_writer, banned, s1, t1, outside];
-        roots.extend(&grouped);
-        let kept = crate::ranking::break_cycles(cx, token, &roots, p1, safe_orig, s1_new, t1_new)?;
         let cx = &mut prog.cx;
+        let outside = cx.mgr().diff(t1_new, s1_new);
+        let mut roots = live;
+        roots.push(outside);
+        roots.extend(&grouped);
+        let kept =
+            crate::ranking::break_cycles(cx, token, &roots, p1, pre.safe_delta, s1_new, t1_new)?;
         let recovery_part = cx.mgr().and(p1, outside);
         let nondecreasing = cx.mgr().diff(recovery_part, kept);
 
@@ -318,7 +227,7 @@ fn cautious_repair_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lazy::{lazy_repair, LazyOutcome};
+    use crate::lazy::lazy_repair;
     use crate::verify::verify_outcome;
     use ftrepair_program::{ProgramBuilder, Update};
 
@@ -347,23 +256,12 @@ mod tests {
         b.build()
     }
 
-    fn as_lazy(out: &LazyOutcome) -> LazyOutcome {
-        LazyOutcome {
-            processes: out.processes.clone(),
-            invariant: out.invariant,
-            span: out.span,
-            trans: out.trans,
-            failed: out.failed,
-            stats: out.stats.clone(),
-        }
-    }
-
     #[test]
     fn cautious_repairs_and_verifies() {
         let mut p = partial_view();
         let out = cautious_repair(&mut p, &RepairOptions::default()).unwrap();
         assert!(!out.failed);
-        let (m, r) = verify_outcome(&mut p, &as_lazy(&out));
+        let (m, r) = verify_outcome(&mut p, &out);
         assert!(m.ok(), "{m:?}");
         assert!(r.ok(), "{r:?}");
     }

@@ -23,7 +23,7 @@
 
 use ftrepair_bdd::{NodeId, SerializedBdd};
 use ftrepair_symbolic::SymbolicContext;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -81,8 +81,6 @@ pub struct Checkpointer {
     policy: CheckpointPolicy,
     sink: Box<Sink>,
     state: Mutex<State>,
-    /// One-shot: capture at the next boundary regardless of policy.
-    force: AtomicBool,
     writes: AtomicU64,
 }
 
@@ -105,16 +103,8 @@ impl Checkpointer {
             policy,
             sink: Box::new(sink),
             state: Mutex::new(State { offers: 0, last_write: None, last_nodes: 0 }),
-            force: AtomicBool::new(false),
             writes: AtomicU64::new(0),
         }
-    }
-
-    /// Capture at the next offered boundary regardless of cadence or
-    /// throttle — the drain path raises this together with the cancel
-    /// flag so the exiting job leaves a resume point behind.
-    pub fn force_next(&self) {
-        self.force.store(true, Ordering::SeqCst);
     }
 
     /// Snapshots written so far.
@@ -132,7 +122,6 @@ impl Checkpointer {
         ms: NodeId,
         abort_imminent: bool,
     ) {
-        let forced = abort_imminent || self.force.swap(false, Ordering::SeqCst);
         let live_nodes = cx.mgr_ref().stats().live_nodes;
         let (write, offers) = {
             let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
@@ -142,7 +131,7 @@ impl Checkpointer {
             let delta_due = self.policy.node_delta > 0
                 && live_nodes.abs_diff(st.last_nodes) >= self.policy.node_delta;
             let throttled = st.last_write.is_some_and(|t| t.elapsed() < self.policy.min_interval);
-            let write = forced || ((cadence_due || delta_due) && !throttled);
+            let write = abort_imminent || ((cadence_due || delta_due) && !throttled);
             if write {
                 st.last_write = Some(Instant::now());
                 st.last_nodes = live_nodes;
@@ -213,9 +202,6 @@ mod tests {
         assert_eq!(ck.writes(), 1, "second cadence write throttled");
         ck.offer(&cx, FALSE, FALSE, FALSE, true);
         assert_eq!(ck.writes(), 2, "imminent abort bypasses the throttle");
-        ck.force_next();
-        ck.offer(&cx, FALSE, FALSE, FALSE, false);
-        assert_eq!(ck.writes(), 3, "force_next bypasses the throttle");
     }
 
     #[test]
@@ -229,9 +215,6 @@ mod tests {
             ck.offer(&cx, FALSE, FALSE, FALSE, false);
         }
         assert_eq!(ck.writes(), 0);
-        ck.force_next();
-        ck.offer(&cx, FALSE, FALSE, FALSE, false);
-        assert_eq!(ck.writes(), 1);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! lazy repair — Step 1 (Add-Masking, no realizability), Step 2
 //! (realizability by removal), and the deadlock-resolution outer loop.
 
-use crate::add_masking::add_masking_seeded;
+use crate::add_masking::add_masking;
 use crate::cancel::{RepairAborted, Token};
-use crate::options::RepairOptions;
+use crate::options::{RepairOptions, MAX_OUTER_ITERATIONS};
 use crate::stats::RepairStats;
-use crate::step2::step2_cancellable;
+use crate::step2::step2;
 use crate::warm::WarmSeeds;
 use ftrepair_bdd::{NodeId, FALSE};
 use ftrepair_program::{DistributedProgram, Process};
@@ -31,6 +31,20 @@ pub struct LazyOutcome {
     pub failed: bool,
     /// Timings and group counters.
     pub stats: RepairStats,
+}
+
+impl LazyOutcome {
+    /// The outcome of a repair that declared failure.
+    pub(crate) fn failed(stats: RepairStats) -> LazyOutcome {
+        LazyOutcome {
+            processes: Vec::new(),
+            invariant: FALSE,
+            span: FALSE,
+            trans: FALSE,
+            failed: true,
+            stats,
+        }
+    }
 }
 
 /// Run Algorithm 1 on `prog`. Returns `Err(RepairAborted)` once
@@ -87,17 +101,7 @@ pub fn lazy_repair_warm(
         }
     }
     let r = lazy_repair_inner(prog, opts, tele, token, seeds);
-    if let Ok(out) = &r {
-        let roots: Vec<NodeId> = [out.invariant, out.span, out.trans]
-            .into_iter()
-            .chain(out.processes.iter().map(|p| p.trans))
-            .collect();
-        crate::arena::protect_outcome(prog, roots);
-    }
-    // The peak flows into the run report whatever happened — success,
-    // declared failure, or abort.
-    crate::arena::emit_bdd_tele(tele, prog);
-    r
+    crate::arena::finish(prog, tele, r)
 }
 
 fn lazy_repair_inner(
@@ -129,7 +133,7 @@ fn lazy_repair_inner(
     let h_step1 = tele.histogram("repair.step1.seconds");
     let h_step2 = tele.histogram("repair.step2.seconds");
 
-    for _ in 0..opts.max_outer_iterations {
+    for _ in 0..MAX_OUTER_ITERATIONS {
         let mut iter_span = tele.span("outer_iteration");
         stats.cancel_checks += 1;
         token.check_governed(&prog.cx)?;
@@ -144,7 +148,7 @@ fn lazy_repair_inner(
         let t0 = Instant::now();
         let r1 = {
             let _s = tele.span("step1");
-            add_masking_seeded(
+            add_masking(
                 prog,
                 s_prime,
                 &safety,
@@ -159,14 +163,7 @@ fn lazy_repair_inner(
         h_step1.observe_duration(step1_elapsed);
         let r1 = r1?;
         if r1.failed {
-            return Ok(LazyOutcome {
-                processes: Vec::new(),
-                invariant: FALSE,
-                span: FALSE,
-                trans: FALSE,
-                failed: true,
-                stats,
-            });
+            return Ok(LazyOutcome::failed(stats));
         }
         s_prime = r1.invariant;
 
@@ -175,29 +172,8 @@ fn lazy_repair_inner(
         // reachability exactly like a warm-start neighbor would.
         token.offer_checkpoint(&prog.cx, s_prime, r1.span, r1.ms);
 
-        // Per-iteration BDD shape: how big the invariant/fault-span grew
-        // this round, and how full the arena is. Gated — `node_count`
-        // walks the DAG, which is not free.
-        if tele.enabled() {
-            let mgr = prog.cx.mgr_ref();
-            let inv_nodes = mgr.node_count(s_prime) as u64;
-            let span_nodes = mgr.node_count(r1.span) as u64;
-            let live = mgr.stats().live_nodes as u64;
-            iter_span.field("invariant_nodes", Json::from(inv_nodes));
-            iter_span.field("span_nodes", Json::from(span_nodes));
-            iter_span.field("live_nodes", Json::from(live));
-            tele.max_gauge("bdd.peak_invariant_nodes", inv_nodes);
-            tele.max_gauge("bdd.peak_span_nodes", span_nodes);
-            tele.push_sample(
-                "iterations",
-                &[
-                    ("iter", stats.outer_iterations as f64),
-                    ("invariant_nodes", inv_nodes as f64),
-                    ("span_nodes", span_nodes as f64),
-                    ("live_nodes", live as f64),
-                ],
-            );
-        }
+        let iter = stats.outer_iterations;
+        crate::arena::sample_shape(tele, prog, iter, s_prime, r1.span, Some(&mut iter_span));
 
         // Step 2 (Line 9). Step 2's checkpoints root only its own values,
         // so the locals this loop still needs afterwards are protected
@@ -209,7 +185,7 @@ fn lazy_repair_inner(
         let t1 = Instant::now();
         let r2 = {
             let _s = tele.span("step2");
-            step2_cancellable(prog, r1.trans, r1.span, opts, tele, token)
+            step2(prog, r1.trans, r1.span, opts, tele, token)
         };
         let step2_elapsed = t1.elapsed();
         stats.step2_time += step2_elapsed;
@@ -269,14 +245,7 @@ fn lazy_repair_inner(
         s_prime = cx.mgr().diff(s_prime, dl);
     }
 
-    Ok(LazyOutcome {
-        processes: Vec::new(),
-        invariant: FALSE,
-        span: FALSE,
-        trans: FALSE,
-        failed: true,
-        stats,
-    })
+    Ok(LazyOutcome::failed(stats))
 }
 
 #[cfg(test)]

@@ -47,13 +47,13 @@ pub mod step2;
 pub mod verify;
 pub mod warm;
 
-pub use add_masking::{add_masking, add_masking_seeded, AddMaskingResult};
+pub use add_masking::{add_masking, AddMaskingResult};
 pub use cancel::{RepairAborted, Token};
 pub use cautious::{cautious_repair, cautious_repair_cancellable, cautious_repair_traced};
 pub use checkpoint::{CheckpointImage, CheckpointPolicy, Checkpointer};
 pub use lazy::{lazy_repair, lazy_repair_traced, lazy_repair_warm, LazyOutcome};
-pub use options::{RepairOptions, GC_THRESHOLD};
+pub use options::{RepairOptions, GC_THRESHOLD, MAX_OUTER_ITERATIONS};
 pub use report::build_run_report;
 pub use stats::RepairStats;
-pub use step2::{step2, step2_cancellable, Step2Result};
+pub use step2::{step2, Step2Result};
 pub use warm::WarmSeeds;

@@ -16,6 +16,10 @@ use std::time::Duration;
 /// collections cut peak memory ~3× at neutral-to-better wall-clock.
 pub const GC_THRESHOLD: usize = 400_000;
 
+/// Safety bound on Algorithm 1's outer repeat loop (the cautious baseline
+/// allows eight times as many iterations of its own loop).
+pub const MAX_OUTER_ITERATIONS: usize = 32;
+
 /// Options for [`crate::lazy_repair`], [`crate::cautious_repair`] and their
 /// building blocks.
 #[derive(Clone, Copy, Debug)]
@@ -46,8 +50,6 @@ pub struct RepairOptions {
     /// (strict preservation of potential liveness, at the cost of a much
     /// smaller invariant).
     pub allow_new_terminal_inside: bool,
-    /// Safety bound on Algorithm 1's outer repeat loop.
-    pub max_outer_iterations: usize,
     /// Wall-clock budget for the whole repair. `None` (the default) runs
     /// unbounded; `Some(d)` arms a [`crate::cancel::Token`] deadline at
     /// entry, and every fixpoint loop aborts with
@@ -75,7 +77,6 @@ impl Default for RepairOptions {
             step2_closed_form: true,
             use_expand_group: true,
             allow_new_terminal_inside: true,
-            max_outer_iterations: 32,
             deadline: None,
             max_nodes: 0,
         }
@@ -113,7 +114,6 @@ mod tests {
         assert!(o.step2_closed_form);
         assert!(o.use_expand_group);
         assert!(o.allow_new_terminal_inside);
-        assert_eq!(o.max_outer_iterations, 32);
         assert!(o.deadline.is_none(), "no deadline unless a caller opts in");
         assert_eq!(o.max_nodes, 0, "no node budget unless a caller opts in");
         let p = RepairOptions::paper();

@@ -23,23 +23,12 @@ pub struct Step2Result {
     pub stats: RepairStats,
 }
 
-/// Run Algorithm 2 on the Step 1 output `trans` with fault-span `span`.
-/// The deadline (if any) comes from [`RepairOptions::deadline`].
+/// Run Algorithm 2 on the Step 1 output `trans` with fault-span `span`,
+/// against `token` — how Algorithm 1 shares one deadline across both
+/// steps. Group pick/keep/drop/expand decisions are counted into `tele`
+/// alongside the [`RepairStats`] fields (same events, same numbers — run
+/// reports and returned stats must agree).
 pub fn step2(
-    prog: &mut DistributedProgram,
-    trans: NodeId,
-    span: NodeId,
-    opts: &RepairOptions,
-) -> Result<Step2Result, RepairAborted> {
-    step2_cancellable(prog, trans, span, opts, &Telemetry::off(), &Token::from_options(opts))
-}
-
-/// [`step2`] with telemetry, against an externally owned [`Token`] — how
-/// Algorithm 1 shares one deadline across both steps. Group
-/// pick/keep/drop/expand decisions are counted into `tele` alongside the
-/// [`RepairStats`] fields (same events, same numbers — run reports and
-/// returned stats must agree).
-pub fn step2_cancellable(
     prog: &mut DistributedProgram,
     trans: NodeId,
     span: NodeId,
@@ -225,6 +214,16 @@ mod tests {
     use ftrepair_program::verify::verify_realizability;
     use ftrepair_program::{ProgramBuilder, TRUE};
 
+    /// Untraced Step 2 under the options' deadline.
+    fn run(
+        p: &mut DistributedProgram,
+        trans: NodeId,
+        span: NodeId,
+        opts: &RepairOptions,
+    ) -> Result<Step2Result, RepairAborted> {
+        step2(p, trans, span, opts, &Telemetry::off(), &Token::from_options(opts))
+    }
+
     /// The Figure 3–5 universe: v0, v1, v2 booleans, p_j reads {v0,v1}
     /// writes {v1}, p_k reads {v0,v2} writes {v2}.
     fn fig_builder() -> (DistributedProgram, [ftrepair_symbolic::VarId; 3]) {
@@ -244,7 +243,7 @@ mod tests {
         // space, so no free additions: Step 2 must delete it.
         let (mut p, _) = fig_builder();
         let t = p.cx.transition_cube(&[0, 0, 0], &[0, 1, 0]);
-        let r = step2(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let r = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
         assert_eq!(r.trans, FALSE);
         assert!(r.stats.groups_dropped >= 1);
         assert_eq!(r.stats.groups_kept, 0);
@@ -257,7 +256,7 @@ mod tests {
         let t1 = p.cx.transition_cube(&[0, 0, 0], &[0, 1, 0]);
         let t2 = p.cx.transition_cube(&[0, 0, 1], &[0, 1, 1]);
         let t = p.cx.mgr().or(t1, t2);
-        let r = step2(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let r = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
         assert!(p.cx.mgr().leq(t, r.trans));
         let report = verify_realizability(&mut p, &r.processes);
         assert!(report.ok(), "{report:?}");
@@ -278,7 +277,7 @@ mod tests {
             let missing = p.cx.state_cube(&[0, 0, 1]);
             p.cx.mgr().not(missing)
         };
-        let r = step2(&mut p, t, span, &RepairOptions::default()).unwrap();
+        let r = run(&mut p, t, span, &RepairOptions::default()).unwrap();
         assert!(p.cx.mgr().leq(t, r.trans), "original transition kept");
         let report = verify_realizability(&mut p, &r.processes);
         assert!(report.ok(), "{report:?}");
@@ -294,7 +293,7 @@ mod tests {
         let c = p.cx.transition_cube(&[1, 1, 0], &[1, 1, 1]);
         let ab = p.cx.mgr().or(a, b);
         let t = p.cx.mgr().or(ab, c);
-        let r = step2(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let r = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
         let report = verify_realizability(&mut p, &r.processes);
         assert!(report.ok(), "{report:?}");
         // The double-write transition cannot survive (no process can do it).
@@ -307,7 +306,7 @@ mod tests {
         let t1 = p.cx.transition_cube(&[0, 0, 0], &[0, 1, 0]);
         let t2 = p.cx.transition_cube(&[0, 0, 1], &[0, 1, 1]);
         let t = p.cx.mgr().or(t1, t2);
-        let r = step2(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let r = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
         // span = TRUE means nothing outside: result ⊆ input.
         assert!(p.cx.mgr().leq(r.trans, t));
     }
@@ -327,15 +326,15 @@ mod tests {
         let g1 = mk(&mut p, 1);
         let t = p.cx.mgr().or(g0, g1);
 
-        let with = step2(&mut p, t, TRUE, &RepairOptions::iterative_step2()).unwrap();
-        let without = step2(
+        let with = run(&mut p, t, TRUE, &RepairOptions::iterative_step2()).unwrap();
+        let without = run(
             &mut p,
             t,
             TRUE,
             &RepairOptions { use_expand_group: false, ..RepairOptions::iterative_step2() },
         )
         .unwrap();
-        let closed = step2(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let closed = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
         assert_eq!(with.trans, without.trans, "same semantics either way");
         assert_eq!(with.trans, closed.trans, "closed form matches the loop");
         assert!(p.cx.mgr().leq(t, with.trans));
@@ -368,8 +367,8 @@ mod tests {
             let missing = p.cx.state_cube(&[1, 0, 1]);
             p.cx.mgr().not(missing)
         };
-        let iter = step2(&mut p, t, span, &RepairOptions::iterative_step2()).unwrap();
-        let closed = step2(&mut p, t, span, &RepairOptions::default()).unwrap();
+        let iter = run(&mut p, t, span, &RepairOptions::iterative_step2()).unwrap();
+        let closed = run(&mut p, t, span, &RepairOptions::default()).unwrap();
         assert_eq!(iter.trans, closed.trans);
         for (x, y) in iter.processes.iter().zip(&closed.processes) {
             assert_eq!(x.trans, y.trans, "process {} differs", x.name);
@@ -379,7 +378,7 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_output() {
         let (mut p, _) = fig_builder();
-        let r = step2(&mut p, FALSE, TRUE, &RepairOptions::default()).unwrap();
+        let r = run(&mut p, FALSE, TRUE, &RepairOptions::default()).unwrap();
         assert_eq!(r.trans, FALSE);
         assert_eq!(r.stats.step2_picks, 0);
     }
@@ -393,7 +392,7 @@ mod tests {
         let opts =
             RepairOptions { deadline: Some(std::time::Duration::ZERO), ..Default::default() };
         let tele = Telemetry::new();
-        let r = step2_cancellable(&mut p, t, TRUE, &opts, &tele, &Token::from_options(&opts));
+        let r = step2(&mut p, t, TRUE, &opts, &tele, &Token::from_options(&opts));
         assert_eq!(r.unwrap_err(), RepairAborted::Timeout);
         assert_eq!(tele.snapshot().counter("step2.picks"), 0, "no pick before the abort");
     }

@@ -1,24 +1,32 @@
 //! Cross-validation: the symbolic Add-Masking of `ftrepair-core` and the
 //! explicit-state reference of `ftrepair-explicit` must agree **exactly**
-//! (same `ms`, same invariant, same fault-span, same final transition set)
+//! (same `ms`, same `mt`, same invariant, same fault-span, same final
+//! transition set)
 //! on every instance small enough to enumerate — including randomly
 //! generated distributed programs.
 
 use ftrepair_bdd::SplitMix64;
-use ftrepair_core::{add_masking, lazy_repair, RepairOptions};
+use ftrepair_core::{add_masking, lazy_repair, AddMaskingResult, RepairOptions, Token, WarmSeeds};
 use ftrepair_explicit::{
     add_masking as add_masking_explicit, extract, AddMaskingOptions, ExplicitProgram,
 };
 use ftrepair_program::{DistributedProgram, MaskingReport, ProgramBuilder, Update};
+use ftrepair_telemetry::Telemetry;
 use std::collections::HashSet;
+
+/// Cold, untraced, unbounded symbolic Step 1 on `prog`'s own inputs.
+fn step1(prog: &mut DistributedProgram, restrict: bool) -> AddMaskingResult {
+    let (inv, safety) = (prog.invariant, prog.safety);
+    let (tele, token) = (Telemetry::off(), Token::unbounded());
+    add_masking(prog, inv, &safety, restrict, &tele, &token, &WarmSeeds::none()).unwrap()
+}
 
 /// Compare a symbolic repair against the explicit reference on `prog`.
 fn assert_engines_agree(prog: &mut DistributedProgram, restrict: bool) {
     let explicit = ExplicitProgram::from_symbolic(prog);
     let e = add_masking_explicit(&explicit, AddMaskingOptions { restrict_to_reachable: restrict });
 
-    let (inv, safety) = (prog.invariant, prog.safety);
-    let s = add_masking(prog, inv, &safety, restrict, &ftrepair_core::Token::unbounded()).unwrap();
+    let s = step1(prog, restrict);
 
     assert_eq!(s.failed, e.failed, "failure verdicts differ");
     if s.failed {
@@ -27,6 +35,14 @@ fn assert_engines_agree(prog: &mut DistributedProgram, restrict: bool) {
 
     let sym_ms = extract::bdd_to_states(prog, &explicit.space, s.ms);
     assert_eq!(sym_ms, e.ms, "ms differs");
+
+    let sym_mt = extract::bdd_to_edges(prog, &explicit.space, s.mt);
+    let states: Vec<u32> = explicit.space.states().collect();
+    let mut e_mt: Vec<(u32, u32)> =
+        states.iter().flat_map(|&a| states.iter().map(move |&b| (a, b))).collect();
+    e_mt.retain(|&(a, b)| e.mt_contains(a, b));
+    e_mt.sort_unstable();
+    assert_eq!(sym_mt, e_mt, "mt differs");
 
     let sym_inv = extract::bdd_to_states(prog, &explicit.space, s.invariant);
     assert_eq!(sym_inv, e.invariant, "invariant differs");
@@ -241,14 +257,12 @@ fn step2_agrees_with_explicit_group_filtering() {
     for_random_programs(1, |rp, i| {
         let mut p = build(rp);
         let explicit = ExplicitProgram::from_symbolic(&mut p);
-        let (inv, safety) = (p.invariant, p.safety);
-        let r1 =
-            add_masking(&mut p, inv, &safety, true, &ftrepair_core::Token::unbounded()).unwrap();
+        let r1 = step1(&mut p, true);
         if r1.failed {
             return;
         }
-        let r2 =
-            ftrepair_core::step2(&mut p, r1.trans, r1.span, &RepairOptions::default()).unwrap();
+        let (opts, tele, token) = (RepairOptions::default(), Telemetry::off(), Token::unbounded());
+        let r2 = ftrepair_core::step2(&mut p, r1.trans, r1.span, &opts, &tele, &token).unwrap();
 
         let trans_edges = extract::bdd_to_edges(&mut p, &explicit.space, r1.trans);
         let span_states = extract::bdd_to_states(&mut p, &explicit.space, r1.span);
@@ -311,18 +325,10 @@ fn cautious_outputs_always_verify_or_fail() {
         let mut p = build(rp);
         let out = ftrepair_core::cautious_repair(&mut p, &RepairOptions::default()).unwrap();
         if !out.failed {
-            let lazy_shape = ftrepair_core::LazyOutcome {
-                processes: out.processes.clone(),
-                invariant: out.invariant,
-                span: out.span,
-                trans: out.trans,
-                failed: out.failed,
-                stats: out.stats.clone(),
-            };
-            let (m, r) = ftrepair_core::verify::verify_outcome(&mut p, &lazy_shape);
+            let (m, r) = ftrepair_core::verify::verify_outcome(&mut p, &out);
             assert!(m.ok(), "case {i} masking: {m:?}");
             assert!(r.ok(), "case {i} realizability: {r:?}");
-            assert_span_certifies(&mut p, &lazy_shape, m, i);
+            assert_span_certifies(&mut p, &out, m, i);
         }
     });
 }

@@ -49,9 +49,10 @@ fn forced_low_threshold_trigger_preserves_the_repair() {
     // show up here as a different shape. Byzantine agreement has a safety
     // specification, so `ms` and `mt` are not constants there, as they are
     // on the token ring.
-    let instances: [fn() -> DistributedProgram; 2] = [
+    let instances: [fn() -> DistributedProgram; 3] = [
         || ftrepair_casestudies::token_ring(3, 3).0,
         || ftrepair_casestudies::byzantine_agreement(1).0,
+        || ftrepair_casestudies::tmr(2).0,
     ];
     for (instance, cautious) in instances.into_iter().flat_map(|i| [(i, false), (i, true)]) {
         let baseline = shape_of(&mut instance(), cautious);

@@ -14,7 +14,7 @@
 //! this code, and every knob defaults to "do nothing".
 
 use ftrepair_core::Token;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
@@ -26,7 +26,6 @@ use std::time::{Duration, Instant};
 #[derive(Default)]
 pub struct Chaos {
     panic_keys: Mutex<HashSet<String>>,
-    delay_keys: Mutex<HashMap<String, Duration>>,
     delay_all: Mutex<Option<Duration>>,
     panic_per_mille: AtomicU32,
     kill_worker_per_mille: AtomicU32,
@@ -45,13 +44,7 @@ impl Chaos {
         self.panic_keys.lock().unwrap().insert(key.to_string());
     }
 
-    /// Delay execution of jobs with this content key by `delay`.
-    pub fn delay_key(&self, key: &str, delay: Duration) {
-        self.delay_keys.lock().unwrap().insert(key.to_string(), delay);
-    }
-
-    /// Delay execution of every job by `delay` (keyed delays take
-    /// precedence). `None` clears it.
+    /// Delay execution of every job by `delay`. `None` clears it.
     pub fn delay_all(&self, delay: Option<Duration>) {
         *self.delay_all.lock().unwrap() = delay;
     }
@@ -78,13 +71,7 @@ impl Chaos {
 
     /// Hook run inside the job's panic boundary, just before `execute`.
     pub(crate) fn before_execute(&self, key: &str, token: &Token) {
-        let delay = self
-            .delay_keys
-            .lock()
-            .unwrap()
-            .get(key)
-            .copied()
-            .or_else(|| *self.delay_all.lock().unwrap());
+        let delay = *self.delay_all.lock().unwrap();
         if let Some(d) = delay {
             // Sleep in short slices so an injected delay still honors the
             // job's deadline/cancel token — a 10s chaos delay must not pin
@@ -134,7 +121,6 @@ impl fmt::Debug for Chaos {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Chaos")
             .field("panic_keys", &self.panic_keys.lock().unwrap().len())
-            .field("delay_keys", &self.delay_keys.lock().unwrap().len())
             .field("panic_per_mille", &self.panic_per_mille.load(Ordering::Relaxed))
             .field("kill_worker_per_mille", &self.kill_worker_per_mille.load(Ordering::Relaxed))
             .field("queue_full", &self.queue_full.load(Ordering::Relaxed))

@@ -8,7 +8,7 @@ use ftrepair_bdd::{NodeId, SerializedBdd};
 use ftrepair_core::{
     build_run_report, cautious_repair_cancellable, lazy_repair_warm, verify::verify_outcome,
     CheckpointPolicy, Checkpointer, LazyOutcome, RepairAborted, RepairOptions, RepairStats, Token,
-    WarmSeeds,
+    WarmSeeds, MAX_OUTER_ITERATIONS,
 };
 use ftrepair_explicit::extract::{bdd_to_edges, bdd_to_states, ExplicitProgram};
 use ftrepair_explicit::simulate::{simulate, SimConfig, SimFailure, SimReport};
@@ -85,7 +85,8 @@ impl JobSpec {
 /// Two retired knobs stay in the text at their only remaining value, so
 /// stores and journals written before their removal keep their keys: `p0`
 /// (parallel Step 2, always off) and `:auto` (the reorder mode; the
-/// variable order is now fixed).
+/// variable order is now fixed). `m32` is the outer-iteration bound, now
+/// the constant [`MAX_OUTER_ITERATIONS`].
 pub fn options_fingerprint(mode: Mode, o: &RepairOptions) -> String {
     format!(
         "{}:r{}c{}e{}p0t{}m{}:auto",
@@ -94,7 +95,7 @@ pub fn options_fingerprint(mode: Mode, o: &RepairOptions) -> String {
         o.step2_closed_form as u8,
         o.use_expand_group as u8,
         o.allow_new_terminal_inside as u8,
-        o.max_outer_iterations,
+        MAX_OUTER_ITERATIONS,
     )
 }
 
@@ -104,9 +105,10 @@ pub fn options_fingerprint(mode: Mode, o: &RepairOptions) -> String {
 /// fingerprint, not the options struct, so the two stay in lockstep by
 /// construction (see the roundtrip test). Budgets (`deadline`,
 /// `max_nodes`) are not in the fingerprint; the caller re-applies the
-/// server's own limits. A `p1` (parallel Step 2) or a `:none`/`:sift`
-/// reorder mode, both since removed, does not parse: that job cannot be
-/// rerun under the key it was recorded with.
+/// server's own limits. A `p1` (parallel Step 2), a `:none`/`:sift`
+/// reorder mode or an outer-iteration bound other than
+/// [`MAX_OUTER_ITERATIONS`], all since removed, does not parse: that job
+/// cannot be rerun under the key it was recorded with.
 pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
     fn flag(rest: &str, tag: char) -> Option<(bool, &str)> {
         let rest = rest.strip_prefix(tag)?;
@@ -132,7 +134,9 @@ pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
     let (use_expand_group, rest) = flag(rest, 'e')?;
     let rest = rest.strip_prefix("p0")?;
     let (allow_new_terminal_inside, rest) = flag(rest, 't')?;
-    let max_outer_iterations = rest.strip_prefix('m')?.parse().ok()?;
+    if rest.strip_prefix('m')?.parse::<usize>().ok()? != MAX_OUTER_ITERATIONS {
+        return None;
+    }
     Some((
         mode,
         RepairOptions {
@@ -140,7 +144,6 @@ pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
             step2_closed_form,
             use_expand_group,
             allow_new_terminal_inside,
-            max_outer_iterations,
             ..RepairOptions::default()
         },
     ))
@@ -739,7 +742,6 @@ mod tests {
             RepairOptions {
                 step2_closed_form: false,
                 allow_new_terminal_inside: false,
-                max_outer_iterations: 7,
                 ..RepairOptions::default()
             },
             RepairOptions { use_expand_group: false, ..Default::default() },
@@ -767,6 +769,7 @@ mod tests {
         assert!(options_from_fingerprint("lazy:r1c1e1p0t1m32").is_none(), "missing reorder part");
         assert!(options_from_fingerprint("eager:r1c1e1p0t1m32:auto").is_none(), "unknown mode");
         assert!(options_from_fingerprint("lazy:r1c1e1p0t9m32:auto").is_none(), "bad flag bit");
+        assert!(options_from_fingerprint("lazy:r1c1e1p0t1m7:auto").is_none(), "retired m7");
     }
 
     #[test]

@@ -185,17 +185,6 @@ impl SymbolicContext {
     pub fn budget_exhausted(&self) -> bool {
         self.m.budget_exhausted()
     }
-
-    /// Convenience: three-way conjunction.
-    pub fn and3(
-        &mut self,
-        a: ftrepair_bdd::NodeId,
-        b: ftrepair_bdd::NodeId,
-        c: ftrepair_bdd::NodeId,
-    ) -> ftrepair_bdd::NodeId {
-        let ab = self.m.and(a, b);
-        self.m.and(ab, c)
-    }
 }
 
 impl Default for SymbolicContext {

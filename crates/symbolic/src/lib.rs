@@ -35,7 +35,8 @@
 //!     let guard = cx.both_eq(a, b, v);
 //!     let update = cx.assign_const(a, (v + 1) % 3);
 //!     let frame = cx.unchanged(b);
-//!     let t = cx.and3(guard, update, frame);
+//!     let guarded = cx.mgr().and(guard, update);
+//!     let t = cx.mgr().and(guarded, frame);
 //!     trans = cx.mgr().or(trans, t);
 //! }
 //!

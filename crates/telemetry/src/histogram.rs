@@ -151,15 +151,6 @@ impl HistogramSnapshot {
         self.buckets.last().map(|&(upper, _)| upper).unwrap_or(0)
     }
 
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// Merge another snapshot in: per-bound counts add, count/sum add.
     /// Bounds from the shared bucketing function always align; foreign
     /// bounds (e.g. parsed from an older report) are kept as-is.
