@@ -5,7 +5,7 @@
 //! Self-contained timing harness (median of repeated runs after warmup) so
 //! the bench builds offline; run with `cargo bench -p ftrepair-bdd`.
 
-use ftrepair_bdd::{Manager, NodeId, FALSE, TRUE};
+use ftrepair_bdd::{Manager, NodeId, RankDiagram, VarMapId, FALSE, TRUE};
 use std::time::{Duration, Instant};
 
 /// Build the transition relation of a k-bit binary counter over interleaved
@@ -61,33 +61,58 @@ fn chain_relation(m: &mut Manager, cells: u32, bits: u32) -> (NodeId, NodeId) {
     (rel, legit)
 }
 
-/// Phase 5's fallback BFS (`ranking::break_cycles`) on the chain: layer by
-/// layer toward the legitimate states, accumulate
-/// `rel ∧ layer ∧ next(assigned)`. Returns the accumulated relation and the
-/// manager, whose counters the caller reports.
-fn phase5_layers(cells: u32, bits: u32) -> (NodeId, Manager) {
+/// Phase 5's fallback BFS (`ranking::break_cycles`) on the chain, with
+/// the manager its counters come from.
+struct Phase5 {
+    m: Manager,
+    rel: NodeId,
+    up: VarMapId,
+    /// `nested[k]`: the states at most `k` layers from the legitimate ones.
+    nested: Vec<NodeId>,
+    rank: RankDiagram,
+    /// The steps of `rel` that lower the layer rank.
+    descent: NodeId,
+}
+
+/// Layer by layer toward the legitimate states, then keep every step of
+/// the relation that lowers the layer rank in one rank-descent product.
+fn phase5_layers(cells: u32, bits: u32) -> Phase5 {
     let mut m = Manager::new(2 * cells * bits);
     let (rel, legit) = chain_relation(&mut m, cells, bits);
     let next: Vec<u32> = (0..cells * bits).map(|g| 2 * g + 1).collect();
     let next_vs = m.varset(&next);
     let up = m.varmap(&(0..cells * bits).map(|g| (2 * g, 2 * g + 1)).collect::<Vec<_>>());
-    let mut assigned = legit;
-    let mut trans = FALSE;
+    let mut nested = vec![legit];
     loop {
+        let assigned = nested[nested.len() - 1];
         let target = m.rename(assigned, up);
         let pre = m.and_exists(rel, target, next_vs);
         let layer = m.diff(pre, assigned);
         if layer == FALSE {
             break;
         }
-        let from_layer = m.and(rel, layer);
-        let kept = m.and(from_layer, target);
-        trans = m.or(trans, kept);
-        assigned = m.or(assigned, layer);
+        let assigned = m.or(assigned, layer);
+        nested.push(assigned);
     }
     // Every state of the chain recovers: the layers cover the universe.
-    assert_eq!(assigned, TRUE);
-    (trans, m)
+    assert_eq!(nested.last(), Some(&TRUE));
+    let rank = m.rank_diagram(&nested);
+    let descent = m.rank_descent(rel, &rank, up);
+    Phase5 { m, rel, up, nested, rank, descent }
+}
+
+/// What the rank-descent product replaces: one
+/// `rel ∧ layer ∧ next(assigned)` product per layer, ORed together.
+fn per_layer_union(p: &mut Phase5) -> NodeId {
+    let mut union = FALSE;
+    for k in 1..p.nested.len() {
+        let layer = p.m.diff(p.nested[k], p.nested[k - 1]);
+        let target = p.m.rename(p.nested[k - 1], p.up);
+        let from_layer = p.m.and(p.rel, layer);
+        let kept = p.m.and(from_layer, target);
+        union = p.m.or(union, kept);
+    }
+    union
 }
 
 /// Time `f` (median over `runs` after one warmup), print one line, and
@@ -140,8 +165,8 @@ fn main() {
         });
     }
     for &cells in &[8u32, 10] {
-        let (_, m) = bench(&format!("phase5_layers/{cells}x3"), 10, || phase5_layers(cells, 3));
-        let (s, cs) = (m.stats(), m.cache_stats());
+        let mut p = bench(&format!("phase5_layers/{cells}x3"), 10, || phase5_layers(cells, 3));
+        let (s, cs) = (p.m.stats(), p.m.cache_stats());
         let (hits, lookups) =
             cs.op_caches().iter().fold((0, 0), |(h, l), (_, c)| (h + c.hits, l + c.lookups()));
         println!(
@@ -153,5 +178,13 @@ fn main() {
             s.live_nodes,
             s.unique_slots,
         );
+        println!(
+            "  {} layers; rank diagram: {} nodes; rank descent: {} states",
+            p.nested.len() - 1,
+            p.rank.node_count(),
+            p.rank.descent_states(),
+        );
+        let union = per_layer_union(&mut p);
+        assert_eq!(p.descent, union, "rank descent differs from the layers");
     }
 }

@@ -18,6 +18,9 @@
 //!   workhorse of image/preimage computation,
 //! * order-preserving variable renaming (used to map next-state variables back
 //!   to current-state variables),
+//! * edge-valued *rank diagrams* and the rank-descent product
+//!   ([`Manager::rank_descent`]): the steps of a relation that lower a
+//!   rank given by a sequence of sets, in one recursion,
 //! * sat-counting, deterministic minterm picking and cube iteration,
 //! * one fixed variable order: the variable index is the level,
 //! * mark-and-sweep garbage collection with stable node ids, plus a
@@ -51,6 +54,7 @@ mod manager;
 mod node;
 mod ops;
 mod quant;
+mod rank;
 mod rename;
 pub mod rng;
 mod sat;
@@ -61,6 +65,7 @@ pub use hash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use manager::{CacheCounter, CacheStats, Manager, ManagerStats};
 pub use node::{NodeId, FALSE, TRUE};
 pub use quant::VarSetId;
+pub use rank::RankDiagram;
 pub use rename::VarMapId;
 pub use rng::SplitMix64;
 pub use sat::CubeIter;

@@ -311,16 +311,23 @@ pub fn add_masking(
     // Phase 5: break recovery cycles (see `crate::ranking`): peel the
     // original program's acyclic recovery structure first so its groups
     // survive Step 2, admit shortcuts consistent with the peeling order,
-    // and fall back to BFS jump layers for everything else. Its rounds
-    // poll the token and enforce the node budget with the result's roots
+    // and fall back to BFS jump layers for everything else, then keep the
+    // steps that lower the layer rank in one product. Its rounds and the
+    // product poll the token and enforce the node budget with the layers
     // (and the inputs) live. (S₁, T₁, ms) has converged, so an abort there
     // leaves it as the resume point, the state the caller would have
     // offered after Step 1.
     let trans = {
-        let _ranking_span = tele.span("step1.ranking");
+        let mut ranking_span = tele.span("step1.ranking");
         let roots = [invariant, safety.bad_states, safety.bad_trans, ms, mt];
-        crate::ranking::break_cycles(cx, token, &roots, p1, pre.safe_delta, s1, t1)
-            .inspect_err(|_| token.offer_checkpoint(cx, s1, t1, ms))?
+        let ranked = crate::ranking::break_cycles(cx, token, &roots, p1, pre.safe_delta, s1, t1)
+            .inspect_err(|_| token.offer_checkpoint(cx, s1, t1, ms))?;
+        if ranking_span.id().is_some() {
+            ranking_span.field("rounds", Json::from(ranked.rounds as u64));
+            ranking_span.field("rank_nodes", Json::from(ranked.rank_nodes as u64));
+            ranking_span.field("descent_states", Json::from(ranked.descent_states as u64));
+        }
+        ranked.trans
     };
 
     Ok(AddMaskingResult { ms, mt, invariant: s1, span: t1, trans, allowed: p1, failed: false })

@@ -191,7 +191,8 @@ fn cautious_repair_inner(
         roots.push(outside);
         roots.extend(&grouped);
         let kept =
-            crate::ranking::break_cycles(cx, token, &roots, p1, pre.safe_delta, s1_new, t1_new)?;
+            crate::ranking::break_cycles(cx, token, &roots, p1, pre.safe_delta, s1_new, t1_new)?
+                .trans;
         let recovery_part = cx.mgr().and(p1, outside);
         let nondecreasing = cx.mgr().diff(recovery_part, kept);
 

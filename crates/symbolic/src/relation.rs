@@ -146,13 +146,6 @@ impl SymbolicContext {
         }
     }
 
-    /// Restrict a transition predicate to steps that end in `to`.
-    pub fn trans_to(&mut self, trans: NodeId, to: NodeId) -> NodeId {
-        let map = self.map_cur_to_next();
-        let primed = self.mgr().rename(to, map);
-        self.mgr().and(trans, primed)
-    }
-
     /// A state predicate as a *target* constraint over next bits.
     pub fn as_next(&mut self, states: NodeId) -> NodeId {
         let map = self.map_cur_to_next();
@@ -270,16 +263,6 @@ mod tests {
         let dl = cx.deadlocks(universe, trans);
         let expected = cx.state_cube(&[3]);
         assert_eq!(dl, expected);
-    }
-
-    #[test]
-    fn trans_to_keeps_only_steps_into_the_target() {
-        let (mut cx, _, trans) = counter();
-        let s1 = cx.state_cube(&[1]);
-        let to1 = cx.trans_to(trans, s1);
-        assert_eq!(cx.count_transitions(to1), 1.0); // only 0→1
-        let pairs = cx.enumerate_transitions(to1, 4);
-        assert_eq!(pairs, vec![(vec![0], vec![1])]);
     }
 
     #[test]

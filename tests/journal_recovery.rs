@@ -20,7 +20,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 fn slow_spec() -> String {
-    let path = format!("{}/examples/specs/stabilizing_chain10.ftr", env!("CARGO_MANIFEST_DIR"));
+    let path = format!("{}/examples/specs/stabilizing_chain20.ftr", env!("CARGO_MANIFEST_DIR"));
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
 }
 

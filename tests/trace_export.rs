@@ -94,6 +94,19 @@ fn trace_out_on_token_ring_nests_phases_under_one_job_root() {
         assert_eq!(chain.last().map(String::as_str), Some("job"), "{fix} chain: {chain:?}");
     }
 
+    // Phase 5 reports its rounds, its rank diagram and its product's size.
+    let ranking_args = events
+        .iter()
+        .find(|e| e.get("name").and_then(Json::as_str) == Some("step1.ranking"))
+        .and_then(|e| e.get("args"))
+        .expect("step1.ranking span args");
+    for field in ["rounds", "rank_nodes", "descent_states"] {
+        assert!(
+            ranking_args.get(field).and_then(Json::as_u64).is_some(),
+            "step1.ranking lacks {field}: {ranking_args:?}"
+        );
+    }
+
     // The job root carries the case and the trace id as structured fields.
     let job_args = events
         .iter()
