@@ -21,7 +21,8 @@
 //! * edge-valued *rank diagrams* and the rank-descent product
 //!   ([`Manager::rank_descent`]): the steps of a relation that lower a
 //!   rank given by a sequence of sets, in one recursion,
-//! * sat-counting, deterministic minterm picking and cube iteration,
+//! * sat-counting, deterministic minterm picking and cube iteration, plus a
+//!   read-only cofactor step ([`Manager::branch`]) for walks down the levels,
 //! * one fixed variable order: the variable index is the level,
 //! * mark-and-sweep garbage collection with stable node ids, plus a
 //!   checkpoint trigger that collects once the arena doubles

@@ -131,11 +131,42 @@ impl Manager {
         }
         cur == TRUE
     }
+
+    /// The cofactor of `f` by `level := bit`, for an `f` whose top level is
+    /// at or below `level`: its `bit` child when `f` branches at `level`,
+    /// `f` itself when it does not (a skipped level is a don't-care). One
+    /// step of a read-only walk down the levels: it builds no node and
+    /// touches no table.
+    #[inline]
+    pub fn branch(&self, f: NodeId, level: u32, bit: bool) -> NodeId {
+        let top = self.level(f);
+        debug_assert!(top >= level, "branch at level {level} above the top level {top}");
+        match (top == level, bit) {
+            (false, _) => f,
+            (true, false) => self.lo(f),
+            (true, true) => self.hi(f),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::{Manager, FALSE};
+    use crate::{Manager, FALSE, TRUE};
+
+    #[test]
+    fn branch_follows_a_level_or_skips_it() {
+        let mut m = Manager::new(3);
+        let (a, c) = (m.var(0), m.var(2));
+        let f = m.and(a, c);
+        assert_eq!(m.branch(f, 0, false), FALSE);
+        assert_eq!(m.branch(f, 0, true), c);
+        // `c` skips level 1: either bit leaves it as it is.
+        assert_eq!(m.branch(c, 1, false), c);
+        assert_eq!(m.branch(c, 1, true), c);
+        assert_eq!(m.branch(c, 2, true), TRUE);
+        assert_eq!(m.branch(TRUE, 2, false), TRUE);
+        assert_eq!(m.branch(FALSE, 0, true), FALSE);
+    }
 
     #[test]
     fn rename_shifts_levels() {

@@ -124,13 +124,13 @@ fn lazy_repair_output_passes_explicit_verifier() {
     let explicit = ExplicitProgram::from_symbolic(&mut p);
     let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
     assert!(!out.failed);
-    let trans = extract::bdd_to_edges(&mut p, &explicit.space, out.trans);
-    let inv: HashSet<u32> = extract::bdd_to_states(&mut p, &explicit.space, out.invariant);
+    let trans = extract::bdd_to_edges(&p, &explicit.space, out.trans);
+    let inv: HashSet<u32> = extract::bdd_to_states(&p, &explicit.space, out.invariant);
     let report = ftrepair_explicit::verify::verify_masking_explicit(&explicit, &trans, &inv);
     assert!(report.ok(), "{report:?}");
     // And each per-process relation is explicitly group-closed.
     for (j, proc_) in out.processes.iter().enumerate() {
-        let edges = extract::bdd_to_edges(&mut p, &explicit.space, proc_.trans);
+        let edges = extract::bdd_to_edges(&p, &explicit.space, proc_.trans);
         assert!(
             ftrepair_explicit::group::is_group_closed(&explicit, j, &edges),
             "process {j} not group-closed"
@@ -264,12 +264,12 @@ fn step2_agrees_with_explicit_group_filtering() {
         let (opts, tele, token) = (RepairOptions::default(), Telemetry::off(), Token::unbounded());
         let r2 = ftrepair_core::step2(&mut p, r1.trans, r1.span, &opts, &tele, &token).unwrap();
 
-        let trans_edges = extract::bdd_to_edges(&mut p, &explicit.space, r1.trans);
-        let span_states = extract::bdd_to_states(&mut p, &explicit.space, r1.span);
+        let trans_edges = extract::bdd_to_edges(&p, &explicit.space, r1.trans);
+        let span_states = extract::bdd_to_states(&p, &explicit.space, r1.span);
         let expected =
             ftrepair_explicit::group::step2_explicit(&explicit, &trans_edges, &span_states);
         for (j, proc_) in r2.processes.iter().enumerate() {
-            let got = extract::bdd_to_edges(&mut p, &explicit.space, proc_.trans);
+            let got = extract::bdd_to_edges(&p, &explicit.space, proc_.trans);
             assert_eq!(&got, &expected[j], "case {i}, process {j} differs");
         }
     });
@@ -285,7 +285,7 @@ fn symbolic_group_matches_explicit_group() {
             let unread = p.unreadable(j);
             let t = p.processes[j].trans;
             let g = ftrepair_program::realizability::group(&mut p.cx, &unread, t);
-            let got = extract::bdd_to_edges(&mut p, &explicit.space, g);
+            let got = extract::bdd_to_edges(&p, &explicit.space, g);
             let expected =
                 ftrepair_explicit::group::group_of_set(&explicit, j, &explicit.proc_trans[j]);
             assert_eq!(got, expected, "case {i}, process {j} group differs");

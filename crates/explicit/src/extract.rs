@@ -1,11 +1,17 @@
 //! Extraction of an explicit representation from a symbolic
-//! [`DistributedProgram`] — by brute-force evaluation of every BDD on every
-//! state (pair). Only for instances small enough to enumerate.
+//! [`DistributedProgram`]: each BDD's states or edges come from one
+//! read-only walk over it ([`SymbolicContext::for_each_state`],
+//! [`SymbolicContext::for_each_transition`]), encoded as state indices.
+//! Only for instances small enough to enumerate.
+//!
+//! [`SymbolicContext::for_each_state`]: ftrepair_symbolic::SymbolicContext::for_each_state
+//! [`SymbolicContext::for_each_transition`]: ftrepair_symbolic::SymbolicContext::for_each_transition
 
 use crate::state::StateSpace;
 use ftrepair_bdd::NodeId;
 use ftrepair_program::DistributedProgram;
 use std::collections::HashSet;
+use std::ops::ControlFlow;
 
 /// A fully-enumerated distributed program.
 #[derive(Clone, Debug)]
@@ -79,82 +85,33 @@ impl ExplicitProgram {
     }
 }
 
-/// Evaluate a state predicate on every state.
+/// The states of a state predicate, as indices into `space`.
 pub fn bdd_to_states(
-    prog: &mut DistributedProgram,
+    prog: &DistributedProgram,
     space: &StateSpace,
     states: NodeId,
 ) -> HashSet<u32> {
-    let nlevels = prog.cx.mgr_ref().num_vars() as usize;
     let mut out = HashSet::new();
-    for idx in space.states().collect::<Vec<_>>() {
-        let values = space.decode(idx);
-        let mut assignment = vec![false; nlevels];
-        fill_current(prog, &values, &mut assignment);
-        if prog.cx.mgr_ref().eval(states, &assignment) {
-            out.insert(idx);
-        }
-    }
+    prog.cx.for_each_state(states, |s| {
+        out.insert(space.encode(s));
+        ControlFlow::Continue(())
+    });
     out
 }
 
-/// Evaluate a transition predicate on every state pair.
+/// The edges of a transition predicate between in-domain states, sorted.
 pub fn bdd_to_edges(
-    prog: &mut DistributedProgram,
+    prog: &DistributedProgram,
     space: &StateSpace,
     trans: NodeId,
 ) -> Vec<(u32, u32)> {
-    let nlevels = prog.cx.mgr_ref().num_vars() as usize;
     let mut out = Vec::new();
-    if trans == ftrepair_bdd::FALSE {
-        return out;
-    }
-    let all: Vec<u32> = space.states().collect();
-    for &from in &all {
-        let fv = space.decode(from);
-        // Cofactor on the source state once; candidates then only test next
-        // bits, keeping this O(n²) loop tolerable.
-        let mut assignment = vec![false; nlevels];
-        fill_current(prog, &fv, &mut assignment);
-        let lits: Vec<(u32, bool)> =
-            current_levels(prog).into_iter().map(|l| (l, assignment[l as usize])).collect();
-        let row = prog.cx.mgr().restrict(trans, &lits);
-        if row == ftrepair_bdd::FALSE {
-            continue;
-        }
-        for &to in &all {
-            let tv = space.decode(to);
-            let mut a2 = assignment.clone();
-            fill_next(prog, &tv, &mut a2);
-            if prog.cx.mgr_ref().eval(row, &a2) {
-                out.push((from, to));
-            }
-        }
-    }
+    prog.cx.for_each_transition(trans, |from, to| {
+        out.push((space.encode(from), space.encode(to)));
+        ControlFlow::Continue(())
+    });
     out.sort_unstable();
     out
-}
-
-fn current_levels(prog: &DistributedProgram) -> Vec<u32> {
-    (0..prog.cx.total_bits()).map(|g| 2 * g).collect()
-}
-
-fn fill_current(prog: &DistributedProgram, values: &[u64], assignment: &mut [bool]) {
-    for (i, v) in prog.cx.var_ids().into_iter().enumerate() {
-        let bits = prog.cx.info(v).bits;
-        for k in 0..bits {
-            assignment[prog.cx.cur_level(v, k) as usize] = (values[i] >> k) & 1 == 1;
-        }
-    }
-}
-
-fn fill_next(prog: &DistributedProgram, values: &[u64], assignment: &mut [bool]) {
-    for (i, v) in prog.cx.var_ids().into_iter().enumerate() {
-        let bits = prog.cx.info(v).bits;
-        for k in 0..bits {
-            assignment[prog.cx.next_level(v, k) as usize] = (values[i] >> k) & 1 == 1;
-        }
-    }
 }
 
 #[cfg(test)]

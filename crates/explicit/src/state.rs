@@ -48,15 +48,13 @@ impl StateSpace {
     }
 
     /// Decode a state index back to a valuation.
-    pub fn decode(&self, mut idx: u32) -> Vec<u64> {
+    pub fn decode(&self, idx: u32) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.radices.len());
         let mut rem = idx as u64;
         for &r in &self.radices {
             out.push(rem % r);
             rem /= r;
         }
-        idx = 0; // silence unused-assignment lint paths
-        let _ = idx;
         out
     }
 

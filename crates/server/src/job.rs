@@ -22,10 +22,10 @@ use ftrepair_telemetry::{Json, RunReport, Telemetry};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Largest state space the simulation bundle is built for. The explicit
-/// extraction is quadratic in the number of states, so it is reserved for
-/// oracle-sized instances; larger specs still repair fine but answer
-/// `/simulate` with an explanation instead.
+/// Largest state space the simulation bundle is built for. The bundle
+/// holds every state and edge of the repaired program explicitly, so it is
+/// reserved for oracle-sized instances; larger specs still repair fine but
+/// answer `/simulate` with an explanation instead.
 pub const SIM_STATE_CAP: u64 = 4096;
 
 /// Repair algorithm selector.
@@ -702,6 +702,51 @@ mod tests {
         let j = sim_report_json(&report, 7);
         assert_eq!(j.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(j.get("failure"), Some(&Json::Null));
+    }
+
+    /// The stabilizing chain of `n` cells over `0..=max`: each cell copies
+    /// its left neighbour, a fault sets any cell to any value.
+    fn chain_spec(n: usize, max: u64) -> String {
+        let values = (0..=max).map(|v| v.to_string()).collect::<Vec<_>>().join(", ");
+        let mut s = format!("program chain{n};\n");
+        for i in 0..n {
+            s += &format!("var x{i} : 0..{max};\n");
+        }
+        for i in 1..n {
+            let p = i - 1;
+            s += &format!("process c{i} read x{p}, x{i}; write x{i};\n");
+            s += &format!("begin !(x{i} = x{p}) -> x{i} := x{p}; end\n");
+        }
+        s += "fault transient begin\n";
+        for i in 0..n {
+            s += &format!("  true -> x{i} := {{{values}}};\n");
+        }
+        let inv: Vec<String> = (1..n).map(|i| format!("(x{} = x{i})", i - 1)).collect();
+        s + &format!("end\ninvariant {};\n", inv.join(" & "))
+    }
+
+    #[test]
+    fn a_bundle_at_the_cap_holds_every_edge_and_invariant_state() {
+        // Six cells over 0..3: exactly SIM_STATE_CAP states.
+        let spec = prepare(&chain_spec(6, 3), Mode::Lazy, RepairOptions::default()).unwrap();
+        let token = Token::from_options(&spec.opts);
+        let result = execute(&spec, &Telemetry::off(), true, &token, None, true).unwrap();
+        assert!(result.masking && result.realizable);
+        let bundle = match &result.sim {
+            SimStatus::Ready(bundle) => bundle,
+            other => panic!("4096 states is at the cap, got {}", other.refusal()),
+        };
+        assert_eq!(bundle.explicit.space.num_states(), SIM_STATE_CAP);
+
+        // The repaired relation and invariant, re-imported from the
+        // artifacts the job exported, count what the bundle enumerated.
+        let artifacts = result.artifacts.as_deref().expect("a verified repair exports");
+        let mut prog = ftrepair_lang::compile(&spec.ast).unwrap();
+        let mut import = |name| prog.cx.mgr().try_import(find_artifact(artifacts, name).unwrap());
+        let (trans, invariant) = (import(ART_TRANS).unwrap(), import(ART_INVARIANT).unwrap());
+        assert_eq!(bundle.trans.len() as f64, prog.cx.count_transitions(trans));
+        assert_eq!(bundle.invariant.len() as f64, prog.cx.count_states(invariant));
+        assert!(run_simulation(bundle, &SimConfig::default(), 7).ok());
     }
 
     #[test]

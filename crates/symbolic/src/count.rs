@@ -1,9 +1,19 @@
 //! Counting and enumerating concrete states/transitions — the bridge from
-//! symbolic fixpoints back to numbers in experiment tables and to concrete
-//! witnesses in tests.
+//! symbolic fixpoints back to numbers in experiment tables, to concrete
+//! witnesses in tests, and to the explicit state graph.
+//!
+//! Enumeration is one read-only, depth-first walk down the levels
+//! ([`SymbolicContext::for_each_state`], [`SymbolicContext::for_each_transition`]):
+//! variable by variable, it follows the BDD's branches for every in-domain
+//! value (or value pair), treats a skipped level as a don't-care, prunes at
+//! ⊥ and reports every path that reaches ⊤. It builds no node. On a
+//! predicate within the domains every prefix it extends leads to a result,
+//! so its cost grows with the results (times the levels and the values
+//! tried per variable), not with the number of states or state pairs.
 
-use crate::context::SymbolicContext;
-use ftrepair_bdd::NodeId;
+use crate::context::{SymbolicContext, VarId};
+use ftrepair_bdd::{NodeId, FALSE, TRUE};
+use std::ops::ControlFlow;
 
 impl SymbolicContext {
     /// Number of states in a state predicate (a BDD over current bits).
@@ -29,96 +39,111 @@ impl SymbolicContext {
         self.mgr_ref().sat_count(constrained)
     }
 
-    /// Enumerate up to `limit` concrete states of a state predicate, each as
-    /// a vector of variable values in declaration order. Deterministic order.
-    /// Intended for tests and small examples.
-    pub fn enumerate_states(&mut self, states: NodeId, limit: usize) -> Vec<Vec<u64>> {
-        let universe = self.state_universe();
-        let constrained = self.mgr().and(states, universe);
-        let cur_levels: Vec<u32> = (0..self.total_bits()).map(|g| 2 * g).collect();
-        let mut out = Vec::new();
-        let paths: Vec<Vec<(u32, bool)>> = self.mgr_ref().cubes(constrained).collect();
-        'outer: for path in paths {
-            // Expand don't-care current bits of this path.
-            let fixed: std::collections::HashMap<u32, bool> = path.into_iter().collect();
-            let free: Vec<u32> =
-                cur_levels.iter().copied().filter(|l| !fixed.contains_key(l)).collect();
-            let combos = 1u64 << free.len().min(63);
-            for combo in 0..combos {
-                let mut assignment = fixed.clone();
-                for (i, &l) in free.iter().enumerate() {
-                    assignment.insert(l, (combo >> i) & 1 == 1);
-                }
-                out.push(self.decode_state(&assignment));
-                if out.len() >= limit {
-                    break 'outer;
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// Call `visit` on every in-domain state of a state predicate, as
+    /// variable values in declaration order, in lexicographic order, until
+    /// it breaks. Next-state levels read as 0, so a predicate over both
+    /// copies yields the states `s` with `(s, 0…0)` in it.
+    pub fn for_each_state(&self, states: NodeId, mut visit: impl FnMut(&[u64]) -> ControlFlow<()>) {
+        let _ = self.walk(states, false, &mut |from: &[u64], _: &[u64]| visit(from));
     }
 
-    /// Enumerate up to `limit` concrete transitions as `(from, to)` value
-    /// vectors. Deterministic order; for tests and small examples.
-    pub fn enumerate_transitions(
-        &mut self,
+    /// Call `visit` on every transition `(from, to)` of a transition
+    /// predicate whose two states are both in domain, until it breaks.
+    /// The order is lexicographic in the interleaved values
+    /// `(from₀, to₀, from₁, to₁, …)`.
+    pub fn for_each_transition(
+        &self,
         trans: NodeId,
-        limit: usize,
-    ) -> Vec<(Vec<u64>, Vec<u64>)> {
-        let universe = self.transition_universe();
-        let constrained = self.mgr().and(trans, universe);
-        let all_levels: Vec<u32> = (0..2 * self.total_bits()).collect();
+        mut visit: impl FnMut(&[u64], &[u64]) -> ControlFlow<()>,
+    ) {
+        let _ = self.walk(trans, true, &mut visit);
+    }
+
+    /// Up to `limit` concrete states of a state predicate, each as a vector
+    /// of variable values in declaration order, sorted. Intended for tests
+    /// and small examples.
+    pub fn enumerate_states(&self, states: NodeId, limit: usize) -> Vec<Vec<u64>> {
         let mut out = Vec::new();
-        let paths: Vec<Vec<(u32, bool)>> = self.mgr_ref().cubes(constrained).collect();
-        'outer: for path in paths {
-            let fixed: std::collections::HashMap<u32, bool> = path.into_iter().collect();
-            let free: Vec<u32> =
-                all_levels.iter().copied().filter(|l| !fixed.contains_key(l)).collect();
-            let combos = 1u64 << free.len().min(63);
-            for combo in 0..combos {
-                let mut assignment = fixed.clone();
-                for (i, &l) in free.iter().enumerate() {
-                    assignment.insert(l, (combo >> i) & 1 == 1);
-                }
-                let from = self.decode_state(&assignment);
-                let to = self.decode_state_next(&assignment);
-                out.push((from, to));
-                if out.len() >= limit {
-                    break 'outer;
-                }
-            }
-        }
+        self.for_each_state(states, |s| push_within(&mut out, s.to_vec(), limit));
         out.sort_unstable();
-        out.dedup();
         out
     }
 
-    fn decode_state(&self, assignment: &std::collections::HashMap<u32, bool>) -> Vec<u64> {
-        self.var_ids()
-            .iter()
-            .map(|&v| {
-                let bits = self.info(v).bits;
-                (0..bits).fold(0u64, |acc, k| {
-                    let level = self.cur_level(v, k);
-                    acc | (u64::from(*assignment.get(&level).unwrap_or(&false)) << k)
-                })
-            })
-            .collect()
+    /// Up to `limit` concrete transitions as `(from, to)` value vectors,
+    /// sorted. Intended for tests and small examples.
+    pub fn enumerate_transitions(&self, trans: NodeId, limit: usize) -> Vec<(Vec<u64>, Vec<u64>)> {
+        let mut out = Vec::new();
+        self.for_each_transition(trans, |a, b| {
+            push_within(&mut out, (a.to_vec(), b.to_vec()), limit)
+        });
+        out.sort_unstable();
+        out
     }
 
-    fn decode_state_next(&self, assignment: &std::collections::HashMap<u32, bool>) -> Vec<u64> {
-        self.var_ids()
-            .iter()
-            .map(|&v| {
-                let bits = self.info(v).bits;
-                (0..bits).fold(0u64, |acc, k| {
-                    let level = self.next_level(v, k);
-                    acc | (u64::from(*assignment.get(&level).unwrap_or(&false)) << k)
-                })
-            })
-            .collect()
+    /// The walk behind [`Self::for_each_state`] (`pairs = false`: next bits
+    /// follow the 0-branch) and [`Self::for_each_transition`].
+    fn walk<F>(&self, f: NodeId, pairs: bool, visit: &mut F) -> ControlFlow<()>
+    where
+        F: FnMut(&[u64], &[u64]) -> ControlFlow<()>,
+    {
+        let n = self.num_program_vars();
+        let mut walk = Walk { cx: self, pairs, from: vec![0; n], to: vec![0; n], visit };
+        walk.var(0, f)
+    }
+}
+
+/// Push `item` while `out` holds fewer than `limit` items; break once full.
+fn push_within<T>(out: &mut Vec<T>, item: T, limit: usize) -> ControlFlow<()> {
+    if out.len() == limit {
+        return ControlFlow::Break(());
+    }
+    out.push(item);
+    ControlFlow::Continue(())
+}
+
+/// The state of one enumeration walk: the values fixed so far.
+struct Walk<'a, F> {
+    cx: &'a SymbolicContext,
+    pairs: bool,
+    from: Vec<u64>,
+    to: Vec<u64>,
+    visit: &'a mut F,
+}
+
+impl<F: FnMut(&[u64], &[u64]) -> ControlFlow<()>> Walk<'_, F> {
+    /// Fix variable `i` (and every later one) in every way `f` admits.
+    /// `f`'s top level is at or below variable `i`'s first bit.
+    fn var(&mut self, i: usize, f: NodeId) -> ControlFlow<()> {
+        if i == self.from.len() {
+            return if f == TRUE {
+                (self.visit)(&self.from, &self.to)
+            } else {
+                ControlFlow::Continue(())
+            };
+        }
+        let info = self.cx.info(VarId(i as u32));
+        let (size, bits, offset) = (info.size, info.bits, info.offset);
+        let m = self.cx.mgr_ref();
+        let nexts = if self.pairs { size } else { 1 };
+        for x in 0..size {
+            for y in 0..nexts {
+                let mut g = f;
+                for k in 0..bits {
+                    let level = 2 * (offset + k);
+                    g = m.branch(g, level, (x >> k) & 1 == 1);
+                    g = m.branch(g, level + 1, (y >> k) & 1 == 1);
+                    if g == FALSE {
+                        break;
+                    }
+                }
+                if g != FALSE {
+                    self.from[i] = x;
+                    self.to[i] = y;
+                    self.var(i + 1, g)?;
+                }
+            }
+        }
+        ControlFlow::Continue(())
     }
 }
 
@@ -182,5 +207,31 @@ mod tests {
         let lits = [(cx.cur_level(a, 0), true), (cx.cur_level(a, 1), true)];
         let dead = cx.mgr().cube(&lits);
         assert_eq!(cx.count_states(dead), 0.0);
+    }
+
+    #[test]
+    fn state_walk_reads_next_bits_as_zero() {
+        let mut cx = SymbolicContext::new();
+        cx.add_var("a", 3);
+        let b = cx.add_var("b", 2);
+        let level = cx.next_level(b, 0);
+        let next_b = cx.mgr().var(level);
+        assert!(cx.enumerate_states(next_b, 100).is_empty());
+        let not_next_b = cx.mgr().not(next_b);
+        assert_eq!(cx.enumerate_states(not_next_b, 100).len(), 6);
+        // A transition walk stops as soon as the visitor breaks.
+        let mut seen = Vec::new();
+        cx.for_each_transition(TRUE, |from, to| {
+            seen.push((from.to_vec(), to.to_vec()));
+            if seen.len() == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        assert_eq!(
+            seen,
+            vec![(vec![0, 0], vec![0, 0]), (vec![0, 0], vec![0, 1]), (vec![0, 1], vec![0, 0]),]
+        );
     }
 }

@@ -208,6 +208,41 @@ fn simulate_is_seed_deterministic() {
     assert_eq!(a, b, "same seed must replay the same batch");
 }
 
+/// A spec at the simulation cap: six chain cells over `0..3`, 4096 states,
+/// so the bundle walks every variable of the largest program it serves.
+#[test]
+fn simulate_runs_on_a_spec_at_the_state_cap() {
+    let cells = 6;
+    let mut text = String::from("program chain6x4;\n");
+    for i in 0..cells {
+        text += &format!("var x{i} : 0..3;\n");
+    }
+    for i in 1..cells {
+        let p = i - 1;
+        text += &format!("process c{i} read x{p}, x{i}; write x{i};\n");
+        text += &format!("begin !(x{i} = x{p}) -> x{i} := x{p}; end\n");
+    }
+    text += "fault transient begin\n";
+    for i in 0..cells {
+        text += &format!("  true -> x{i} := {{0, 1, 2, 3}};\n");
+    }
+    let inv: Vec<String> = (1..cells).map(|i| format!("(x{} = x{i})", i - 1)).collect();
+    text += &format!("end\ninvariant {};\n", inv.join(" & "));
+    let dir = std::env::temp_dir().join(format!("ftrepair-cli-cap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("chain6x4.ftr");
+    std::fs::write(&path, text).unwrap();
+
+    let (stdout, stderr, ok) =
+        ftrepair(&["simulate", path.to_str().unwrap(), "--runs", "50", "--seed", "7"]);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(ok, "{stderr}");
+    assert!(stderr.contains("verified: true"), "{stderr}");
+    let report = ftrepair::telemetry::Json::parse(stdout.trim()).unwrap();
+    assert_eq!(report.get("ok").unwrap().as_bool(), Some(true), "{stdout}");
+    assert_eq!(report.get("runs").unwrap().as_u64(), Some(50));
+}
+
 #[test]
 fn simulate_rejects_malformed_specs_cleanly() {
     let dir = std::env::temp_dir().join("ftrepair-cli-test");

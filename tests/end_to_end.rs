@@ -118,8 +118,8 @@ fn repaired_byzantine_survives_fault_injection() {
     let explicit = ExplicitProgram::from_symbolic(&mut p);
     let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
     assert!(!out.failed);
-    let trans = extract::bdd_to_edges(&mut p, &explicit.space, out.trans);
-    let inv = extract::bdd_to_states(&mut p, &explicit.space, out.invariant);
+    let trans = extract::bdd_to_edges(&p, &explicit.space, out.trans);
+    let inv = extract::bdd_to_states(&p, &explicit.space, out.invariant);
     let mut rng = SplitMix64::seed_from_u64(2016);
     let config = SimConfig { runs: 1000, max_faults: 4, ..Default::default() };
     let report = simulate(&explicit, &trans, &inv, &config, &mut rng);
