@@ -3,15 +3,22 @@
 //! ```text
 //! cargo run --release -p ftrepair-bench --bin tables -- \
 //!     [table1|table2|table3|ablations|ablation_warm|ablation_checkpoint_resume|
-//!      ablation_verify|ablation_reach|all]
+//!      ablation_verify|ablation_reach|all|digests]
 //!     [--large] [--huge] [--metrics-out <path>]
 //! ```
 //!
 //! `--large` extends every sweep to the biggest instances (minutes of
 //! runtime); without it each table completes in well under a minute.
-//! `--huge` additionally runs the chain at Sc^20, Sc^25 and Sc^30 (up to
-//! ≈10^27 states — about four minutes and half a gigabyte of peak memory
-//! for Sc^30, measurement plus re-verification).
+//! `--huge` additionally runs Table I with both columns up to BA^24
+//! (≈10^17 states) and the chain at Sc^20, Sc^25 and Sc^30 (up to ≈10^27
+//! states).
+//!
+//! `digests` is not part of `all`: it measures nothing, and prints one
+//! line per repair of a fixed 80-row set (lazy and cautious, heuristic on
+//! and off) with its verdicts and the SHA-256 of its exported roots, so
+//! two builds can be diffed for bit-identical results
+//! (`results/root_digests.txt`).
+//!
 //! `--metrics-out <path>` appends every measured row's JSONL run report —
 //! the same schema the CLI's `ftrepair repair --metrics-out` emits — so
 //! downstream tooling can consume table runs and CLI runs uniformly.
@@ -28,8 +35,8 @@
 
 use ftrepair_bench::{
     ablation_checkpoint_resume, ablation_warm_start, measure, measure_reach, measure_verify,
-    render, render_checkpoint_resume, render_reach, render_verify, render_warm_start, table1,
-    table1_lazy_only, table2, table3, Row,
+    render, render_checkpoint_resume, render_reach, render_verify, render_warm_start, root_digest,
+    table1, table1_lazy_only, table2, table3, Row,
 };
 use ftrepair_casestudies::{
     byzantine_agreement, byzantine_failstop, stabilizing_chain, tmr, token_ring,
@@ -52,7 +59,7 @@ enum Size {
 /// Measures and prints one table, adding its rows to the tally.
 type RunTable = fn(&mut Tally, Size);
 
-/// Every selector but `all`, in the order `all` runs them.
+/// The selectors `all` runs, in its order.
 const SELECTORS: [(&str, RunTable); 8] = [
     ("table1", run_table1),
     ("table2", run_table2),
@@ -63,6 +70,9 @@ const SELECTORS: [(&str, RunTable); 8] = [
     ("ablation_verify", run_ablation_verify),
     ("ablation_reach", run_ablation_reach),
 ];
+
+/// The selectors `all` leaves out.
+const ALONE: [(&str, RunTable); 1] = [("digests", run_digests)];
 
 /// The rows measured so far, and every check that failed on them.
 #[derive(Default)]
@@ -100,8 +110,10 @@ impl Tally {
 }
 
 fn usage() -> String {
-    let names: Vec<&str> = SELECTORS.iter().map(|&(name, _)| name).collect();
-    format!("usage: tables [{}|all] [--large] [--huge] [--metrics-out <path>]", names.join("|"))
+    let name = |&(name, _): &(&'static str, RunTable)| name;
+    let names: Vec<&str> =
+        SELECTORS.iter().map(name).chain(["all"]).chain(ALONE.iter().map(name)).collect();
+    format!("usage: tables [{}] [--large] [--huge] [--metrics-out <path>]", names.join("|"))
 }
 
 /// The command line, checked: at most one selector (default `all`), known
@@ -117,7 +129,7 @@ fn parse_args(args: &[String]) -> Result<(Option<&str>, Size, Option<PathBuf>), 
                 Some(path) if !path.starts_with("--") => metrics_out = Some(PathBuf::from(path)),
                 _ => return Err("--metrics-out requires a path".into()),
             },
-            name if name == "all" || SELECTORS.iter().any(|&(s, _)| s == name) => {
+            name if name == "all" || SELECTORS.iter().chain(&ALONE).any(|&(s, _)| s == name) => {
                 if let Some(first) = selector.replace(name) {
                     return Err(format!("one selector at a time, got {first} and {name}"));
                 }
@@ -139,10 +151,13 @@ fn main() -> ExitCode {
     };
 
     let mut tally = Tally::default();
-    for (name, run) in SELECTORS {
-        if selector.is_none_or(|s| s == name) {
-            run(&mut tally, size);
-        }
+    match selector {
+        None => SELECTORS.iter().for_each(|&(_, run)| run(&mut tally, size)),
+        Some(s) => SELECTORS
+            .iter()
+            .chain(&ALONE)
+            .filter(|&&(name, _)| name == s)
+            .for_each(|&(_, run)| run(&mut tally, size)),
     }
 
     for why in tally.unrepaired.iter().chain(&tally.wrong) {
@@ -161,12 +176,15 @@ fn main() -> ExitCode {
 }
 
 fn run_table1(tally: &mut Tally, size: Size) {
-    let large = size >= Size::Large;
-    let sizes: &[usize] = if large { &[2, 3, 4, 5, 6, 8] } else { &[2, 3, 4, 5] };
+    // Both columns up to the last size with a cautious run, then lazy-only
+    // rows to keep the default and `--large` runs short. `--huge` runs both
+    // columns to BA^24, past the paper's largest row (10^16 states).
+    let (sizes, extension): (&[usize], &[usize]) = match size {
+        Size::Huge => (&[2, 3, 4, 5, 6, 8, 12, 16, 20, 24], &[]),
+        Size::Large => (&[2, 3, 4, 5, 6, 8], &[10, 12]),
+        Size::Default => (&[2, 3, 4, 5], &[6, 8]),
+    };
     let mut rows = table1(sizes);
-    // Lazy-only extension, like the paper's largest rows where the cautious
-    // baseline becomes impractical.
-    let extension: &[usize] = if large { &[10, 12] } else { &[6, 8] };
     rows.extend(table1_lazy_only(extension));
     println!("{}", render(&rows, "Table I — Byzantine agreement: cautious vs lazy repair"));
     for row in rows {
@@ -255,6 +273,46 @@ fn run_ablations(tally: &mut Tally, size: Size) {
     );
     for row in rows {
         tally.check(row, false);
+    }
+}
+
+/// Root parity: every instance of the set, lazy and cautious, with the
+/// reachable-states heuristic on and off, one line each. A row that
+/// repaired must verify; a row may fail, as pure lazy repair does on the
+/// fail-stop model (Ablation A), and the line records it. The sizes do not
+/// grow with `--large`.
+fn run_digests(tally: &mut Tally, _size: Size) {
+    type Factory = Box<dyn Fn() -> ftrepair_program::DistributedProgram>;
+    let mut instances: Vec<(String, Factory)> = Vec::new();
+    for n in [2, 3, 4, 5, 6, 8] {
+        instances.push((format!("BA^{n}"), Box::new(move || byzantine_agreement(n).0)));
+    }
+    for n in 2..=5 {
+        instances.push((format!("BAFS^{n}"), Box::new(move || byzantine_failstop(n).0)));
+    }
+    for (ns, d) in [(&[6, 8, 10, 12][..], 8), (&[4, 6, 8][..], 4)] {
+        for &n in ns {
+            let label = format!("Sc^{n}(d={d})");
+            instances.push((label, Box::new(move || stabilizing_chain(n, d).0)));
+        }
+    }
+    for n in [2, 3] {
+        instances.push((format!("TMR({n})"), Box::new(move || tmr(n).0)));
+    }
+    instances.push(("Ring(4,4)".into(), Box::new(|| token_ring(4, 4).0)));
+
+    for (label, factory) in &instances {
+        for cautious in [false, true] {
+            for heuristic in [true, false] {
+                let row = root_digest(label.as_str(), factory(), cautious, heuristic);
+                println!("{row}");
+                if !row.failed && !row.verified {
+                    let mode = if cautious { "cautious" } else { "lazy" };
+                    let on = if heuristic { "on" } else { "off" };
+                    tally.wrong.push(format!("{label} {mode} heuristic={on} did not verify"));
+                }
+            }
+        }
     }
 }
 

@@ -200,6 +200,61 @@ pub fn table3(sizes: &[usize], d: u64) -> Vec<Row> {
         .collect()
 }
 
+/// One row of the root-parity harness: a repair's verdicts and the
+/// SHA-256 of its exported invariant, fault-span and relation. Two builds
+/// that print the same rows computed the same roots.
+#[derive(Clone, Debug)]
+pub struct DigestRow {
+    /// Instance label, e.g. `Sc^6(d=4)`.
+    pub instance: String,
+    /// Cautious repair rather than lazy.
+    pub cautious: bool,
+    /// The reachable-states heuristic (Section V-A) was on.
+    pub heuristic: bool,
+    /// The repair declared failure.
+    pub failed: bool,
+    /// The repair passed both verifiers (false when it failed).
+    pub verified: bool,
+    /// SHA-256 of the exported invariant, fault-span and relation, in
+    /// that order.
+    pub digests: [String; 3],
+}
+
+impl std::fmt::Display for DigestRow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let [invariant, span, trans] = &self.digests;
+        write!(
+            f,
+            "{:<10} {:<8} heuristic={:<3} failed={:<5} verified={:<5} invariant={invariant} span={span} trans={trans}",
+            self.instance,
+            if self.cautious { "cautious" } else { "lazy" },
+            if self.heuristic { "on" } else { "off" },
+            self.failed,
+            self.verified,
+        )
+    }
+}
+
+/// Repair `prog`, lazily or cautiously, with the reachable-states
+/// heuristic on or off; verify the result and hash its exported roots.
+pub fn root_digest(
+    label: impl Into<String>,
+    mut prog: DistributedProgram,
+    cautious: bool,
+    heuristic: bool,
+) -> DigestRow {
+    let opts = if heuristic { RepairOptions::default() } else { RepairOptions::pure_lazy() };
+    let repair = if cautious { cautious_repair } else { ftrepair_core::lazy_repair };
+    let out = repair(&mut prog, &opts).expect("bench runs have no deadline");
+    let verified = !out.failed && {
+        let (m, r) = verify_outcome(&mut prog, &out);
+        m.ok() && r.ok()
+    };
+    let digests = [out.invariant, out.span, out.trans]
+        .map(|root| ftrepair_store::sha256_hex(&prog.cx.mgr_ref().export(root).to_bytes()));
+    DigestRow { instance: label.into(), cautious, heuristic, failed: out.failed, verified, digests }
+}
+
 /// One measurement of the warm-start ablation: the same one-action-edited
 /// spec repaired cold and warm (seeded through the disk store's near-key
 /// lookup), plus the exact parity verdict between the two results.

@@ -23,6 +23,7 @@ fn misused_arguments_exit_2_with_the_usage_line() {
             "ablation_verify",
             "ablation_reach",
             "all",
+            "digests",
             "--large",
             "--huge",
             "--metrics-out <path>",

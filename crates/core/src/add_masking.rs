@@ -38,13 +38,16 @@ pub struct AddMaskingResult {
 
 /// Add-Masking's Phases 1–3: what both Step 1 and the cautious baseline
 /// compute before their joint invariant/fault-span fixpoints.
-pub(crate) struct Prelude {
+pub struct Prelude {
     /// `δ_P`, the union of the processes' relations.
     pub delta_p: NodeId,
     /// Originally-terminal states, exempt from deadlock pruning.
     pub stutters: NodeId,
+    /// States from which faults alone can violate safety.
     pub ms: NodeId,
+    /// Transitions the repaired program must never execute.
     pub mt: NodeId,
+    /// `¬mt`.
     pub not_mt: NodeId,
     /// `δ_P ∧ ¬mt`.
     pub safe_delta: NodeId,
@@ -78,7 +81,10 @@ impl Prelude {
 /// the initial fault-span (chained reachability from the invariant, or
 /// from it and `seeds`, with `restrict_to_reachable`; everything outside
 /// `ms` without). Checks `token` on entry and at every fixpoint iteration.
-pub(crate) fn prelude(
+///
+/// Telemetry wraps the three phases in a `step1.prelude` span, with the
+/// `step1.ms_fixpoint` and `step1.reachability` spans nested inside it.
+pub fn prelude(
     prog: &mut DistributedProgram,
     invariant: NodeId,
     safety: &Safety,
@@ -88,6 +94,7 @@ pub(crate) fn prelude(
     seeds: &WarmSeeds,
 ) -> Result<Prelude, RepairAborted> {
     token.check()?;
+    let _prelude_span = tele.span("step1.prelude");
     let cx = &mut prog.cx;
     let mut delta_p = FALSE;
     for p in &prog.processes {
@@ -336,7 +343,14 @@ pub fn add_masking(
 /// The "all possible available transitions" relation: original transitions
 /// within the invariant, plus any single-writer recovery transition from
 /// `T₁ − S₁` back into `T₁` — minus `mt`.
-pub(crate) fn allowed_transitions(
+///
+/// The recovery part conjoins the frame first: each frame in `one_writer`
+/// ties every variable one process cannot write, so `one_writer ∧ T₁(x′)`
+/// is about the size of the result. Starting from `(T₁ − S₁)(x) ∧ T₁(x′)`
+/// instead builds a state × state product many times that size (DESIGN.md
+/// §6 item 2) for the frame to cut down. The order does not change the
+/// function, so the root is the same either way.
+pub fn allowed_transitions(
     cx: &mut SymbolicContext,
     pre: &Prelude,
     s1: NodeId,
@@ -344,13 +358,13 @@ pub(crate) fn allowed_transitions(
 ) -> NodeId {
     let inside_orig = semantics::project(cx, pre.delta_p, s1);
     let inside = cx.mgr().and(inside_orig, pre.not_mt);
-    let outside_src = cx.mgr().diff(t1, s1);
     let span_tgt = cx.as_next(t1);
+    let mut recovery = cx.mgr().and(pre.one_writer, span_tgt);
+    let outside_src = cx.mgr().diff(t1, s1);
+    recovery = cx.mgr().and(recovery, outside_src);
     let t_universe = cx.transition_universe();
-    let mut recovery = cx.mgr().and(outside_src, span_tgt);
-    recovery = cx.mgr().and(recovery, pre.not_mt);
     recovery = cx.mgr().and(recovery, t_universe);
-    recovery = cx.mgr().and(recovery, pre.one_writer);
+    recovery = cx.mgr().and(recovery, pre.not_mt);
     cx.mgr().or(inside, recovery)
 }
 

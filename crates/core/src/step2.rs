@@ -51,21 +51,27 @@ pub fn step2(
         // shared candidate relation, and everything accumulated so far.
         let mut keep = vec![trans, span, delta, union];
         keep.extend(processes.iter().map(|p: &Process| p.trans));
-        let delta_j = process_partition(prog, j, delta, opts, &keep, &mut stats, tele, token)?;
         let p = &prog.processes[j];
-        processes.push(Process {
-            name: p.name.clone(),
-            read: p.read.clone(),
-            write: p.write.clone(),
-            trans: delta_j,
-        });
+        let (name, read, write) = (p.name.clone(), p.read.clone(), p.write.clone());
+        let delta_j = partition_for(
+            &mut prog.cx,
+            &read,
+            &write,
+            delta,
+            opts,
+            &keep,
+            &mut stats,
+            tele,
+            token,
+        )?;
+        processes.push(Process { name, read, write, trans: delta_j });
         union = prog.cx.mgr().or(union, delta_j);
     }
     Ok(Step2Result { processes, trans: union, stats })
 }
 
 /// Line 1 of Algorithm 2 as a predicate transform.
-pub(crate) fn with_outside_span(cx: &mut SymbolicContext, trans: NodeId, span: NodeId) -> NodeId {
+pub fn with_outside_span(cx: &mut SymbolicContext, trans: NodeId, span: NodeId) -> NodeId {
     let outside = {
         let universe = cx.state_universe();
         cx.mgr().diff(universe, span)
@@ -75,31 +81,15 @@ pub(crate) fn with_outside_span(cx: &mut SymbolicContext, trans: NodeId, span: N
     cx.mgr().or(trans, free)
 }
 
-/// Lines 4–23: compute `δ_j` for one process of `prog`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn process_partition(
-    prog: &mut DistributedProgram,
-    j: usize,
-    delta: NodeId,
-    opts: &RepairOptions,
-    keep: &[NodeId],
-    stats: &mut RepairStats,
-    tele: &Telemetry,
-    token: &Token,
-) -> Result<NodeId, RepairAborted> {
-    let read = prog.processes[j].read.clone();
-    let write = prog.processes[j].write.clone();
-    partition_for(&mut prog.cx, &read, &write, delta, opts, keep, stats, tele, token)
-}
-
-/// The loop behind [`process_partition`], over just the context and the
-/// process's read/write sets, so the cautious baseline runs it too. Checks
+/// Lines 4–23: compute `δ_j` for the process with read set `read` and
+/// write set `write`, from Line 1's relation `delta`. It takes just the
+/// context and the two sets, so the cautious baseline runs it too. Checks
 /// `token` before each group-operation batch: once per closed-form pass,
 /// once per pick in the iterative loop. `keep` lists the caller's live BDD
 /// roots — the governance checkpoints here (same boundaries as the token
 /// checks) pass them through so a mid-partition collection keeps them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn partition_for(
+pub fn partition_for(
     cx: &mut SymbolicContext,
     read: &[ftrepair_symbolic::VarId],
     write: &[ftrepair_symbolic::VarId],
@@ -128,32 +118,24 @@ pub(crate) fn partition_for(
     let unreadable: Vec<_> = cx.var_ids().into_iter().filter(|v| !read.contains(v)).collect();
     let expandable: Vec<_> = read.iter().copied().filter(|v| !write.contains(v)).collect();
 
-    // Line 5: Δ_j — write-restriction filter.
-    let frame = realizability::write_ok(cx, &unwritable);
-    let mut cand = cx.mgr().and(delta, frame);
-    let t_universe = cx.transition_universe();
-    cand = cx.mgr().and(cand, t_universe);
-
+    // Line 5: Δ_j.
+    let mut cand = candidates(cx, &unwritable, delta);
     if cand == FALSE {
         return Ok(FALSE);
     }
     if opts.step2_closed_form {
         stats.cancel_checks += 1;
         token.check_governed(cx)?;
-        // Groups are disjoint equivalence classes, so the fixpoint of the
-        // pick/drop loop below is exactly the union of classes fully
-        // contained in Δ_j:  Δ_j − group(group(Δ_j) − Δ_j).
-        let closure = realizability::group(cx, &unreadable, cand);
-        let missing = cx.mgr().diff(closure, cand);
-        let bad = realizability::group(cx, &unreadable, missing);
-        let keep = cx.mgr().diff(cand, bad);
+        let keep = complete_groups(cx, &unreadable, cand);
         stats.step2_picks += 1;
         c_picks.inc();
         if keep != FALSE {
             stats.groups_kept += 1;
             c_kept.inc();
         }
-        if bad != FALSE {
+        // Every incomplete group is the group of some step of Δ_j, so a
+        // group was dropped iff `keep` lost a step.
+        if keep != cand {
             stats.groups_dropped += 1;
             c_dropped.inc();
         }
@@ -206,6 +188,50 @@ pub(crate) fn partition_for(
         c_kept.inc();
     }
     Ok(delta_j)
+}
+
+/// Line 5: `Δ_j`, the steps of `delta` that a process whose unwritable
+/// set is `unwritable` may take and that stay inside the transition
+/// universe: `δ ∧ (write_ok_j ∧ t_universe)`. The two small constraints
+/// are conjoined first, so `δ` meets them in one product.
+pub fn candidates(
+    cx: &mut SymbolicContext,
+    unwritable: &[ftrepair_symbolic::VarId],
+    delta: NodeId,
+) -> NodeId {
+    let frame = realizability::write_ok(cx, unwritable);
+    let t_universe = cx.transition_universe();
+    let legal = cx.mgr().and(frame, t_universe);
+    cx.mgr().and(delta, legal)
+}
+
+/// The closed form of Lines 7–22: the union of the groups (over the
+/// unreadable set `unreadable`) that lie wholly inside `cand`, which is
+/// the fixpoint of the pick/drop loop because groups are disjoint
+/// equivalence classes. It equals `Δ_j − group(group(Δ_j) − Δ_j)`, in one
+/// relational product instead of two group abstractions:
+///
+/// `δ_j = Δ_j ∖ ∃U,U′.(tie_U ∧ dom_U ∧ ¬Δ_j)`
+///
+/// A step of `Δ_j` survives iff every member of its group — the same step
+/// with `U = U′` set to any value in `U`'s domain — is in `Δ_j`. Line 5
+/// keeps every step of `Δ_j` inside `tie_U` (`W ⊆ R`, so `U` is
+/// unwritable) and inside `dom_U` (the transition universe), which is what
+/// makes the two forms equal.
+fn complete_groups(
+    cx: &mut SymbolicContext,
+    unreadable: &[ftrepair_symbolic::VarId],
+    cand: NodeId,
+) -> NodeId {
+    let mut members = cx.unchanged_all(unreadable);
+    for &v in unreadable {
+        let dom = cx.domain_cur(v);
+        members = cx.mgr().and(members, dom);
+    }
+    let outside = cx.mgr().not(cand);
+    let both = cx.both_varset(unreadable);
+    let incomplete = cx.mgr().and_exists(members, outside, both);
+    cx.mgr().diff(cand, incomplete)
 }
 
 #[cfg(test)]

@@ -1,9 +1,12 @@
 //! Golden test for `--trace-out`: run the real binary on `token_ring.ftr`,
 //! parse the emitted Chrome `trace_event` JSON, and check the span tree —
 //! Step 1 / Step 2 and the fixpoint spans must all nest under one job root.
+//! A traced in-process repair checks that Step 1's phase spans account for
+//! its time.
 
+use ftrepair::repair::{lazy_repair_traced, RepairOptions};
 use ftrepair::telemetry::trace::parse_trace_id;
-use ftrepair::telemetry::Json;
+use ftrepair::telemetry::{Json, Telemetry};
 use std::collections::HashMap;
 use std::process::Command;
 
@@ -93,6 +96,11 @@ fn trace_out_on_token_ring_nests_phases_under_one_job_root() {
         assert!(chain.contains(&"step1".to_string()), "{fix} not under step1: {chain:?}");
         assert_eq!(chain.last().map(String::as_str), Some("job"), "{fix} chain: {chain:?}");
     }
+    // Phases 1 and 3 run inside the prelude.
+    for phase in ["step1.ms_fixpoint", "step1.reachability"] {
+        let chain = ancestry(find(phase));
+        assert_eq!(chain[1..3], ["step1.prelude", "step1"], "bad nesting for {phase}");
+    }
 
     // Phase 5 reports its rounds, its rank diagram and its product's size.
     let ranking_args = events
@@ -115,4 +123,25 @@ fn trace_out_on_token_ring_nests_phases_under_one_job_root() {
         .expect("job span args");
     assert_eq!(job_args.get("case").and_then(Json::as_str), Some("token_ring"));
     assert_eq!(job_args.get("trace_id").and_then(Json::as_str), Some(hex));
+}
+
+#[test]
+fn step1_phase_spans_cover_a_byzantine_repair() {
+    let (mut prog, _) = ftrepair::casestudies::byzantine_agreement(4);
+    let tele = Telemetry::with_spans(false);
+    let out = lazy_repair_traced(&mut prog, &RepairOptions::default(), &tele).unwrap();
+    assert!(!out.failed);
+    let spans = tele.take_spans();
+    let step1: Vec<u64> = spans.iter().filter(|r| r.name == "step1").map(|r| r.id).collect();
+    assert!(!step1.is_empty(), "no step1 span");
+    let total: u64 = spans.iter().filter(|r| step1.contains(&r.id)).map(|r| r.dur_ns).sum();
+    let children: Vec<_> = spans.iter().filter(|r| step1.contains(&r.parent)).collect();
+    let covered: u64 = children.iter().map(|r| r.dur_ns).sum();
+    let mut names: Vec<&str> = children.iter().map(|r| r.name.as_str()).collect();
+    names.dedup();
+    assert!(
+        covered as f64 >= 0.95 * total as f64,
+        "step1's child spans {names:?} cover {covered} of {total} ns"
+    );
+    assert!(names.contains(&"step1.prelude"), "{names:?}");
 }
