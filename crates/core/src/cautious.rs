@@ -152,9 +152,15 @@ fn cautious_repair_inner(
         }
         h_group.observe_duration(group_started.elapsed());
 
-        // Fixpoint updates against the *grouped* relation.
+        // Fixpoint updates against the *grouped* relation, from T₁ only.
+        // Every step of `p1` that starts in T₁ is an allowed step into T₁,
+        // so a path from T₁ to S₁ never leaves T₁; Line 1's free steps
+        // from outside T₁ can jump anywhere but never change
+        // `T₁ ∧ can_reach`. Lazy's Phase 4 searches the allowed relation
+        // alone for the same reason.
         let cx = &mut prog.cx;
-        let can_reach = cx.backward_reachable(s1, p1);
+        let from_span = cx.mgr().and(p1, t1);
+        let can_reach = cx.backward_reachable(s1, from_span);
         let mut t1_new = cx.mgr().and(t1, can_reach);
         loop {
             token.check_governed(cx)?;

@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use std::ops::ControlFlow;
 
 /// A fully-enumerated distributed program.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExplicitProgram {
     /// State indexing.
     pub space: StateSpace,

@@ -15,41 +15,141 @@
 //! tier's policy — so the daemon's memory stays flat no matter how many
 //! distinct specs it has seen, and a hot key survives capacity pressure
 //! from a stream of one-off specs.
+//!
+//! A repeated request parses nothing and serializes nothing: the
+//! [`PrepareMemo`] recalls the content key of a byte-identical body, and
+//! each [`CacheEntry`] holds its response serialized once, so a reply is a
+//! copy with two fields spliced in.
 
 use crate::job::SimStatus;
+use ftrepair_telemetry::trace::format_trace_id;
 use ftrepair_telemetry::{Counter, Json, Telemetry};
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex};
 
 /// The content address of a (canonical spec, options fingerprint) pair —
 /// shared with the disk tier.
 pub use ftrepair_store::content_key;
 
-/// One cached repair: the `/repair` response document plus, for instances
-/// small enough to enumerate, the explicit bundle `/simulate` replays.
+/// One cached repair: the `/repair` response, serialized once, plus, for
+/// instances small enough to enumerate, the explicit bundle `/simulate`
+/// replays.
 pub struct CacheEntry {
     /// Content address of this entry (hex).
     pub key: String,
-    /// The full `/repair` response body (without the `cached` flag, which
-    /// is stamped per response).
-    pub response: Json,
+    /// Did the algorithm declare failure (no repair exists)? `/simulate`
+    /// refuses such entries.
+    pub failed: bool,
+    /// The response's `case` field (the program name), which `/simulate`
+    /// echoes.
+    pub case: Json,
     /// Explicit-state bundle for fault-injection simulation, or the
     /// precise reason `/simulate` must refuse this entry.
     pub sim: SimStatus,
+    /// The `/repair` response document, serialized once. It never carries
+    /// the per-reply `cached` and `trace_id` fields; [`CacheEntry::reply`]
+    /// appends them.
+    body: String,
 }
 
-struct Inner {
-    map: HashMap<String, Arc<CacheEntry>>,
-    /// Front = least recently used. A hit moves the key to the back; the
-    /// O(n) reposition is fine at the default capacity (256).
-    order: VecDeque<String>,
+impl CacheEntry {
+    /// The entry for `response`, a JSON object without `cached` or
+    /// `trace_id` keys: every reply appends those two after the
+    /// document's own fields, which is where setting them would put them.
+    pub fn new(key: String, response: &Json, sim: SimStatus) -> CacheEntry {
+        let fields = response.as_obj().expect("a repair response is a JSON object");
+        assert!(
+            fields.iter().all(|(k, _)| k != "cached" && k != "trace_id"),
+            "a cached response must not carry the per-reply cached/trace_id fields"
+        );
+        CacheEntry {
+            key,
+            failed: response.get("failed").and_then(Json::as_bool) == Some(true),
+            case: response.get("case").cloned().unwrap_or(Json::Null),
+            sim,
+            body: response.to_string(),
+        }
+    }
+
+    /// The `/repair` reply body: the stored document with
+    /// `"cached":…,"trace_id":"…"` spliced in before its closing brace —
+    /// byte for byte what setting both fields on the response and
+    /// serializing it gives, without re-serializing anything.
+    pub fn reply(&self, cached: bool, trace_id: u64) -> String {
+        let open = &self.body[..self.body.len() - 1];
+        let mut out = String::with_capacity(self.body.len() + 48);
+        out.push_str(open);
+        if open.len() > 1 {
+            out.push(',');
+        }
+        out.push_str(if cached { "\"cached\":true" } else { "\"cached\":false" });
+        out.push_str(",\"trace_id\":\"");
+        out.push_str(&format_trace_id(trace_id));
+        out.push_str("\"}");
+        out
+    }
+}
+
+/// A map bounded to `capacity` entries with least-recently-used eviction.
+/// Front of `order` = least recently used; a hit moves its key to the
+/// back, an O(n) reposition that is fine at the default capacity (256).
+struct Lru<K, V> {
+    map: HashMap<K, V>,
+    order: VecDeque<K>,
+    capacity: usize,
+}
+
+impl<K: Hash + Eq + Clone, V: Clone> Lru<K, V> {
+    fn new(capacity: usize) -> Lru<K, V> {
+        Lru { map: HashMap::new(), order: VecDeque::new(), capacity: capacity.max(1) }
+    }
+
+    /// The value under `key`, marked most recently used.
+    fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let value = self.map.get(key)?.clone();
+        if let Some(pos) = self.order.iter().position(|k| k.borrow() == key) {
+            let k = self.order.remove(pos).expect("position is in range");
+            self.order.push_back(k);
+        }
+        Some(value)
+    }
+
+    /// Insert or replace `key`'s value and mark it most recently used.
+    /// Returns how many entries were evicted to stay within capacity.
+    fn insert(&mut self, key: K, value: V) -> u64 {
+        if self.map.insert(key.clone(), value).is_some() {
+            if let Some(pos) = self.order.iter().position(|k| *k == key) {
+                self.order.remove(pos);
+            }
+            self.order.push_back(key);
+            return 0;
+        }
+        self.order.push_back(key);
+        let mut evicted = 0;
+        while self.order.len() > self.capacity {
+            if let Some(old) = self.order.pop_front() {
+                self.map.remove(&old);
+                evicted += 1;
+            }
+        }
+        evicted
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
+    }
 }
 
 /// The cache. Hit/miss/eviction counts feed the server's telemetry
 /// registry, so they show up in `GET /metrics` and the JSONL reports.
 pub struct ResultCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
+    inner: Mutex<Lru<String, Arc<CacheEntry>>>,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -60,8 +160,7 @@ impl ResultCache {
     /// `tele`'s registry.
     pub fn new(capacity: usize, tele: &Telemetry) -> ResultCache {
         ResultCache {
-            inner: Mutex::new(Inner { map: HashMap::new(), order: VecDeque::new() }),
-            capacity: capacity.max(1),
+            inner: Mutex::new(Lru::new(capacity)),
             hits: tele.counter("server.cache.hits"),
             misses: tele.counter("server.cache.misses"),
             evictions: tele.counter("server.cache.evictions"),
@@ -71,22 +170,12 @@ impl ResultCache {
     /// Look up a content address, counting the hit or miss. A hit marks the
     /// key most-recently-used.
     pub fn get(&self, key: &str) -> Option<Arc<CacheEntry>> {
-        let mut inner = self.inner.lock().unwrap();
-        match inner.map.get(key) {
-            Some(entry) => {
-                let entry = Arc::clone(entry);
-                self.hits.inc();
-                if let Some(pos) = inner.order.iter().position(|k| k == key) {
-                    inner.order.remove(pos);
-                    inner.order.push_back(key.to_string());
-                }
-                Some(entry)
-            }
-            None => {
-                self.misses.inc();
-                None
-            }
+        let entry = self.inner.lock().unwrap().get(key);
+        match &entry {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        entry
     }
 
     /// Insert an entry, evicting the least recently used when full.
@@ -94,28 +183,81 @@ impl ResultCache {
     /// recency without growing the queue.
     pub fn insert(&self, entry: CacheEntry) -> Arc<CacheEntry> {
         let entry = Arc::new(entry);
-        let mut inner = self.inner.lock().unwrap();
-        if inner.map.insert(entry.key.clone(), Arc::clone(&entry)).is_none() {
-            inner.order.push_back(entry.key.clone());
-            while inner.order.len() > self.capacity {
-                if let Some(old) = inner.order.pop_front() {
-                    inner.map.remove(&old);
-                    self.evictions.inc();
-                }
-            }
-        } else if let Some(pos) = inner.order.iter().position(|k| k == &entry.key) {
-            inner.order.remove(pos);
-            inner.order.push_back(entry.key.clone());
+        let evicted = self.inner.lock().unwrap().insert(entry.key.clone(), Arc::clone(&entry));
+        if evicted > 0 {
+            self.evictions.add(evicted);
         }
         entry
     }
 
     /// Entries currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().map.len()
+        self.inner.lock().unwrap().len()
     }
 
     /// Is the cache empty?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// What [`crate::job::prepare`] derived from one exact request body.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Prepared {
+    /// The content key (see [`content_key`]).
+    pub key: String,
+    /// The program name from the spec.
+    pub name: String,
+}
+
+/// The prepare memo: SHA-256 of (options fingerprint, exact request body)
+/// to the content key and program name `job::prepare` derived from them.
+///
+/// A repeated request costs one digest and one lookup here instead of a
+/// parse, an unparse and a SHA-256 of the canonical text. Only bodies that
+/// prepared successfully are remembered, and only byte-identical repeats
+/// hit: a reformatted copy misses here and still reaches its entry through
+/// `prepare`'s canonical key. Bounded like [`ResultCache`] (same
+/// capacity, LRU), so a stream of one-off bodies cannot grow it.
+pub struct PrepareMemo {
+    inner: Mutex<Lru<[u8; 32], Arc<Prepared>>>,
+}
+
+impl PrepareMemo {
+    /// A memo holding at most `capacity` bodies.
+    pub fn new(capacity: usize) -> PrepareMemo {
+        PrepareMemo { inner: Mutex::new(Lru::new(capacity)) }
+    }
+
+    /// The memo address of `body` submitted under the options
+    /// `fingerprint` ([`crate::job::options_fingerprint`]).
+    pub fn address(fingerprint: &str, body: &[u8]) -> [u8; 32] {
+        let mut material = Vec::with_capacity(fingerprint.len() + 1 + body.len());
+        material.extend_from_slice(fingerprint.as_bytes());
+        material.push(b'\n');
+        material.extend_from_slice(body);
+        ftrepair_store::sha256(&material)
+    }
+
+    /// What an earlier request with this address prepared to, marked most
+    /// recently used.
+    pub fn get(&self, address: &[u8; 32]) -> Option<Arc<Prepared>> {
+        self.inner.lock().unwrap().get(address)
+    }
+
+    /// Remember what the request at `address` prepared to.
+    pub fn insert(&self, address: [u8; 32], prepared: Prepared) -> Arc<Prepared> {
+        let prepared = Arc::new(prepared);
+        self.inner.lock().unwrap().insert(address, Arc::clone(&prepared));
+        prepared
+    }
+
+    /// Bodies currently remembered.
+    pub fn len(&self) -> usize {
+        self.inner.lock().unwrap().len()
+    }
+
+    /// Is the memo empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -187,7 +329,92 @@ mod tests {
     use super::*;
 
     fn entry(key: &str) -> CacheEntry {
-        CacheEntry { key: key.to_string(), response: Json::obj(), sim: SimStatus::Unavailable }
+        CacheEntry::new(key.to_string(), &Json::obj(), SimStatus::Unavailable)
+    }
+
+    /// What a reply was before entries kept their serialized body: clone
+    /// the document, set both per-reply fields, serialize.
+    fn set_and_serialize(response: &Json, cached: bool, trace_id: u64) -> String {
+        let mut body = response.clone();
+        body.set("cached", cached.into());
+        body.set("trace_id", format_trace_id(trace_id).into());
+        body.to_string()
+    }
+
+    #[test]
+    fn replies_splice_exactly_what_setting_the_fields_serializes() {
+        let mut report = Json::obj();
+        report.set("phases_s", Json::Arr(vec![0.000123.into(), 1.5.into()]));
+        let mut response = Json::obj();
+        response.set("ok", true.into());
+        response.set("case", "toggle \"ünï\"".into());
+        response.set("failed", false.into());
+        response.set("program", "// repaired\n(x = 2) -> x := 0;\t\\".into());
+        response.set("report", report);
+        for doc in [response, Json::obj()] {
+            let entry = CacheEntry::new("k".into(), &doc, SimStatus::Unavailable);
+            for (cached, trace_id) in [(false, 1), (true, 0xc1c1_c1c1), (true, u64::MAX)] {
+                assert_eq!(
+                    entry.reply(cached, trace_id),
+                    set_and_serialize(&doc, cached, trace_id)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn entries_keep_the_fields_simulate_reads() {
+        let mut response = Json::obj();
+        response.set("case", "toggle".into());
+        response.set("failed", true.into());
+        let full = CacheEntry::new("k".into(), &response, SimStatus::Unavailable);
+        assert!(full.failed);
+        assert_eq!(full.case, Json::from("toggle"));
+        let bare = entry("k");
+        assert!(!bare.failed);
+        assert_eq!(bare.case, Json::Null);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-reply")]
+    fn entries_never_carry_a_cached_flag() {
+        let mut response = Json::obj();
+        response.set("cached", false.into());
+        CacheEntry::new("k".into(), &response, SimStatus::Unavailable);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-reply")]
+    fn entries_never_carry_a_trace_id() {
+        let mut response = Json::obj();
+        response.set("trace_id", "00000000c1c1c1c1".into());
+        CacheEntry::new("k".into(), &response, SimStatus::Unavailable);
+    }
+
+    #[test]
+    fn memo_addresses_bodies_under_their_options() {
+        let body = b"program p;\n";
+        let lazy = PrepareMemo::address("lazy:r1c1e1p0t1m32:auto", body);
+        assert_eq!(lazy, PrepareMemo::address("lazy:r1c1e1p0t1m32:auto", body));
+        assert_ne!(lazy, PrepareMemo::address("cautious:r1c1e1p0t1m32:auto", body));
+        assert_ne!(lazy, PrepareMemo::address("lazy:r1c1e1p0t1m32:auto", b"program p; \n"));
+    }
+
+    #[test]
+    fn memo_is_bounded_lru() {
+        let memo = PrepareMemo::new(4);
+        let prepared = |i: usize| Prepared { key: format!("key{i}"), name: format!("p{i}") };
+        let address = |i: usize| PrepareMemo::address("lazy", format!("body {i}").as_bytes());
+        memo.insert(address(0), prepared(0));
+        for i in 1..14 {
+            // Touching body 0 between one-offs keeps it resident.
+            assert_eq!(memo.get(&address(0)).as_deref(), Some(&prepared(0)), "after {i}");
+            memo.insert(address(i), prepared(i));
+            assert!(memo.len() <= 4);
+        }
+        assert_eq!(memo.len(), 4);
+        assert!(memo.get(&address(1)).is_none(), "least recently used evicted");
+        assert_eq!(memo.get(&address(13)).as_deref(), Some(&prepared(13)));
     }
 
     #[test]

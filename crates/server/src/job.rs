@@ -161,7 +161,7 @@ pub fn prepare(source: &str, mode: Mode, opts: RepairOptions) -> Result<JobSpec,
 /// Everything `/simulate` needs, explicit and manager-free so it can live
 /// in the cache across jobs (BDD node ids die with their manager; state
 /// indices do not).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimBundle {
     /// The original program, fully enumerated (faults, bad states/trans).
     pub explicit: ExplicitProgram,
@@ -559,36 +559,46 @@ fn render_repaired(prog: &mut ftrepair_program::DistributedProgram, out: &LazyOu
     text
 }
 
+/// [`SimStatus::TooLarge`] when the state space, the product of these
+/// variable domain sizes, exceeds [`SIM_STATE_CAP`]: with the exact count,
+/// or with `None` when a size or the product overflows `u64` (a different
+/// refusal). `None` when the space is within the cap.
+fn too_large(sizes: impl IntoIterator<Item = Option<u64>>) -> Option<SimStatus> {
+    match sizes.into_iter().try_fold(1u64, |states, size| states.checked_mul(size?)) {
+        Some(n) if n <= SIM_STATE_CAP => None,
+        states => Some(SimStatus::TooLarge { states }),
+    }
+}
+
 /// Enumerate the repaired program if it is small enough; otherwise report
-/// exactly how oversized it is (count, or `None` when the product of the
-/// variable domains overflows `u64` — those are different refusals).
+/// exactly how oversized it is.
 fn build_sim_bundle(
     prog: &mut ftrepair_program::DistributedProgram,
     trans: NodeId,
     invariant: NodeId,
 ) -> SimStatus {
-    let mut states: Option<u64> = Some(1);
-    for v in prog.cx.var_ids() {
-        states = states.and_then(|s| s.checked_mul(prog.cx.info(v).size));
+    if let Some(refusal) = too_large(prog.cx.var_ids().iter().map(|&v| Some(prog.cx.info(v).size)))
+    {
+        return refusal;
     }
-    match states {
-        Some(n) if n <= SIM_STATE_CAP => {
-            let explicit = ExplicitProgram::from_symbolic(prog);
-            let trans = bdd_to_edges(prog, &explicit.space, trans);
-            let invariant = bdd_to_states(prog, &explicit.space, invariant);
-            SimStatus::Ready(Box::new(SimBundle { explicit, trans, invariant }))
-        }
-        over => SimStatus::TooLarge { states: over },
-    }
+    let explicit = ExplicitProgram::from_symbolic(prog);
+    let trans = bdd_to_edges(prog, &explicit.space, trans);
+    let invariant = bdd_to_states(prog, &explicit.space, invariant);
+    SimStatus::Ready(Box::new(SimBundle { explicit, trans, invariant }))
 }
 
 /// Reconstruct the `/simulate` bundle for a repair promoted from the disk
 /// store: recompile the spec and import the stored transition-relation and
-/// invariant artifacts. A missing artifact or an import mismatch yields
-/// [`SimStatus::Unavailable`]; an oversized state space yields the same
-/// [`SimStatus::TooLarge`] a fresh repair would — each refuses `/simulate`
-/// with its own explanation.
+/// invariant artifacts. An oversized state space yields the same
+/// [`SimStatus::TooLarge`] a fresh repair would, decided from the spec's
+/// declared domains before any of that work (the compiler sizes variable
+/// `0..hi` as `hi + 1` values). A missing artifact or an import mismatch
+/// yields [`SimStatus::Unavailable`]. Each refuses `/simulate` with its own
+/// explanation.
 pub fn rebuild_sim_bundle(ast: &Ast, artifacts: &[(String, SerializedBdd)]) -> SimStatus {
+    if let Some(refusal) = too_large(ast.vars.iter().map(|decl| decl.hi.checked_add(1))) {
+        return refusal;
+    }
     let Ok(mut prog) = ftrepair_lang::compile(ast) else {
         return SimStatus::Unavailable;
     };
@@ -765,6 +775,46 @@ mod tests {
         assert!(status.refusal().contains("state space exceeds"), "{}", status.refusal());
         assert!(status.refusal().contains("10000"), "{}", status.refusal());
         assert!(status.ready().is_none());
+    }
+
+    #[test]
+    fn disk_rebuilds_give_the_bundle_or_refusal_of_the_miss_path() {
+        let repaired = |text: &str| {
+            let spec = prepare(text, Mode::Lazy, RepairOptions::default()).unwrap();
+            let token = Token::from_options(&spec.opts);
+            let result = execute(&spec, &Telemetry::off(), true, &token, None, true).unwrap();
+            assert!(result.artifacts.is_some(), "a verified repair exports");
+            (spec, result)
+        };
+
+        // Within the cap, the stored artifacts rebuild the very bundle the
+        // repair built.
+        let (spec, miss) = repaired(&chain_spec(4, 3));
+        let rebuilt = rebuild_sim_bundle(&spec.ast, miss.artifacts.as_deref().unwrap());
+        assert!(miss.sim.ready().is_some(), "256 states is under the cap");
+        assert_eq!(rebuilt.ready(), miss.sim.ready());
+
+        // Over the cap (4^7 states), the refusal is the miss path's and is
+        // decided from the spec's domains alone: it needs no artifact.
+        let (spec, miss) = repaired(&chain_spec(7, 3));
+        let over = |status: &SimStatus| match status {
+            SimStatus::TooLarge { states } => *states,
+            other => panic!("expected TooLarge, got {other:?}"),
+        };
+        assert_eq!(over(&miss.sim), Some(16_384));
+        assert_eq!(
+            over(&rebuild_sim_bundle(&spec.ast, miss.artifacts.as_deref().unwrap())),
+            Some(16_384)
+        );
+        assert_eq!(over(&rebuild_sim_bundle(&spec.ast, &[])), Some(16_384));
+
+        // A count that overflows u64 is refused the same way.
+        let wide = (0..5).map(|i| format!("var w{i} : 0..65535;\n")).collect::<String>();
+        let ast = ftrepair_lang::parse(
+            &TOGGLE.replace("var x : 0..2;", &format!("var x : 0..2;\n{wide}")),
+        )
+        .unwrap();
+        assert_eq!(over(&rebuild_sim_bundle(&ast, &[])), None);
     }
 
     #[test]

@@ -31,8 +31,10 @@
 //! One lifecycle serves every job, whether a request or a journal replay
 //! at boot: poison check, memory cache, single-flight, store tier,
 //! journal, warm seed, the guarded [`job::execute`], and one
-//! classification of how it ended. The CLI's `repair` and `simulate` run
-//! the same [`job::prepare`] → [`job::execute`] pipeline.
+//! classification of how it ended. A request whose exact body was prepared
+//! before enters it through the [`cache::PrepareMemo`] without being
+//! parsed again. The CLI's `repair` and `simulate` run the same
+//! [`job::prepare`] → [`job::execute`] pipeline.
 //!
 //! Backpressure: the job queue is bounded; when it is full new connections
 //! are answered `429` immediately. Shutdown: SIGTERM/ctrl-c stops the

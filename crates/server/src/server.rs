@@ -13,7 +13,7 @@
 //!   already accepted before the scope joins them.
 
 use crate::breaker::Breaker;
-use crate::cache::{CacheEntry, PoisonList, ResultCache};
+use crate::cache::{CacheEntry, PoisonList, PrepareMemo, Prepared, ResultCache};
 use crate::flight::InFlight;
 use crate::http::{self, Request};
 use crate::introspect::{JobRecord, JobRing, JobStatus, JOB_RING_CAP};
@@ -144,6 +144,9 @@ struct Shared {
     /// worker that pops it can record the queue wait.
     queue: JobQueue<(TcpStream, Instant)>,
     cache: ResultCache,
+    /// Exact request bodies already prepared, so a repeat skips
+    /// `job::prepare` (bounded by the cache's capacity).
+    memo: PrepareMemo,
     /// The durable tier under the in-memory cache; `None` when the daemon
     /// runs without `--store-dir`.
     store: Option<Arc<DiskStore>>,
@@ -339,19 +342,19 @@ impl Shared {
     /// Record a job panic: count it, flag health, quarantine the key, and
     /// put the payload in the JSONL stream so a postmortem has it even
     /// after the process is gone.
-    fn quarantine(&self, spec: &job::JobSpec, why: &str) {
+    fn quarantine(&self, job: &JobRecord, why: &str) {
         self.tele.add("server.workers.panics", 1);
         self.note_worker_fault();
-        if self.poison.insert(&spec.key) {
+        if self.poison.insert(&job.key) {
             self.tele.add("server.jobs.quarantined", 1);
         }
-        let mut report = RunReport::new(&spec.name, "panic");
-        report.set("server_key", spec.key.as_str().into());
+        let mut report = RunReport::new(&job.case, "panic");
+        report.set("server_key", job.key.as_str().into());
         report.set("panic", why.into());
         self.append_report(&report);
         eprintln!(
             "ftrepair-server: repair of {} panicked ({why}); key {} quarantined",
-            spec.name, spec.key
+            job.case, job.key
         );
     }
 
@@ -582,6 +585,7 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_cap),
             cache,
+            memo: PrepareMemo::new(config.cache_cap),
             store,
             breaker,
             // Same bound as the connection queue: a burst beyond it drops
@@ -983,18 +987,18 @@ fn replay_job(shared: &Shared, rec: &JournalRecord) {
     let record =
         JobRecord::new(trace_id, &spec.name, spec.mode.as_str(), &spec.key, Duration::ZERO);
     shared.jobs.push(Arc::clone(&record));
-    match run_job(shared, &spec, &record, Origin::Replay) {
+    match run_job(shared, &record, Origin::Replay, || Ok(spec)) {
         // Already in a tier: the crash came after the result landed but
         // before the done record did, or a live client raced the replay.
         Ok((_, Tier::Memory | Tier::Disk)) => {
             record.finish(JobStatus::Recovered);
-            shared.journal_done(&spec.key, "recovered-cached");
+            shared.journal_done(&rec.key, "recovered-cached");
         }
         Ok((_, Tier::Computed)) => {}
         Err(reply) => {
             eprintln!(
                 "ftrepair-server: replay of {} ended {} {}",
-                spec.key, reply.status, reply.body
+                rec.key, reply.status, reply.body
             )
         }
     }
@@ -1165,6 +1169,7 @@ fn handle_metrics(shared: &Shared, format: Option<&str>) -> Reply {
     shared.tele.set_gauge("server.uptime_seconds", shared.started.elapsed().as_secs());
     shared.tele.set_gauge("server.queue.depth", shared.queue.len() as u64);
     shared.tele.set_gauge("server.cache.entries", shared.cache.len() as u64);
+    shared.tele.set_gauge("server.memo.entries", shared.memo.len() as u64);
     shared.tele.set_gauge("server.jobs.quarantined_keys", shared.poison.len() as u64);
     if shared.store.is_some() {
         // store.bytes / store.entries are published by the store itself on
@@ -1287,11 +1292,11 @@ enum Ending {
     Failed(ExecError),
 }
 
-/// Run a request through the cache: parse and prepare, record, then the
-/// shared lifecycle. Returns the entry plus whether a tier served it, or
-/// the error reply. Every request that survives `prepare` — cache hits
-/// included — gets a [`JobRecord`] in the introspection ring under its own
-/// trace ID.
+/// Run a request through the cache: prepare (or recall an earlier prepare
+/// of the same body), record, then the shared lifecycle. Returns the entry
+/// plus whether a tier served it, or the error reply. Every request that
+/// survives `prepare` — cache hits included — gets a [`JobRecord`] in the
+/// introspection ring under its own trace ID.
 fn cached_repair(
     shared: &Shared,
     req: &Request,
@@ -1303,12 +1308,25 @@ fn cached_repair(
         return Err(Reply::error(400, "empty request body: POST the .ftr spec text"));
     }
     let (mode, opts) = job_params(req, shared.job_max_nodes).map_err(|m| Reply::error(400, &m))?;
-    let spec = job::prepare(source, mode, opts).map_err(|m| Reply::error(400, &m))?;
+
+    // A body prepared before under the same options is recalled from the
+    // memo: its key and name are all the memory tier needs, and the
+    // lifecycle parses the body again only if it has to execute it.
+    let address = PrepareMemo::address(&job::options_fingerprint(mode, &opts), &req.body);
+    let (known, spec) = match shared.memo.get(&address) {
+        Some(known) => (known, None),
+        None => {
+            let spec = job::prepare(source, mode, opts).map_err(|m| Reply::error(400, &m))?;
+            let known = Prepared { key: spec.key.clone(), name: spec.name.clone() };
+            (shared.memo.insert(address, known), Some(spec))
+        }
+    };
 
     let record =
-        JobRecord::new(ctx.trace_id, &spec.name, spec.mode.as_str(), &spec.key, ctx.queue_wait);
+        JobRecord::new(ctx.trace_id, &known.name, mode.as_str(), &known.key, ctx.queue_wait);
     shared.jobs.push(Arc::clone(&record));
-    let (entry, tier) = run_job(shared, &spec, &record, Origin::Request(ctx.trace_id))?;
+    let prepare = || spec.map_or_else(|| job::prepare(source, mode, opts), Ok);
+    let (entry, tier) = run_job(shared, &record, Origin::Request(ctx.trace_id), prepare)?;
     match tier {
         Tier::Memory => record.finish(JobStatus::CacheHit),
         Tier::Disk => record.finish(JobStatus::DiskHit),
@@ -1322,15 +1340,20 @@ fn cached_repair(
 /// journal start, warm seed, token, the guarded `job::execute`, one
 /// classification of how it ended, and `finalize_success`. A tier hit is
 /// returned for the caller to record; every other ending is recorded here.
+///
+/// The job is `record.key`; `prepare` yields its parsed spec and is called
+/// only once the memory tier has missed and this job leads the flight, so
+/// a prepare-memo hit served from memory never parses.
 fn run_job(
     shared: &Shared,
-    spec: &job::JobSpec,
     record: &JobRecord,
     origin: Origin,
+    prepare: impl FnOnce() -> Result<job::JobSpec, String>,
 ) -> Result<(Arc<CacheEntry>, Tier), Reply> {
     // A replayed record is pending in the journal already, so every ending
     // settles it there; a request is journaled only once it executes.
     let journaled = matches!(origin, Origin::Replay);
+    let key = record.key.as_str();
 
     // Single-flight: the first request for a key becomes the leader and
     // runs the repair; concurrent requests for the same key block in
@@ -1342,13 +1365,13 @@ fn run_job(
         // itself: a resubmission of a spec that panicked the engine — and
         // every follower woken by a panicking leader — is refused here
         // without ever reaching a worker again.
-        if shared.poison.contains(&spec.key) {
-            return Err(end_job(shared, spec, record, journaled, Ending::Quarantined));
+        if shared.poison.contains(key) {
+            return Err(end_job(shared, record, journaled, Ending::Quarantined));
         }
-        if let Some(entry) = shared.cache.get(&spec.key) {
+        if let Some(entry) = shared.cache.get(key) {
             return Ok((entry, Tier::Memory));
         }
-        match shared.inflight.begin(&spec.key) {
+        match shared.inflight.begin(key) {
             Some(guard) => break guard,
             None => continue,
         }
@@ -1357,9 +1380,21 @@ fn run_job(
     // check while the previous leader was still running can acquire the
     // flight right after that leader panicked — without this it would
     // re-execute the crashing spec once per such race.
-    if shared.poison.contains(&spec.key) {
-        return Err(end_job(shared, spec, record, journaled, Ending::Quarantined));
+    if shared.poison.contains(key) {
+        return Err(end_job(shared, record, journaled, Ending::Quarantined));
     }
+    // `prepare` hands back the spec a memo miss or a replay prepared
+    // already, or re-parses a memo hit's body, which prepared to this key
+    // before and so does again; the error arm is only for completeness.
+    let spec = match prepare() {
+        Ok(spec) => spec,
+        Err(message) => {
+            let ending = Ending::Failed(ExecError::Invalid(message));
+            return Err(end_job(shared, record, journaled, ending));
+        }
+    };
+    debug_assert_eq!(spec.key, record.key, "a memo hit prepares to the key it recalled");
+    let spec = &spec;
 
     // The durable tier: an exact key persisted by an earlier process
     // incarnation is promoted into the memory cache — no recomputation,
@@ -1370,11 +1405,7 @@ fn run_job(
     if let Some(stored) = shared.with_store(|store| store.get(&spec.key)).flatten() {
         shared.tele.add("store.promotions", 1);
         let sim = job::rebuild_sim_bundle(&spec.ast, &stored.artifacts);
-        let entry = shared.cache.insert(CacheEntry {
-            key: spec.key.clone(),
-            response: stored.response,
-            sim,
-        });
+        let entry = shared.cache.insert(CacheEntry::new(spec.key.clone(), &stored.response, sim));
         return Ok((entry, Tier::Disk));
     }
 
@@ -1423,7 +1454,7 @@ fn run_job(
         Ok(Err(e)) => Ending::Failed(e),
         Err(payload) => Ending::Panicked(panic_message(payload.as_ref())),
     };
-    Err(end_job(shared, spec, record, true, ending))
+    Err(end_job(shared, record, true, ending))
 }
 
 /// The one classification of a job that ended without a result: its
@@ -1439,20 +1470,14 @@ fn run_job(
 /// forced checkpoint plus the pending record is exactly what the next
 /// boot resumes from. A panic settles too: replaying a deterministic
 /// panic at every boot would be a crash loop, not fault tolerance.
-fn end_job(
-    shared: &Shared,
-    spec: &job::JobSpec,
-    record: &JobRecord,
-    journaled: bool,
-    ending: Ending,
-) -> Reply {
+fn end_job(shared: &Shared, record: &JobRecord, journaled: bool, ending: Ending) -> Reply {
     let quarantined = "quarantined: this spec previously crashed the repair engine";
     let (status, counter, settle, reply) = match ending {
         Ending::Quarantined => {
             (JobStatus::Quarantined, None, Some("quarantined"), Reply::error(422, quarantined))
         }
         Ending::Panicked(why) => {
-            shared.quarantine(spec, &why);
+            shared.quarantine(record, &why);
             let message = "internal error: repair engine panicked; spec quarantined";
             let reply = Reply { job_panicked: true, ..Reply::error(500, message) };
             (JobStatus::Panicked, None, Some("panicked"), reply)
@@ -1484,7 +1509,7 @@ fn end_job(
         shared.tele.add(counter, 1);
     }
     if let (true, Some(reason)) = (journaled, settle) {
-        shared.journal_done(&spec.key, reason);
+        shared.journal_done(&record.key, reason);
     }
     reply
 }
@@ -1543,21 +1568,12 @@ fn finalize_success(
         }
     }
 
-    shared.cache.insert(CacheEntry {
-        key: spec.key.clone(),
-        response: result.response,
-        sim: result.sim,
-    })
+    shared.cache.insert(CacheEntry::new(spec.key.clone(), &result.response, result.sim))
 }
 
 fn handle_repair(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
     match cached_repair(shared, req, ctx) {
-        Ok((entry, cached)) => {
-            let mut body = entry.response.clone();
-            body.set("cached", cached.into());
-            body.set("trace_id", format_trace_id(ctx.trace_id).into());
-            Reply::json(200, body.to_string())
-        }
+        Ok((entry, cached)) => Reply::json(200, entry.reply(cached, ctx.trace_id)),
         Err(reply) => reply,
     }
 }
@@ -1583,7 +1599,7 @@ fn handle_simulate(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
         Ok(pair) => pair,
         Err(reply) => return reply,
     };
-    if entry.response.get("failed").and_then(Json::as_bool) == Some(true) {
+    if entry.failed {
         return Reply::error(422, "no repair exists for this spec; nothing to simulate");
     }
     let bundle = match &entry.sim {
@@ -1604,7 +1620,7 @@ fn handle_simulate(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
     body.set("key", entry.key.as_str().into());
     body.set("cached", cached.into());
     body.set("trace_id", format_trace_id(ctx.trace_id).into());
-    body.set("case", entry.response.get("case").cloned().unwrap_or(Json::Null));
+    body.set("case", entry.case.clone());
     body.set("simulation", job::sim_report_json(&report, seed));
     Reply::json(200, body.to_string())
 }

@@ -82,6 +82,37 @@ fn counter(metrics: &Json, name: &str) -> u64 {
     metrics.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64).unwrap_or(0)
 }
 
+/// A quarantined spec stays refused however it comes back: its exact
+/// repeat is recalled from the prepare memo and a reformatted copy reaches
+/// the same key through `prepare`, and both meet the quarantine (422)
+/// before any worker runs it again.
+#[test]
+fn quarantined_specs_stay_refused_through_the_prepare_memo() {
+    let chaos = Arc::new(Chaos::new());
+    let spec = toggle_spec(7);
+    chaos.panic_on_key(&key_of(&spec));
+    let (addr, handle, join) = start(chaos_config(&chaos));
+
+    let (status, body) = request(addr, "POST", "/repair", &spec);
+    assert_eq!(status, 500, "{body}");
+    let reformatted = format!("// resubmitted\n{spec}");
+    for (path, body) in [("/repair", &spec), ("/simulate", &spec), ("/repair", &reformatted)] {
+        let (status, reply) = request(addr, "POST", path, body);
+        assert_eq!(status, 422, "{path}: {reply}");
+        let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(error.contains("quarantined"), "{reply}");
+    }
+
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(counter(&metrics, "server.workers.panics"), 1, "{metrics}");
+    assert_eq!(counter(&metrics, "server.http.status.422"), 3, "{metrics}");
+    let memo = metrics.get("gauges").and_then(|g| g.get("server.memo.entries"));
+    assert_eq!(memo.and_then(Json::as_u64), Some(2), "{metrics}");
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 /// The ISSUE's acceptance scenario: panics injected on 5 distinct content
 /// keys while 32 concurrent clients hammer the server. Every request must
 /// get a response, the pool must return to full strength, health must

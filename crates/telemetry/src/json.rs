@@ -189,19 +189,28 @@ impl fmt::Display for Json {
     }
 }
 
+/// Write `s` as a JSON string literal. Runs of characters that need no
+/// escape go out in one `write_str`; every escaped character is ASCII, so
+/// each run ends on a char boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -423,6 +432,20 @@ mod tests {
         assert_eq!(arr[0].as_str(), Some("ß"));
         assert_eq!(arr[1].as_str(), Some(""));
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+    }
+
+    #[test]
+    fn escaped_strings_round_trip() {
+        let s = "quote \" backslash \\ \u{1} \u{1f} nl\n cr\r tab\t del\u{7f} ß → 😀 end";
+        let text = Json::from(s).to_string();
+        assert_eq!(
+            text,
+            "\"quote \\\" backslash \\\\ \\u0001 \\u001f nl\\n cr\\r tab\\t del\u{7f} ß → 😀 end\""
+        );
+        assert_eq!(Json::parse(&text).unwrap(), Json::from(s));
+        for edge in ["", "\"", "\u{1}", "😀", "a\\", "\\a"] {
+            assert_eq!(Json::parse(&Json::from(edge).to_string()).unwrap(), Json::from(edge));
+        }
     }
 
     #[test]

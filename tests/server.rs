@@ -148,6 +148,159 @@ fn identical_posts_hit_the_cache_and_metrics_show_it() {
     join.join().unwrap();
 }
 
+/// A gauge from `/metrics` (scrape-time gauges are stamped per scrape).
+fn gauge(addr: SocketAddr, name: &str) -> Option<u64> {
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{metrics}");
+    metrics.get("gauges").and_then(|g| g.get(name)).and_then(Json::as_u64)
+}
+
+fn counter(addr: SocketAddr, name: &str) -> u64 {
+    let (status, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200, "{metrics}");
+    metrics.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64).unwrap_or(0)
+}
+
+/// POST `body` to `path` under trace ID `id`; returns the raw reply body.
+fn post_traced(addr: SocketAddr, path: &str, id: &str, body: &str) -> String {
+    let (status, headers, reply) = request_full(addr, "POST", path, &[("X-Trace-Id", id)], body);
+    assert_eq!(status, 200, "{reply}");
+    assert_eq!(header(&headers, "x-trace-id"), Some(id), "{headers:?}");
+    reply
+}
+
+/// The reply a cache entry gave before entries kept their serialized
+/// body: the response document (the reply without its per-reply fields)
+/// with `cached` and `trace_id` set, serialized.
+fn set_and_serialize(reply: &Json, cached: bool, id: &str) -> String {
+    let Json::Obj(fields) = reply else { panic!("reply is not an object: {reply}") };
+    let fields = fields.iter().filter(|(k, _)| k != "cached" && k != "trace_id").cloned();
+    let mut doc = Json::Obj(fields.collect());
+    doc.set("cached", cached.into());
+    doc.set("trace_id", id.into());
+    doc.to_string()
+}
+
+#[test]
+fn miss_memory_hit_and_disk_replies_are_byte_identical() {
+    let dir = std::env::temp_dir().join(format!("ftrepair-server-splice-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig { store_dir: Some(dir.clone()), ..test_config() };
+    let toggle = spec("toggle_pair.ftr");
+
+    let (addr, handle, join) = start(config.clone());
+    let miss = post_traced(addr, "/repair", "00000000000000a1", &toggle);
+    let hit = post_traced(addr, "/repair", "00000000000000a2", &toggle);
+    // Shutdown drains the store writer, so the entry is on disk after it.
+    handle.shutdown();
+    join.join().unwrap();
+
+    let (addr, handle, join) = start(config);
+    let promoted = post_traced(addr, "/repair", "00000000000000a3", &toggle);
+    let hit_after = post_traced(addr, "/repair", "00000000000000a4", &toggle);
+    assert_eq!(counter(addr, "store.promotions"), 1);
+    assert_eq!(counter(addr, "server.jobs.completed"), 0, "the restarted daemon recomputed");
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let replies = [
+        (&miss, false, "00000000000000a1"),
+        (&hit, true, "00000000000000a2"),
+        (&promoted, true, "00000000000000a3"),
+        (&hit_after, true, "00000000000000a4"),
+    ];
+    for (reply, cached, id) in replies {
+        let parsed = Json::parse(reply).expect("JSON body");
+        assert_eq!(parsed.get("cached").and_then(Json::as_bool), Some(cached), "{reply}");
+        assert_eq!(parsed.get("verified").and_then(Json::as_bool), Some(true), "{reply}");
+        assert_eq!(*reply, set_and_serialize(&parsed, cached, id));
+    }
+    let without_id = |(reply, _, id): (&String, bool, &str)| reply.replace(id, "");
+    let [miss, hit, promoted, hit_after] = replies.map(without_id);
+    assert_eq!(miss.replace("\"cached\":false", "\"cached\":true"), hit);
+    assert_eq!(hit, promoted);
+    assert_eq!(hit, hit_after);
+}
+
+#[test]
+fn repeated_bodies_skip_prepare_and_still_count_as_cache_hits() {
+    let (addr, handle, join) = start(test_config());
+    let toggle = spec("toggle_pair.ftr");
+
+    // A body that fails to parse never enters the memo.
+    let (status, body) = request(addr, "POST", "/repair", "program oops");
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(gauge(addr, "server.memo.entries"), Some(0));
+
+    let miss: Json =
+        Json::parse(&post_traced(addr, "/repair", "00000000000000b1", &toggle)).unwrap();
+    assert_eq!(miss.get("cached").and_then(Json::as_bool), Some(false), "{miss}");
+    assert_eq!(gauge(addr, "server.memo.entries"), Some(1));
+
+    // The exact repeat is recalled from the memo: a memory hit, counted as
+    // one, recorded as one.
+    let hit = Json::parse(&post_traced(addr, "/repair", "00000000000000b2", &toggle)).unwrap();
+    assert_eq!(hit.get("cached").and_then(Json::as_bool), Some(true), "{hit}");
+    assert_eq!(counter(addr, "server.cache.hits"), 1);
+    assert_eq!(counter(addr, "server.cache.misses"), 1);
+    let (status, record) = request(addr, "GET", "/jobs/00000000000000b2", "");
+    assert_eq!(status, 200, "{record}");
+    assert_eq!(record.get("status").and_then(Json::as_str), Some("cache_hit"), "{record}");
+    assert_eq!(record.get("case").and_then(Json::as_str), Some("toggle_pair"), "{record}");
+    assert_eq!(record.get("key"), miss.get("key"), "{record}");
+
+    // A reformatted copy misses the memo and still hits through prepare.
+    let reformatted = format!("// resubmitted\n{toggle}");
+    let copy =
+        Json::parse(&post_traced(addr, "/repair", "00000000000000b3", &reformatted)).unwrap();
+    assert_eq!(copy.get("cached").and_then(Json::as_bool), Some(true), "{copy}");
+    assert_eq!(copy.get("key"), miss.get("key"));
+    assert_eq!(gauge(addr, "server.memo.entries"), Some(2));
+    assert_eq!(counter(addr, "server.cache.hits"), 2);
+
+    // The same body in cautious mode is its own job, never the lazy entry.
+    for (i, cached) in [false, true].into_iter().enumerate() {
+        let id = format!("00000000000000c{i}");
+        let reply = Json::parse(&post_traced(addr, "/repair?mode=cautious", &id, &toggle)).unwrap();
+        assert_eq!(reply.get("cached").and_then(Json::as_bool), Some(cached), "{reply}");
+        assert_eq!(reply.get("mode").and_then(Json::as_str), Some("cautious"), "{reply}");
+        assert_ne!(reply.get("key"), miss.get("key"), "{reply}");
+    }
+    let lazy = Json::parse(&post_traced(addr, "/repair", "00000000000000b4", &toggle)).unwrap();
+    assert_eq!(lazy.get("mode").and_then(Json::as_str), Some("lazy"), "{lazy}");
+    assert_eq!(lazy.get("key"), miss.get("key"));
+    assert_eq!(counter(addr, "server.jobs.completed"), 2, "one lazy and one cautious repair");
+
+    // /simulate recalls the same memo entry.
+    let (status, sim) = request(addr, "POST", "/simulate?runs=20", &toggle);
+    assert_eq!(status, 200, "{sim}");
+    assert_eq!(sim.get("cached").and_then(Json::as_bool), Some(true), "{sim}");
+    assert_eq!(sim.get("case").and_then(Json::as_str), Some("toggle_pair"), "{sim}");
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+#[test]
+fn the_prepare_memo_is_bounded_by_the_cache_capacity() {
+    let config = ServerConfig { cache_cap: 4, ..test_config() };
+    let (addr, handle, join) = start(config);
+    let toggle = spec("toggle_pair.ftr");
+    for i in 0..14 {
+        let renamed = toggle.replacen("program toggle_pair", &format!("program toggle{i}"), 1);
+        let (status, body) = request(addr, "POST", "/repair", &renamed);
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body.get("case").and_then(Json::as_str), Some(format!("toggle{i}").as_str()));
+        assert!(gauge(addr, "server.memo.entries") <= Some(4));
+    }
+    assert_eq!(gauge(addr, "server.memo.entries"), Some(4));
+    assert_eq!(gauge(addr, "server.cache.entries"), Some(4));
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn cache_hits_do_not_wait_on_an_accept_timer() {
     let (addr, handle, join) = start(test_config());
