@@ -15,9 +15,11 @@
 //!
 //! `digests` is not part of `all`: it measures nothing, and prints one
 //! line per repair of a fixed 80-row set (lazy and cautious, heuristic on
-//! and off) with its verdicts and the SHA-256 of its exported roots, so
-//! two builds can be diffed for bit-identical results
-//! (`results/root_digests.txt`).
+//! and off) with its verdicts and the SHA-256 of its exported roots, then
+//! one line per input program at every size the tables run with the
+//! SHA-256 of its invariant, faults, safety specification and process
+//! relations, so two builds can be diffed for bit-identical inputs and
+//! results (`results/root_digests.txt`).
 //!
 //! `--metrics-out <path>` appends every measured row's JSONL run report —
 //! the same schema the CLI's `ftrepair repair --metrics-out` emits — so
@@ -34,9 +36,9 @@
 //! repair may fail: Ablation A reports exactly that.
 
 use ftrepair_bench::{
-    ablation_checkpoint_resume, ablation_warm_start, measure, measure_reach, measure_verify,
-    render, render_checkpoint_resume, render_reach, render_verify, render_warm_start, root_digest,
-    table1, table1_lazy_only, table2, table3, Row,
+    ablation_checkpoint_resume, ablation_warm_start, input_digest, measure, measure_reach,
+    measure_verify, render, render_checkpoint_resume, render_reach, render_verify,
+    render_warm_start, root_digest, table1, table1_lazy_only, table2, table3, Row,
 };
 use ftrepair_casestudies::{
     byzantine_agreement, byzantine_failstop, stabilizing_chain, tmr, token_ring,
@@ -276,21 +278,19 @@ fn run_ablations(tally: &mut Tally, size: Size) {
     }
 }
 
-/// Root parity: every instance of the set, lazy and cautious, with the
-/// reachable-states heuristic on and off, one line each. A row that
-/// repaired must verify; a row may fail, as pure lazy repair does on the
-/// fail-stop model (Ablation A), and the line records it. The sizes do not
-/// grow with `--large`.
-fn run_digests(tally: &mut Tally, _size: Size) {
-    type Factory = Box<dyn Fn() -> ftrepair_program::DistributedProgram>;
+type Factory = Box<dyn Fn() -> ftrepair_program::DistributedProgram>;
+
+/// The case-study instances at the given sizes, labelled as in the
+/// digest rows.
+fn instances(ba: &[usize], bafs: &[usize], chains: &[(&[usize], u64)]) -> Vec<(String, Factory)> {
     let mut instances: Vec<(String, Factory)> = Vec::new();
-    for n in [2, 3, 4, 5, 6, 8] {
+    for &n in ba {
         instances.push((format!("BA^{n}"), Box::new(move || byzantine_agreement(n).0)));
     }
-    for n in 2..=5 {
+    for &n in bafs {
         instances.push((format!("BAFS^{n}"), Box::new(move || byzantine_failstop(n).0)));
     }
-    for (ns, d) in [(&[6, 8, 10, 12][..], 8), (&[4, 6, 8][..], 4)] {
+    for &(ns, d) in chains {
         for &n in ns {
             let label = format!("Sc^{n}(d={d})");
             instances.push((label, Box::new(move || stabilizing_chain(n, d).0)));
@@ -300,8 +300,19 @@ fn run_digests(tally: &mut Tally, _size: Size) {
         instances.push((format!("TMR({n})"), Box::new(move || tmr(n).0)));
     }
     instances.push(("Ring(4,4)".into(), Box::new(|| token_ring(4, 4).0)));
+    instances
+}
 
-    for (label, factory) in &instances {
+/// Root parity: every instance of the set, lazy and cautious, with the
+/// reachable-states heuristic on and off, one line each. A row that
+/// repaired must verify; a row may fail, as pure lazy repair does on the
+/// fail-stop model (Ablation A), and the line records it. Then input
+/// parity: one line per instance at every size the tables run, with the
+/// digests of the program itself. The sizes do not grow with `--large`.
+fn run_digests(tally: &mut Tally, _size: Size) {
+    let repaired =
+        instances(&[2, 3, 4, 5, 6, 8], &[2, 3, 4, 5], &[(&[6, 8, 10, 12], 8), (&[4, 6, 8], 4)]);
+    for (label, factory) in &repaired {
         for cautious in [false, true] {
             for heuristic in [true, false] {
                 let row = root_digest(label.as_str(), factory(), cautious, heuristic);
@@ -313,6 +324,14 @@ fn run_digests(tally: &mut Tally, _size: Size) {
                 }
             }
         }
+    }
+
+    let ba = [2, 3, 4, 5, 6, 8, 10, 12, 16, 20, 24];
+    let chains: [(&[usize], u64); 2] = [(&[6, 8, 10, 12, 14, 16, 20, 25, 30], 8), (&[4, 6, 8], 4)];
+    let mut inputs = instances(&ba, &[2, 3, 4, 5, 6], &chains);
+    inputs.push(("Ring(5,5)".into(), Box::new(|| token_ring(5, 5).0)));
+    for (label, factory) in &inputs {
+        println!("{}", input_digest(label, factory()));
     }
 }
 
