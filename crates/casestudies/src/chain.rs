@@ -1,6 +1,6 @@
 //! The stabilizing chain (`Sc^n` in the paper's tables).
 //!
-//! `n` cells `x.0 … x.{n-1}` over the domain `{0..d-1}`. Cell 0 is the
+//! `n` cells `x0 … x{n-1}` over the domain `{0..d-1}`. Cell 0 is the
 //! root and never changes; every other cell copies its left neighbour when
 //! they differ. The legitimate states are "all cells equal"; transient
 //! faults corrupt any single cell to any value, so the fault-span is the
@@ -12,40 +12,54 @@
 //! measures is the cost of the fixpoints (Step 1) versus the group
 //! enforcement (Step 2) at these state-space sizes.
 
-use ftrepair_program::{DistributedProgram, ProgramBuilder, Update};
+use crate::{compile, var};
+use ftrepair_program::DistributedProgram;
 use ftrepair_symbolic::VarId;
+use std::fmt::Write;
 
 /// Build the stabilizing chain with `n` cells over domain `{0..d-1}`.
 pub fn stabilizing_chain(n: usize, d: u64) -> (DistributedProgram, Vec<VarId>) {
-    assert!(n >= 2, "a chain needs at least two cells");
-    assert!(d >= 2, "cells need at least two values");
-    let mut bld = ProgramBuilder::new(format!("stabilizing-chain-{n}x{d}"));
-    let x: Vec<VarId> = (0..n).map(|i| bld.var(format!("x.{i}"), d)).collect();
+    let prog = compile(&chain_spec(n, d, None));
+    let x = (0..n).map(|i| var(&prog, &format!("x{i}"))).collect();
+    (prog, x)
+}
 
-    // Process i (1..n): reads x.{i-1} and x.i, writes x.i;
-    // action: x.i ≠ x.{i-1} → x.i := x.{i-1}.
+/// The stabilizing chain `Sc^n` over cells `0..d` as spec text.
+///
+/// `edit_cell: Some(c)` adds one action to cell `c` (`1 <= c < n`) whose
+/// transitions the cell's copy action already covers: the program, and so
+/// its repair, is unchanged, but the text, the content key and the
+/// fingerprint move (fingerprint distance 1 from the unedited chain). The
+/// program is named `warmchain…` after the warm-start ablation, the first
+/// user of these texts: the name is part of the text, and so of the
+/// content keys stores already hold.
+pub fn chain_spec(n: usize, d: u64, edit_cell: Option<usize>) -> String {
+    assert!(n >= 2 && d >= 2, "a chain needs two cells of two values");
+    assert!(edit_cell.is_none_or(|c| (1..n).contains(&c)), "edit cell out of range");
+    let mut s = String::new();
+    let suffix = if edit_cell.is_some() { "e" } else { "" };
+    writeln!(s, "program warmchain{n}x{d}{suffix};\n").unwrap();
+    for i in 0..n {
+        writeln!(s, "var x{i} : 0..{};", d - 1).unwrap();
+    }
     for i in 1..n {
-        bld.process(format!("c{i}"), &[x[i - 1], x[i]], &[x[i]]);
-        let eq = bld.cx().vars_equal(x[i - 1], x[i]);
-        let neq = bld.cx().mgr().not(eq);
-        bld.action(neq, &[(x[i], Update::FromVar(x[i - 1]))]);
+        let p = i - 1;
+        writeln!(s, "\nprocess c{i}\n  read x{p}, x{i};\n  write x{i};\nbegin").unwrap();
+        writeln!(s, "  !(x{i} = x{p}) -> x{i} := x{p};").unwrap();
+        if edit_cell == Some(i) {
+            writeln!(s, "  (x{i} < x{p}) -> x{i} := x{p};").unwrap();
+        }
+        writeln!(s, "end").unwrap();
     }
-
-    // Invariant: all cells equal.
-    let mut inv = ftrepair_bdd::TRUE;
-    for i in 1..n {
-        let eq = bld.cx().vars_equal(x[i - 1], x[i]);
-        inv = bld.cx().mgr().and(inv, eq);
+    let choices = (0..d).map(|v| v.to_string()).collect::<Vec<_>>().join(", ");
+    writeln!(s, "\nfault transient\nbegin").unwrap();
+    for i in 0..n {
+        writeln!(s, "  true -> x{i} := {{{choices}}};").unwrap();
     }
-    bld.invariant(inv);
-
-    // Transient faults: any one cell (including the root) jumps anywhere.
-    let all_values: Vec<u64> = (0..d).collect();
-    for &xi in &x {
-        bld.fault_action(ftrepair_bdd::TRUE, &[(xi, Update::Choice(all_values.clone()))]);
-    }
-
-    (bld.build(), x)
+    writeln!(s, "end\n").unwrap();
+    let inv = (1..n).map(|i| format!("(x{} = x{i})", i - 1)).collect::<Vec<_>>().join(" & ");
+    writeln!(s, "invariant {inv};").unwrap();
+    s
 }
 
 #[cfg(test)]
@@ -64,68 +78,34 @@ mod tests {
     }
 
     #[test]
-    fn faults_reach_everything() {
-        let (mut p, _) = stabilizing_chain(3, 2);
-        let init = p.cx.state_cube(&[0, 0, 0]);
-        let combined = {
-            let t = p.program_trans();
-            p.cx.mgr().or(t, p.faults)
-        };
-        let reach = p.cx.forward_reachable(init, combined);
-        let universe = p.cx.state_universe();
-        assert_eq!(reach, universe);
-    }
-
-    #[test]
-    fn original_program_already_stabilizes() {
-        // From any state, program-only execution reaches the invariant:
-        // backward reachability of the invariant covers the universe.
+    fn faults_reach_everything_and_the_program_already_stabilizes() {
         let (mut p, _) = stabilizing_chain(4, 2);
+        let init = p.cx.state_cube(&[0, 0, 0, 0]);
         let t = p.program_trans();
-        let back = p.cx.backward_reachable(p.invariant, t);
+        let combined = p.cx.mgr().or(t, p.faults);
         let universe = p.cx.state_universe();
-        assert_eq!(back, universe);
+        assert_eq!(p.cx.forward_reachable(init, combined), universe);
+        // Program-only execution reaches the invariant from every state.
+        assert_eq!(p.cx.backward_reachable(p.invariant, t), universe);
     }
 
     #[test]
-    fn repair_small_chain_verifies() {
-        let (mut p, _) = stabilizing_chain(3, 2);
-        let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
-        assert!(!out.failed);
-        let (m, r) = verify_outcome(&mut p, &out);
-        assert!(m.ok(), "{m:?}");
-        assert!(r.ok(), "{r:?}");
-    }
-
-    #[test]
-    fn repair_nonbinary_domain_verifies() {
-        let (mut p, _) = stabilizing_chain(3, 3);
-        let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
-        assert!(!out.failed);
-        let (m, r) = verify_outcome(&mut p, &out);
-        assert!(m.ok(), "{m:?}");
-        assert!(r.ok(), "{r:?}");
-    }
-
-    #[test]
-    fn chain_actions_survive_repair() {
-        // The original copy-left actions must survive both steps: their
-        // groups are complete by construction.
-        let (mut p, _) = stabilizing_chain(3, 2);
-        let orig: Vec<_> = p.partitions();
-        let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
-        assert!(!out.failed);
-        for (j, &t) in orig.iter().enumerate() {
-            // Restricted to the final span, the original actions remain.
-            let in_span = {
+    fn repair_verifies_and_keeps_the_chain_actions() {
+        for d in [2, 3] {
+            let (mut p, _) = stabilizing_chain(3, d);
+            let orig = p.partitions();
+            let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
+            assert!(!out.failed);
+            let (m, r) = verify_outcome(&mut p, &out);
+            assert!(m.ok() && r.ok(), "{m:?} {r:?}");
+            // The copy-left actions survive both steps inside the span:
+            // their groups are complete by construction.
+            for (j, &t) in orig.iter().enumerate() {
                 let from = p.cx.mgr().and(t, out.span);
-                let tgt = p.cx.as_next(out.span);
-                p.cx.mgr().and(from, tgt)
-            };
-            assert!(
-                p.cx.mgr().leq(in_span, out.processes[j].trans),
-                "process {j} lost original actions"
-            );
+                let to = p.cx.as_next(out.span);
+                let in_span = p.cx.mgr().and(from, to);
+                assert!(p.cx.mgr().leq(in_span, out.processes[j].trans), "process {j}");
+            }
         }
     }
 }

@@ -1,16 +1,18 @@
 //! Triple modular redundancy (TMR) — the classic FTSyn-family extension
 //! case study.
 //!
-//! Three replicas latch an input bit; a naive voter copies replica 0 once
-//! all replicas are latched. A fault may corrupt **one** replica. The
+//! Replicas latch an input bit; a naive voter copies replica 0 once all
+//! replicas are latched. A fault may corrupt **one** replica. The
 //! fault-intolerant voter then publishes garbage; repair must (a) stop the
 //! voter from trusting a minority replica and (b) synthesize replica
 //! recovery — all under the voter's inability to read the input or the
-//! corruption flag.
+//! corruption flag. `examples/specs/tmr_voter.ftr` is the instance with
+//! three replicas, written by hand.
 
-use ftrepair_bdd::{NodeId, TRUE};
-use ftrepair_program::{DistributedProgram, ProgramBuilder, Update};
+use crate::{compile, join, var};
+use ftrepair_program::DistributedProgram;
 use ftrepair_symbolic::VarId;
+use std::fmt::Write;
 
 /// "Not yet latched" marker for replicas and the output.
 pub const EMPTY: u64 = 2;
@@ -30,94 +32,46 @@ pub struct TmrVars {
 
 /// Build a TMR instance with `n` replicas (the classic setting is 3).
 pub fn tmr(n: usize) -> (DistributedProgram, TmrVars) {
+    let prog = compile(&tmr_spec(n));
+    let vars = TmrVars {
+        input: var(&prog, "i"),
+        replicas: (0..n).map(|j| var(&prog, &format!("r{j}"))).collect(),
+        output: var(&prog, "o"),
+        corrupted: var(&prog, "c"),
+    };
+    (prog, vars)
+}
+
+/// TMR with `n` replicas as spec text.
+pub fn tmr_spec(n: usize) -> String {
     assert!(n >= 2, "redundancy needs at least two replicas");
-    let mut b = ProgramBuilder::new(format!("tmr-{n}"));
-    let input = b.var("i", 2);
-    let replicas: Vec<VarId> = (0..n).map(|j| b.var(format!("r{j}"), 3)).collect();
-    let output = b.var("o", 3);
-    let corrupted = b.var("c", 2);
-    let vars = TmrVars { input, replicas: replicas.clone(), output, corrupted };
-
-    // Replica processes: latch the input once.
-    for (j, &r) in replicas.iter().enumerate() {
-        b.process(format!("p{j}"), &[input, r], &[r]);
-        let unlatched = b.cx().assign_eq(r, EMPTY);
-        b.action(unlatched, &[(r, Update::FromVar(input))]);
+    let mut s = format!("program tmr{n};\n\nvar i : boolean;\n");
+    for j in 0..n {
+        writeln!(s, "var r{j} : 0..2;").unwrap();
     }
-
-    // The naive voter: copies replica 0 once everyone latched.
-    let mut read = replicas.clone();
-    read.push(output);
-    b.process("voter", &read, &[output]);
-    let guard = {
-        let mut acc = b.cx().assign_eq(output, EMPTY);
-        for &r in &replicas {
-            let latched = {
-                let e = b.cx().assign_eq(r, EMPTY);
-                b.cx().mgr().not(e)
-            };
-            acc = b.cx().mgr().and(acc, latched);
-        }
-        acc
-    };
-    b.action(guard, &[(output, Update::FromVar(replicas[0]))]);
-
+    s += "var o : 0..2;\nvar c : boolean;\n";
+    // Replicas latch the input once; the voter copies replica 0 once
+    // everyone latched.
+    for j in 0..n {
+        writeln!(s, "\nprocess p{j}\n  read i, r{j};\n  write r{j};\nbegin").unwrap();
+        writeln!(s, "  r{j} = 2 -> r{j} := i;\nend").unwrap();
+    }
+    let replicas = join(n, ", ", |j| format!("r{j}"));
+    let latched = join(n, "", |j| format!(" & r{j} != 2"));
+    writeln!(s, "\nprocess voter\n  read {replicas}, o;\n  write o;\nbegin").unwrap();
+    writeln!(s, "  o = 2{latched} -> o := r0;\nend").unwrap();
     // Faults: corrupt any one replica, once.
-    let fresh = b.cx().assign_eq(corrupted, 0);
-    for &r in &replicas {
-        b.fault_action(fresh, &[(r, Update::Choice(vec![0, 1])), (corrupted, Update::Const(1))]);
+    s += "\nfault corrupt\nbegin\n";
+    for j in 0..n {
+        writeln!(s, "  c = 0 -> r{j} := {{0, 1}}, c := 1;").unwrap();
     }
-
-    // Invariant: every replica is unlatched or correct; output undecided or
-    // correct.
-    let inv = {
-        let mut acc = TRUE;
-        for &r in &replicas {
-            let ok = latched_correct_or_empty(&mut b, r, input);
-            acc = b.cx().mgr().and(acc, ok);
-        }
-        let out_ok = latched_correct_or_empty(&mut b, output, input);
-        b.cx().mgr().and(acc, out_ok)
-    };
-    b.invariant(inv);
-
-    // Safety: a wrong output is bad; a decided output never changes.
-    let wrong = {
-        let undecided = b.cx().assign_eq(output, EMPTY);
-        let matches = matches_input(&mut b, output, input);
-        let okay = b.cx().mgr().or(undecided, matches);
-        b.cx().mgr().not(okay)
-    };
-    b.bad_states(wrong);
-    let bt = {
-        let decided = {
-            let e = b.cx().assign_eq(output, EMPTY);
-            b.cx().mgr().not(e)
-        };
-        let same = b.cx().unchanged(output);
-        let changes = b.cx().mgr().not(same);
-        b.cx().mgr().and(decided, changes)
-    };
-    b.bad_trans(bt);
-
-    (b.build(), vars)
-}
-
-fn latched_correct_or_empty(b: &mut ProgramBuilder, v: VarId, input: VarId) -> NodeId {
-    let empty = b.cx().assign_eq(v, EMPTY);
-    let m = matches_input(b, v, input);
-    b.cx().mgr().or(empty, m)
-}
-
-fn matches_input(b: &mut ProgramBuilder, v: VarId, input: VarId) -> NodeId {
-    let mut acc = ftrepair_bdd::FALSE;
-    for val in 0..2 {
-        let a = b.cx().assign_eq(v, val);
-        let i = b.cx().assign_eq(input, val);
-        let both = b.cx().mgr().and(a, i);
-        acc = b.cx().mgr().or(acc, both);
-    }
-    acc
+    s += "end\n\n";
+    // Every replica and the output are unlatched or correct; a wrong
+    // output is bad, and a decided output never changes.
+    let correct = join(n, " & ", |j| format!("(r{j} = 2 | r{j} = i)"));
+    writeln!(s, "invariant {correct} & (o = 2 | o = i);").unwrap();
+    s += "badstates !(o = 2 | o = i);\nbadtrans o != 2 & o' != o;\n";
+    s
 }
 
 #[cfg(test)]
@@ -129,10 +83,10 @@ mod tests {
     fn instance_shape() {
         let (mut p, vars) = tmr(3);
         assert_eq!(p.processes.len(), 4); // 3 replicas + voter
+        assert_eq!(vars.replicas.len(), 3);
         let u = p.cx.state_universe();
         // 2 · 3³ · 3 · 2 = 324.
         assert_eq!(p.cx.count_states(u), 324.0);
-        let _ = vars;
     }
 
     #[test]
@@ -148,29 +102,20 @@ mod tests {
     }
 
     #[test]
-    fn repair_makes_tmr_masking_tolerant() {
-        let (mut p, _) = tmr(3);
-        let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
-        assert!(!out.failed);
-        let (m, r) = verify_outcome(&mut p, &out);
-        assert!(m.ok(), "{m:?}");
-        assert!(r.ok(), "{r:?}");
-    }
-
-    #[test]
     fn repaired_voter_does_not_trust_a_minority_replica() {
         let (mut p, vars) = tmr(3);
         let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
         assert!(!out.failed);
+        let (m, r) = verify_outcome(&mut p, &out);
+        assert!(m.ok() && r.ok(), "{m:?} {r:?}");
         // State: i=0, replicas (1,0,0) — r0 corrupted — o undecided, c=1.
         let s = p.cx.state_cube(&[0, 1, 0, 0, EMPTY, 1]);
         assert!(p.cx.mgr().leq(s, out.span), "corruption state must be in the span");
         // The voter (process index 3) must not publish r0's value 1 here.
-        let voter = &out.processes[3];
         let publish_wrong = {
             let o1 = p.cx.assign_const(vars.output, 1);
             let step = p.cx.mgr().and(s, o1);
-            p.cx.mgr().and(step, voter.trans)
+            p.cx.mgr().and(step, out.processes[3].trans)
         };
         assert_eq!(publish_wrong, ftrepair_bdd::FALSE, "voter still trusts r0");
     }

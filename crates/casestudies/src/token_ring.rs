@@ -9,147 +9,109 @@
 //! creating multiple tokens. For `k ≥ n` the protocol famously
 //! self-stabilizes — repair verifies that and adds nothing inside the
 //! invariant, while the fault-span covers the entire state space.
+//! `examples/specs/token_ring.ftr` is the 3×3 instance, written by hand.
 
-use ftrepair_bdd::{NodeId, FALSE, TRUE};
-use ftrepair_program::{DistributedProgram, ProgramBuilder, Update};
+use crate::{compile, join, var};
+use ftrepair_program::DistributedProgram;
 use ftrepair_symbolic::VarId;
+use std::fmt::Write;
 
 /// Build the ring with `n` processes over counters `0..k`. Requires
 /// `k ≥ n` (Dijkstra's stabilization condition) and `n ≥ 2`.
 pub fn token_ring(n: usize, k: u64) -> (DistributedProgram, Vec<VarId>) {
-    assert!(n >= 2, "a ring needs at least two processes");
-    assert!(k >= n as u64, "Dijkstra's theorem needs k ≥ n");
-    let mut b = ProgramBuilder::new(format!("token-ring-{n}x{k}"));
-    let x: Vec<VarId> = (0..n).map(|i| b.var(format!("x.{i}"), k)).collect();
-
-    // Process 0: increments modulo k when it sees its own value behind it.
-    b.process("p0", &[x[n - 1], x[0]], &[x[0]]);
-    let token0 = b.cx().vars_equal(x[0], x[n - 1]);
-    let inc = {
-        let mut rel = FALSE;
-        for v in 0..k {
-            let cur = b.cx().assign_eq(x[0], v);
-            let nxt = b.cx().assign_const(x[0], (v + 1) % k);
-            let arm = b.cx().mgr().and(cur, nxt);
-            rel = b.cx().mgr().or(rel, arm);
-        }
-        rel
-    };
-    b.action(token0, &[(x[0], Update::Rel(inc))]);
-
-    // Processes 1..n: copy the left neighbour when they differ.
-    for i in 1..n {
-        b.process(format!("p{i}"), &[x[i - 1], x[i]], &[x[i]]);
-        let eq = b.cx().vars_equal(x[i - 1], x[i]);
-        let token = b.cx().mgr().not(eq);
-        b.action(token, &[(x[i], Update::FromVar(x[i - 1]))]);
-    }
-
-    // Invariant: exactly one token.
-    let inv = exactly_one_token(&mut b, &x);
-    b.invariant(inv);
-
-    // Transient faults: any single counter jumps anywhere.
-    let all_values: Vec<u64> = (0..k).collect();
-    for &xi in &x {
-        b.fault_action(TRUE, &[(xi, Update::Choice(all_values.clone()))]);
-    }
-
-    (b.build(), x)
+    let prog = compile(&token_ring_spec(n, k));
+    let x = (0..n).map(|i| var(&prog, &format!("x{i}"))).collect();
+    (prog, x)
 }
 
-/// The predicate "exactly one process holds a token".
-fn exactly_one_token(b: &mut ProgramBuilder, x: &[VarId]) -> NodeId {
-    let n = x.len();
-    let tokens: Vec<NodeId> = (0..n)
-        .map(|i| {
-            if i == 0 {
-                b.cx().vars_equal(x[0], x[n - 1])
-            } else {
-                let eq = b.cx().vars_equal(x[i - 1], x[i]);
-                b.cx().mgr().not(eq)
-            }
-        })
-        .collect();
-    let mut exactly_one = FALSE;
+/// The `n`-process ring over counters `0..k` as spec text.
+pub fn token_ring_spec(n: usize, k: u64) -> String {
+    assert!(n >= 2, "a ring needs at least two processes");
+    assert!(k >= n as u64, "Dijkstra's theorem needs k ≥ n");
+    let last = n - 1;
+    let mut s = format!("program token_ring{n}x{k};\n\n");
     for i in 0..n {
-        let mut only_i = tokens[i];
-        for (j, &t) in tokens.iter().enumerate() {
-            if j != i {
-                let nt = b.cx().mgr().not(t);
-                only_i = b.cx().mgr().and(only_i, nt);
-            }
-        }
-        exactly_one = b.cx().mgr().or(exactly_one, only_i);
+        writeln!(s, "var x{i} : 0..{};", k - 1).unwrap();
     }
-    exactly_one
+    // Process 0 increments modulo k when it sees its own value behind it;
+    // the others copy their left neighbour when they differ.
+    writeln!(s, "\nprocess p0\n  read x{last}, x0;\n  write x0;\nbegin").unwrap();
+    for v in 0..k {
+        writeln!(s, "  x0 = x{last} & x0 = {v} -> x0 := {};", (v + 1) % k).unwrap();
+    }
+    s += "end\n";
+    for i in 1..n {
+        let p = i - 1;
+        writeln!(s, "\nprocess p{i}\n  read x{p}, x{i};\n  write x{i};\nbegin").unwrap();
+        writeln!(s, "  x{i} != x{p} -> x{i} := x{p};\nend").unwrap();
+    }
+    // Transient faults: any single counter jumps anywhere.
+    let values = (0..k).map(|v| v.to_string()).collect::<Vec<_>>().join(", ");
+    s += "\nfault corrupt\nbegin\n";
+    for i in 0..n {
+        writeln!(s, "  true -> x{i} := {{{values}}};").unwrap();
+    }
+    s += "end\n\n";
+    // Exactly one process holds a token.
+    let token = |i: usize, held: bool| match (i, held) {
+        (0, true) => format!("x0 = x{last}"),
+        (0, false) => format!("x0 != x{last}"),
+        (i, true) => format!("x{i} != x{}", i - 1),
+        (i, false) => format!("x{i} = x{}", i - 1),
+    };
+    let only = |i: usize| join(n, " & ", |j| token(j, j == i));
+    writeln!(s, "invariant {};", join(n, " | ", |i| format!("({})", only(i)))).unwrap();
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftrepair_bdd::FALSE;
     use ftrepair_core::{lazy_repair, verify::verify_outcome, RepairOptions};
 
     #[test]
     fn legitimate_states_have_one_token() {
-        let (mut p, x) = token_ring(3, 3);
-        // All-equal: only p0 enabled.
-        let s = p.cx.state_cube(&[1, 1, 1]);
-        assert!(p.cx.mgr().leq(s, p.invariant));
-        // One step behind: only one copier enabled.
-        let s2 = p.cx.state_cube(&[2, 1, 1]);
-        assert!(p.cx.mgr().leq(s2, p.invariant));
+        let (mut p, _) = token_ring(3, 3);
+        // All-equal: only p0 enabled. One step behind: only one copier.
+        for s in [[1, 1, 1], [2, 1, 1]] {
+            let s = p.cx.state_cube(&s);
+            assert!(p.cx.mgr().leq(s, p.invariant));
+        }
         // Two tokens: not legitimate.
-        let s3 = p.cx.state_cube(&[2, 1, 2]);
-        assert!(p.cx.mgr().disjoint(s3, p.invariant));
-        let _ = x;
+        let s = p.cx.state_cube(&[2, 1, 2]);
+        assert!(p.cx.mgr().disjoint(s, p.invariant));
     }
 
     #[test]
-    fn invariant_is_closed_and_rotates() {
+    fn invariant_is_closed_rotates_and_stabilizes() {
         let (mut p, _) = token_ring(3, 3);
         let t = p.program_trans();
         let inv = p.invariant;
         assert!(ftrepair_program::semantics::is_closed(&mut p.cx, inv, t));
         // The ring never stops: no deadlocks inside the invariant.
-        let dl = p.cx.deadlocks(inv, t);
-        assert_eq!(dl, FALSE);
-    }
-
-    #[test]
-    fn ring_self_stabilizes() {
-        // Dijkstra: from every state, the invariant is reachable via the
-        // original program when k ≥ n.
-        let (mut p, _) = token_ring(3, 3);
-        let t = p.program_trans();
-        let back = p.cx.backward_reachable(p.invariant, t);
+        assert_eq!(p.cx.deadlocks(inv, t), FALSE);
+        // Dijkstra: from every state the original program reaches the
+        // invariant when k ≥ n.
         let universe = p.cx.state_universe();
-        assert_eq!(back, universe);
+        assert_eq!(p.cx.backward_reachable(inv, t), universe);
     }
 
     #[test]
     fn repair_verifies_and_keeps_the_rotation() {
-        let (mut p, _) = token_ring(3, 3);
-        let orig_inside = {
-            let t = p.program_trans();
-            let inv = p.invariant;
-            ftrepair_program::semantics::project(&mut p.cx, t, inv)
-        };
-        let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
-        assert!(!out.failed);
-        let (m, r) = verify_outcome(&mut p, &out);
-        assert!(m.ok(), "{m:?}");
-        assert!(r.ok(), "{r:?}");
-        // The token rotation inside the invariant survives untouched.
-        assert!(p.cx.mgr().leq(orig_inside, out.trans));
-    }
-
-    #[test]
-    fn repair_verifies_on_a_larger_ring() {
-        let (mut p, _) = token_ring(4, 4);
-        let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
-        assert!(!out.failed);
-        let (m, r) = verify_outcome(&mut p, &out);
-        assert!(m.ok() && r.ok(), "{m:?} {r:?}");
+        for (n, k) in [(3, 3), (4, 4)] {
+            let (mut p, _) = token_ring(n, k);
+            let orig_inside = {
+                let t = p.program_trans();
+                let inv = p.invariant;
+                ftrepair_program::semantics::project(&mut p.cx, t, inv)
+            };
+            let out = lazy_repair(&mut p, &RepairOptions::default()).unwrap();
+            assert!(!out.failed);
+            let (m, r) = verify_outcome(&mut p, &out);
+            assert!(m.ok() && r.ok(), "{m:?} {r:?}");
+            // The token rotation inside the invariant survives untouched.
+            assert!(p.cx.mgr().leq(orig_inside, out.trans));
+        }
     }
 }

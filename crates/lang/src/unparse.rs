@@ -72,6 +72,9 @@ fn unparse_action(a: &Action) -> String {
 
 /// Render an expression, fully parenthesized (parenthesization is the
 /// easiest way to make the round trip exact regardless of precedence).
+/// Every operator opens exactly one parenthesis, so the text nests no
+/// deeper than the expression, and anything the parser accepted under
+/// [`crate::parser::MAX_EXPR_DEPTH`] prints as text it accepts again.
 pub fn unparse_expr(e: &Expr) -> String {
     match e {
         Expr::Int(v) => v.to_string(),
@@ -91,10 +94,21 @@ pub fn unparse_expr(e: &Expr) -> String {
                 CmpOp::Gt => ">",
                 CmpOp::Ge => ">=",
             };
-            format!("({} {} {})", unparse_expr(l), sym, unparse_expr(r))
+            format!("({} {} {})", operand(l), sym, operand(r))
         }
-        Expr::Add(l, r) => format!("({} + {})", unparse_expr(l), unparse_expr(r)),
-        Expr::Sub(l, r) => format!("({} - {})", unparse_expr(l), unparse_expr(r)),
+        Expr::Add(l, r) => format!("({} + {})", operand(l), operand(r)),
+        Expr::Sub(l, r) => format!("({} - {})", operand(l), operand(r)),
+    }
+}
+
+/// An operand of a comparison, `+` or `-`. A `!` there prints as `(!e)`:
+/// as `!(e)` the parser would apply it to the whole comparison or sum.
+/// Such a spec does not compile, but its canonical text must still parse
+/// back to it.
+fn operand(e: &Expr) -> String {
+    match e {
+        Expr::Not(x) => format!("(!{})", unparse_expr(x)),
+        _ => unparse_expr(e),
     }
 }
 
@@ -133,6 +147,17 @@ mod tests {
     fn boolean_domain_prints_as_boolean() {
         let ast = parse("program t; var b : boolean;").unwrap();
         assert!(unparse(&ast).contains("var b : boolean;"));
+    }
+
+    /// A `!` under a comparison or a sum does not compile, but the spec
+    /// parses, so its canonical text must parse back to it.
+    #[test]
+    fn negated_operands_round_trip() {
+        for e in ["(!a) = b", "a = (!b)", "(!!a) + 1 = b", "(!(a = 1)) < 2 - (!c)"] {
+            let ast = parse(&format!("program t; invariant {e};")).unwrap();
+            let printed = unparse(&ast);
+            assert_eq!(parse(&printed).as_ref(), Ok(&ast), "{e}: {printed}");
+        }
     }
 
     // Random-AST round trip, driven by the in-tree deterministic PRNG so

@@ -212,22 +212,7 @@ fn simulate_is_seed_deterministic() {
 /// so the bundle walks every variable of the largest program it serves.
 #[test]
 fn simulate_runs_on_a_spec_at_the_state_cap() {
-    let cells = 6;
-    let mut text = String::from("program chain6x4;\n");
-    for i in 0..cells {
-        text += &format!("var x{i} : 0..3;\n");
-    }
-    for i in 1..cells {
-        let p = i - 1;
-        text += &format!("process c{i} read x{p}, x{i}; write x{i};\n");
-        text += &format!("begin !(x{i} = x{p}) -> x{i} := x{p}; end\n");
-    }
-    text += "fault transient begin\n";
-    for i in 0..cells {
-        text += &format!("  true -> x{i} := {{0, 1, 2, 3}};\n");
-    }
-    let inv: Vec<String> = (1..cells).map(|i| format!("(x{} = x{i})", i - 1)).collect();
-    text += &format!("end\ninvariant {};\n", inv.join(" & "));
+    let text = ftrepair::casestudies::chain_spec(6, 4, None);
     let dir = std::env::temp_dir().join(format!("ftrepair-cli-cap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("chain6x4.ftr");

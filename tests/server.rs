@@ -385,6 +385,29 @@ fn malformed_specs_get_400_and_the_server_stays_up() {
     join.join().unwrap();
 }
 
+/// A chain `a = 1 & a = 1 & …` nests one level per term. As the largest
+/// body the daemon reads (1 MiB), it once overflowed a worker's stack,
+/// which no supervision catches: the process aborted. Past the parser's
+/// depth bound it is a 400 like any other parse error.
+#[test]
+fn a_megabyte_chain_gets_400_and_the_server_stays_up() {
+    let (addr, handle, join) = start(test_config());
+    let (head, term) = ("program t; var a : boolean; invariant a = 1", " & a = 1");
+    let terms = (ftrepair::server::http::MAX_BODY_BYTES - head.len() - 1) / term.len();
+    let body = format!("{head}{};", term.repeat(terms));
+
+    let (status, reply) = request(addr, "POST", "/repair", &body);
+    assert_eq!(status, 400, "{reply}");
+    let error = reply.get("error").and_then(Json::as_str).unwrap_or("");
+    assert!(error.contains("nesting exceeds"), "{reply}");
+    let (status, reply) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn unknown_paths_and_methods_are_clean_errors() {
     let (addr, handle, join) = start(test_config());
