@@ -2,8 +2,9 @@
 //!
 //! Tools in this family (FTSyn, SYCRAFT) accept distributed programs as
 //! text. This crate provides a small language in that tradition and a
-//! compiler onto [`ftrepair_program::ProgramBuilder`], so case studies can
-//! be written as files instead of Rust:
+//! compiler onto [`ftrepair_program::ProgramBuilder`], so programs are
+//! written as text instead of Rust (the paper's case studies too: the
+//! `ftrepair-casestudies` generators print text that this crate compiles):
 //!
 //! ```text
 //! program toggle;
