@@ -376,9 +376,6 @@ pub fn ablation_warm_start(sizes: &[(usize, u64)]) -> Vec<WarmStartRow> {
                 span: ftrepair_store::find_artifact(&stored.artifacts, ART_SPAN)
                     .map(|a| prog.cx.mgr().try_import(a).expect("span imports")),
             };
-            for root in seeds.roots() {
-                prog.cx.mgr().protect(root);
-            }
             let wtele = Telemetry::new();
             let winstance = format!("{instance} warm");
             let wout = ftrepair_core::lazy_repair_warm(
@@ -593,9 +590,6 @@ pub fn ablation_checkpoint_resume(sizes: &[(usize, u64)]) -> Vec<CheckpointResum
                     .map(|a| prog.cx.mgr().try_import(a).expect("span imports")),
             };
             assert!(!seeds.is_empty(), "slot for {instance} is missing its artifacts");
-            for seed_root in seeds.roots() {
-                prog.cx.mgr().protect(seed_root);
-            }
             let t0 = Instant::now();
             let out = lazy_repair_warm(&mut prog, &opts, &tele, &Token::unbounded(), &seeds)
                 .expect("unbounded run cannot abort");

@@ -10,18 +10,20 @@
 //! cancellation token is polled — between BDD operations, with every live
 //! local passed as a root.
 
-use crate::cancel::RepairAborted;
+use crate::cancel::{RepairAborted, Token};
 use crate::lazy::LazyOutcome;
-use crate::options::{RepairOptions, GC_THRESHOLD};
+use crate::options::GC_THRESHOLD;
+use crate::stats::RepairStats;
 use ftrepair_bdd::NodeId;
 use ftrepair_program::DistributedProgram;
 use ftrepair_telemetry::{Json, Span, Telemetry};
 
-/// Arm `prog`'s manager for one repair and protect the program's own roots
-/// for the run. The trigger is re-armed at its floor: [`GC_THRESHOLD`],
-/// unless the caller armed a floor of its own before the repair.
-pub(crate) fn configure(prog: &mut DistributedProgram, opts: &RepairOptions) {
-    prog.cx.set_node_budget(opts.max_nodes);
+/// Arm `prog`'s manager for one repair — the token's node budget, and the
+/// trigger re-armed at its floor: [`GC_THRESHOLD`], unless the caller armed
+/// a floor of its own before the repair — and protect the program's own
+/// roots for the run.
+pub(crate) fn configure(prog: &mut DistributedProgram, token: &Token) {
+    prog.cx.set_node_budget(token.node_budget());
     let floor = prog.cx.mgr_ref().gc_floor().unwrap_or(GC_THRESHOLD);
     prog.cx.mgr().set_gc_threshold(floor);
     prog.protect_base();
@@ -36,15 +38,18 @@ pub(crate) fn configure(prog: &mut DistributedProgram, opts: &RepairOptions) {
 /// (verification, serialization, and cross-run comparisons all happen after
 /// repair returns).
 ///
-/// Then the manager's live-node high-water mark and the sizes of its
-/// tables go out as gauges — `bdd.peak_live_nodes`, `bdd.cache_entries`,
-/// `bdd.cache_slots` and `bdd.unique_slots` — on success, declared failure
-/// or abort alike, so every run report, `/jobs/<id>` record and `/metrics`
-/// scrape carries the same numbers as `ManagerStats` (and the run report's
-/// `bdd` object).
+/// Then the run's tally goes out, once, as counters —
+/// `repair.outer_iterations` and `step2.{picks, groups_kept,
+/// groups_dropped, expansions}` — and the manager's live-node high-water
+/// mark and table sizes as gauges — `bdd.peak_live_nodes`,
+/// `bdd.cache_entries`, `bdd.cache_slots` and `bdd.unique_slots` — on
+/// success, declared failure or abort alike, so every run report,
+/// `/jobs/<id>` record and `/metrics` scrape carries the same numbers as
+/// `RepairStats` and `ManagerStats` (and the run report's `bdd` object).
 pub(crate) fn finish(
     prog: &mut DistributedProgram,
     tele: &Telemetry,
+    stats: &RepairStats,
     r: Result<LazyOutcome, RepairAborted>,
 ) -> Result<LazyOutcome, RepairAborted> {
     if let Ok(out) = &r {
@@ -54,6 +59,11 @@ pub(crate) fn finish(
         }
     }
     if tele.enabled() {
+        tele.add("repair.outer_iterations", stats.outer_iterations as u64);
+        tele.add("step2.picks", stats.step2_picks);
+        tele.add("step2.groups_kept", stats.groups_kept);
+        tele.add("step2.groups_dropped", stats.groups_dropped);
+        tele.add("step2.expansions", stats.expansions);
         let s = prog.cx.mgr_ref().stats();
         tele.max_gauge("bdd.peak_live_nodes", s.peak_live_nodes as u64);
         tele.max_gauge("bdd.cache_entries", s.cache_entries as u64);

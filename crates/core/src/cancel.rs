@@ -9,7 +9,6 @@
 //! read — negligible next to one symbolic image computation.
 
 use crate::checkpoint::Checkpointer;
-use crate::options::RepairOptions;
 use ftrepair_bdd::NodeId;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,7 +21,7 @@ pub enum RepairAborted {
     Timeout,
     /// The token's cancellation flag was raised.
     Cancelled,
-    /// The BDD arena outgrew [`RepairOptions::max_nodes`] and a garbage
+    /// The BDD arena outgrew [`Token::with_node_budget`] and a garbage
     /// collection could not bring it back under — the memory analogue of
     /// `Timeout`, returned instead of letting the process OOM.
     ResourceExhausted,
@@ -42,10 +41,11 @@ impl std::fmt::Display for RepairAborted {
 
 impl std::error::Error for RepairAborted {}
 
-/// A cancellation/deadline token: an optional shared flag (raised by
+/// A repair's limits, in one place: an optional shared flag (raised by
 /// whoever wants the run gone — a signal handler, a server draining its
-/// queue) plus an optional absolute deadline. Cloning shares the flag, so
-/// one raise cancels every clone.
+/// queue), an optional absolute deadline, and a live-node budget for the
+/// run's BDD manager. Cloning shares the flag, so one raise cancels every
+/// clone.
 /// A token may also carry a [`Checkpointer`]; the repair loops offer their
 /// fixpoint state to it at the same boundaries they poll the token, so an
 /// abort (drain, deadline, node budget) leaves a resume point behind.
@@ -53,27 +53,20 @@ impl std::error::Error for RepairAborted {}
 pub struct Token {
     flag: Option<Arc<AtomicBool>>,
     deadline: Option<Instant>,
+    node_budget: usize,
     ckpt: Option<Arc<Checkpointer>>,
 }
 
 impl Token {
     /// A token that never fires — the default for every caller that does
-    /// not opt into deadlines.
+    /// not opt into limits.
     pub fn unbounded() -> Token {
-        Token { flag: None, deadline: None, ckpt: None }
-    }
-
-    /// Arm the deadline from [`RepairOptions::deadline`], relative to now.
-    pub fn from_options(opts: &RepairOptions) -> Token {
-        match opts.deadline {
-            Some(budget) => Token::deadline_in(budget),
-            None => Token::unbounded(),
-        }
+        Token::default()
     }
 
     /// A token that times out `budget` from now.
     pub fn deadline_in(budget: Duration) -> Token {
-        Token { flag: None, deadline: Some(Instant::now() + budget), ckpt: None }
+        Token::unbounded().with_deadline_in(budget)
     }
 
     /// Attach a shared cancellation flag (keeps any existing deadline).
@@ -89,7 +82,27 @@ impl Token {
         Token { deadline, ..self }
     }
 
-    /// Attach a checkpointer (keeps flag and deadline). Clones share it, so
+    /// Tighten with a live-node budget for the repair's BDD manager (keeps
+    /// every other limit; `0` adds none, and the smaller of two budgets
+    /// wins). The repair arms it at entry: the arena's governance
+    /// checkpoints garbage-collect when the live count crosses it and, if
+    /// the collection alone cannot get back under, the run aborts with
+    /// [`RepairAborted::ResourceExhausted`] at the next cancellation
+    /// boundary — a clean 503/exit-125 instead of an OOM kill.
+    pub fn with_node_budget(self, nodes: usize) -> Token {
+        let node_budget = match (self.node_budget, nodes) {
+            (0, n) | (n, 0) => n,
+            (a, b) => a.min(b),
+        };
+        Token { node_budget, ..self }
+    }
+
+    /// The live-node budget (`0`: unbounded).
+    pub(crate) fn node_budget(&self) -> usize {
+        self.node_budget
+    }
+
+    /// Attach a checkpointer (keeps every limit). Clones share it, so
     /// checkpoints from a job's token land in one slot.
     pub fn with_checkpointer(self, ckpt: Arc<Checkpointer>) -> Token {
         Token { ckpt: Some(ckpt), ..self }
@@ -118,7 +131,7 @@ impl Token {
     /// play: cancellation and deadline first ([`Token::check`]), then the
     /// manager's latched node-budget exhaustion — set by a governance
     /// checkpoint (`maybe_gc`) when a garbage collection could not
-    /// bring the arena back under [`RepairOptions::max_nodes`]. The latch
+    /// bring the arena back under [`Token::with_node_budget`]. The latch
     /// is sticky, so polling at the loop boundary is enough: an
     /// over-budget arena aborts at most one BDD op batch later.
     pub fn check_governed(
@@ -160,7 +173,6 @@ mod tests {
     #[test]
     fn unbounded_token_never_fires() {
         assert_eq!(Token::unbounded().check(), Ok(()));
-        assert_eq!(Token::from_options(&RepairOptions::default()).check(), Ok(()));
     }
 
     #[test]
@@ -196,9 +208,12 @@ mod tests {
     }
 
     #[test]
-    fn options_deadline_arms_the_token() {
-        let opts = RepairOptions { deadline: Some(Duration::ZERO), ..Default::default() };
-        assert_eq!(Token::from_options(&opts).check(), Err(RepairAborted::Timeout));
+    fn tightening_keeps_the_smaller_node_budget() {
+        assert_eq!(Token::unbounded().node_budget(), 0);
+        let t = Token::unbounded().with_node_budget(500).with_node_budget(0);
+        assert_eq!(t.node_budget(), 500, "0 adds no budget");
+        assert_eq!(t.clone().with_node_budget(900).node_budget(), 500);
+        assert_eq!(t.with_node_budget(20).node_budget(), 20);
     }
 
     #[test]

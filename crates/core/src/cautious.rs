@@ -28,8 +28,7 @@ use ftrepair_program::{semantics, DistributedProgram, Process};
 use ftrepair_telemetry::Telemetry;
 use std::time::Instant;
 
-/// Run cautious repair on `prog`. Returns `Err(RepairAborted)` once
-/// [`RepairOptions::deadline`] (if set) expires. The outcome has the same
+/// Run cautious repair on `prog`, unbounded. The outcome has the same
 /// shape as lazy repair's; `failed` means the heuristics could not produce
 /// a repair, and all time is recorded in `stats.step1_time` (cautious has
 /// no separate Step 2).
@@ -42,27 +41,29 @@ pub fn cautious_repair(
 
 /// [`cautious_repair`] with telemetry: a span around each iteration's
 /// group-enforcement pass (the cost this baseline exists to expose),
-/// per-iteration BDD-size samples, and the same mirrored counters as the
-/// lazy pipeline.
+/// per-iteration BDD-size samples, and the same counts as the lazy
+/// pipeline.
 pub fn cautious_repair_traced(
     prog: &mut DistributedProgram,
     opts: &RepairOptions,
     tele: &Telemetry,
 ) -> Result<LazyOutcome, RepairAborted> {
-    cautious_repair_cancellable(prog, opts, tele, &Token::from_options(opts))
+    cautious_repair_cancellable(prog, opts, tele, &Token::unbounded())
 }
 
-/// [`cautious_repair_traced`] against an externally owned [`Token`],
-/// checked on entry and at every iteration of the main fixpoint, the inner
-/// fault-closure fixpoint, and each group-enforcement pick loop.
+/// [`cautious_repair_traced`] under a [`Token`]'s limits (cancel flag,
+/// deadline, node budget), checked on entry and at every iteration of the
+/// main fixpoint, the inner fault-closure fixpoint, and each
+/// group-enforcement pick loop.
 pub fn cautious_repair_cancellable(
     prog: &mut DistributedProgram,
     opts: &RepairOptions,
     tele: &Telemetry,
     token: &Token,
 ) -> Result<LazyOutcome, RepairAborted> {
-    let r = cautious_repair_inner(prog, opts, tele, token);
-    crate::arena::finish(prog, tele, r)
+    let mut stats = RepairStats::default();
+    let r = cautious_repair_inner(prog, opts, tele, token, &mut stats);
+    crate::arena::finish(prog, tele, &stats, r)
 }
 
 fn cautious_repair_inner(
@@ -70,11 +71,11 @@ fn cautious_repair_inner(
     opts: &RepairOptions,
     tele: &Telemetry,
     token: &Token,
+    stats: &mut RepairStats,
 ) -> Result<LazyOutcome, RepairAborted> {
     token.check()?;
-    crate::arena::configure(prog, opts);
+    crate::arena::configure(prog, token);
     let started = Instant::now();
-    let mut stats = RepairStats::default();
 
     // Step 1's Phases 1–3: ms and mt (faults are not subject to grouping)
     // and the initial (S₁, T₁).
@@ -92,9 +93,7 @@ fn cautious_repair_inner(
     // this baseline exists to expose, now as a distribution.
     let h_group = tele.histogram("cautious.group_enforcement.seconds");
 
-    let mut iterations = 0usize;
     loop {
-        stats.cancel_checks += 1;
         token.check_governed(&prog.cx)?;
         // Previous-iteration `p1`/`grouped` values are dead here (both are
         // fully rebuilt before their next use), so only the long-lived
@@ -102,9 +101,8 @@ fn cautious_repair_inner(
         let mut live = pre.roots().to_vec();
         live.extend([banned, s1, t1]);
         prog.cx.maybe_gc(&live);
-        iterations += 1;
-        stats.outer_iterations = iterations;
-        tele.add("repair.outer_iterations", 1);
+        stats.outer_iterations += 1;
+        let iterations = stats.outer_iterations;
         if iterations > MAX_OUTER_ITERATIONS * 8 {
             stats.step1_time = started.elapsed();
             return Ok(LazyOutcome::failed(stats));
@@ -142,8 +140,7 @@ fn cautious_repair_inner(
                     with_free,
                     opts,
                     &keep,
-                    &mut stats,
-                    tele,
+                    stats,
                     token,
                 )?;
                 grouped[j] = dj;
@@ -228,6 +225,7 @@ fn cautious_repair_inner(
             trans,
         })
         .collect();
+    let stats = stats.clone();
     Ok(LazyOutcome { processes, invariant: s1, span: t1, trans: p1, failed: false, stats })
 }
 
@@ -312,10 +310,9 @@ mod tests {
     #[test]
     fn expired_deadline_aborts_before_any_transition_is_added() {
         let mut p = partial_view();
-        let opts =
-            RepairOptions { deadline: Some(std::time::Duration::ZERO), ..RepairOptions::default() };
         let tele = ftrepair_telemetry::Telemetry::new();
-        let r = cautious_repair_traced(&mut p, &opts, &tele);
+        let token = Token::deadline_in(std::time::Duration::ZERO);
+        let r = cautious_repair_cancellable(&mut p, &RepairOptions::default(), &tele, &token);
         assert_eq!(r.unwrap_err(), RepairAborted::Timeout);
         let snap = tele.snapshot();
         assert_eq!(snap.counter("repair.outer_iterations"), 0, "aborted before iteration 1");

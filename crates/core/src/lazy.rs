@@ -35,22 +35,22 @@ pub struct LazyOutcome {
 
 impl LazyOutcome {
     /// The outcome of a repair that declared failure.
-    pub(crate) fn failed(stats: RepairStats) -> LazyOutcome {
+    pub(crate) fn failed(stats: &RepairStats) -> LazyOutcome {
         LazyOutcome {
             processes: Vec::new(),
             invariant: FALSE,
             span: FALSE,
             trans: FALSE,
             failed: true,
-            stats,
+            stats: stats.clone(),
         }
     }
 }
 
-/// Run Algorithm 1 on `prog`. Returns `Err(RepairAborted)` once
-/// [`RepairOptions::deadline`] (if set) expires — "the algorithm declared
-/// failure" stays an `Ok` outcome with `failed: true`; an abort means the
-/// answer is unknown.
+/// Run Algorithm 1 on `prog`, unbounded. "The algorithm declared failure"
+/// is an `Ok` outcome with `failed: true`; `Err(RepairAborted)` (only under
+/// a [`Token`]'s limits, see [`lazy_repair_warm`]) means the answer is
+/// unknown.
 pub fn lazy_repair(
     prog: &mut DistributedProgram,
     opts: &RepairOptions,
@@ -60,22 +60,22 @@ pub fn lazy_repair(
 
 /// [`lazy_repair`] with telemetry: spans around every outer iteration and
 /// both steps, per-iteration BDD-size samples (the `iterations` series in
-/// run reports), peak-size gauges, and counters that mirror the
-/// [`RepairStats`] fields event-for-event. With a disabled handle every
+/// run reports), peak-size gauges, and the [`RepairStats`] counts
+/// published once at the end. With a disabled handle every
 /// instrumentation point is a single branch.
 pub fn lazy_repair_traced(
     prog: &mut DistributedProgram,
     opts: &RepairOptions,
     tele: &Telemetry,
 ) -> Result<LazyOutcome, RepairAborted> {
-    lazy_repair_warm(prog, opts, tele, &Token::from_options(opts), &WarmSeeds::none())
+    lazy_repair_warm(prog, opts, tele, &Token::unbounded(), &WarmSeeds::none())
 }
 
-/// [`lazy_repair_traced`] against an externally owned [`Token`], with
-/// warm-start seeds. The token lets a server cancel or deadline a run it
-/// did not configure via options; it is checked on entry (an
-/// already-expired deadline aborts before any transition is added) and at
-/// every fixpoint iteration of both steps and the outer loop. The seeds —
+/// [`lazy_repair_traced`] under a [`Token`]'s limits, with warm-start
+/// seeds. The token carries every limit — cancel flag, deadline, node
+/// budget — and is checked on entry (an already-expired deadline aborts
+/// before any transition is added) and at every fixpoint iteration of both
+/// steps and the outer loop. The seeds —
 /// a cached neighbor's invariant/fault-span BDDs, already imported into
 /// `prog`'s manager — seed the first outer iteration's Step 1
 /// reachability. Deadlock retries run
@@ -100,8 +100,9 @@ pub fn lazy_repair_warm(
             prog.cx.mgr().protect(root);
         }
     }
-    let r = lazy_repair_inner(prog, opts, tele, token, seeds);
-    crate::arena::finish(prog, tele, r)
+    let mut stats = RepairStats::default();
+    let r = lazy_repair_inner(prog, opts, tele, token, seeds, &mut stats);
+    crate::arena::finish(prog, tele, &stats, r)
 }
 
 fn lazy_repair_inner(
@@ -110,10 +111,10 @@ fn lazy_repair_inner(
     tele: &Telemetry,
     token: &Token,
     seeds: &WarmSeeds,
+    stats: &mut RepairStats,
 ) -> Result<LazyOutcome, RepairAborted> {
     token.check()?;
-    crate::arena::configure(prog, opts);
-    let mut stats = RepairStats::default();
+    crate::arena::configure(prog, token);
     let mut s_prime = prog.invariant;
     let mut safety = prog.safety;
 
@@ -135,11 +136,9 @@ fn lazy_repair_inner(
 
     for _ in 0..MAX_OUTER_ITERATIONS {
         let mut iter_span = tele.span("outer_iteration");
-        stats.cancel_checks += 1;
         token.check_governed(&prog.cx)?;
         stats.outer_iterations += 1;
         iter_span.field("iter", Json::from(stats.outer_iterations as u64));
-        tele.add("repair.outer_iterations", 1);
 
         // Step 1 (Line 3). Warm seeds apply to the first iteration only:
         // a deadlock retry re-enters with a mutated safety relation, and
@@ -185,7 +184,7 @@ fn lazy_repair_inner(
         let t1 = Instant::now();
         let r2 = {
             let _s = tele.span("step2");
-            step2(prog, r1.trans, r1.span, opts, tele, token)
+            step2(prog, r1.trans, r1.span, opts, stats, token)
         };
         let step2_elapsed = t1.elapsed();
         stats.step2_time += step2_elapsed;
@@ -194,7 +193,6 @@ fn lazy_repair_inner(
             prog.cx.mgr().unprotect(r);
         }
         let r2 = r2?;
-        stats.absorb(&r2.stats);
 
         // Line 10: deadlocks created by Step 2's removals, judged on the
         // states actually reachable in the presence of faults. Outside the
@@ -224,7 +222,7 @@ fn lazy_repair_inner(
                 span: r1.span,
                 trans: r2.trans,
                 failed: false,
-                stats,
+                stats: stats.clone(),
             });
         }
 
@@ -396,10 +394,10 @@ mod tests {
     #[test]
     fn expired_deadline_aborts_before_any_transition_is_added() {
         let mut p = partial_view();
-        let opts =
-            RepairOptions { deadline: Some(std::time::Duration::ZERO), ..RepairOptions::default() };
         let tele = Telemetry::new();
-        let r = lazy_repair_traced(&mut p, &opts, &tele);
+        let token = Token::deadline_in(std::time::Duration::ZERO);
+        let r =
+            lazy_repair_warm(&mut p, &RepairOptions::default(), &tele, &token, &WarmSeeds::none());
         assert_eq!(r.unwrap_err(), RepairAborted::Timeout);
         let snap = tele.snapshot();
         assert_eq!(snap.counter("repair.outer_iterations"), 0, "aborted before iteration 1");

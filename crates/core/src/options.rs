@@ -1,8 +1,6 @@
 //! Tunable knobs shared by the repair algorithms — each one corresponds to
 //! a design choice the paper discusses, and each has an ablation bench.
 
-use std::time::Duration;
-
 /// Live-node count at which a repair's governance checkpoint first
 /// collects garbage (see `ftrepair_bdd::Manager::maybe_gc`). Each
 /// collection re-arms the trigger at twice the surviving size — never below
@@ -21,7 +19,9 @@ pub const GC_THRESHOLD: usize = 400_000;
 pub const MAX_OUTER_ITERATIONS: usize = 32;
 
 /// Options for [`crate::lazy_repair`], [`crate::cautious_repair`] and their
-/// building blocks.
+/// building blocks. Each field changes what a repair computes, so the
+/// server's content key covers all four; limits that only bound whether a
+/// run finishes (deadline, node budget) ride on its [`crate::Token`].
 #[derive(Clone, Copy, Debug)]
 pub struct RepairOptions {
     /// Restrict Step 1's fault-span search to states reachable by the
@@ -50,24 +50,6 @@ pub struct RepairOptions {
     /// (strict preservation of potential liveness, at the cost of a much
     /// smaller invariant).
     pub allow_new_terminal_inside: bool,
-    /// Wall-clock budget for the whole repair. `None` (the default) runs
-    /// unbounded; `Some(d)` arms a [`crate::cancel::Token`] deadline at
-    /// entry, and every fixpoint loop aborts with
-    /// [`crate::cancel::RepairAborted::Timeout`] once it passes. Not part
-    /// of the result — two runs differing only in deadline compute the same
-    /// repair (or one aborts), which is why the server's content-address
-    /// fingerprint excludes it.
-    pub deadline: Option<Duration>,
-    /// Live-node budget for the repair's BDD manager. `0` (the default)
-    /// runs unbounded; a positive value makes the arena's governance
-    /// checkpoints garbage-collect when the live count crosses it and, if
-    /// the collection alone cannot get back under, abort the run with
-    /// [`crate::cancel::RepairAborted::ResourceExhausted`] at the next
-    /// cancellation boundary — a clean 503/exit-125 instead of an OOM
-    /// kill. Like `deadline`, this bounds *whether* a repair finishes, not
-    /// what it computes, so the server's content-address fingerprint
-    /// excludes it.
-    pub max_nodes: usize,
 }
 
 impl Default for RepairOptions {
@@ -77,18 +59,11 @@ impl Default for RepairOptions {
             step2_closed_form: true,
             use_expand_group: true,
             allow_new_terminal_inside: true,
-            deadline: None,
-            max_nodes: 0,
         }
     }
 }
 
 impl RepairOptions {
-    /// The paper's configuration: heuristic on, ExpandGroup on, sequential.
-    pub fn paper() -> Self {
-        Self::default()
-    }
-
     /// Pure lazy repair (no reachability heuristic) — the configuration the
     /// paper reports as *not* improving on cautious repair.
     pub fn pure_lazy() -> Self {
@@ -114,10 +89,6 @@ mod tests {
         assert!(o.step2_closed_form);
         assert!(o.use_expand_group);
         assert!(o.allow_new_terminal_inside);
-        assert!(o.deadline.is_none(), "no deadline unless a caller opts in");
-        assert_eq!(o.max_nodes, 0, "no node budget unless a caller opts in");
-        let p = RepairOptions::paper();
-        assert_eq!(format!("{o:?}"), format!("{p:?}"));
     }
 
     #[test]

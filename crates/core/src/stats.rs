@@ -3,7 +3,10 @@
 
 use std::time::Duration;
 
-/// Counters and timings from one repair run.
+/// Counters and timings from one repair run: the engine's only tally. The
+/// entry point owns it, the loops and Step 2 add into it, and
+/// `arena::finish` publishes its counts to telemetry once, however the run
+/// ended (`repair.outer_iterations` and `step2.*`).
 #[derive(Clone, Debug, Default)]
 pub struct RepairStats {
     /// Wall time spent in Step 1 (Add-Masking), summed over outer
@@ -22,29 +25,12 @@ pub struct RepairStats {
     /// Iterations of Step 2's inner pick-a-transition loop (the quantity
     /// `ExpandGroup` exists to shrink).
     pub step2_picks: u64,
-    /// Cancellation checkpoints passed ([`crate::cancel::Token::check`]
-    /// calls from the outer and Step 2 loops) — how often an abort could
-    /// have been observed, i.e. the granularity of deadline enforcement.
-    pub cancel_checks: u64,
 }
 
 impl RepairStats {
     /// Total wall time across both steps.
     pub fn total_time(&self) -> Duration {
         self.step1_time + self.step2_time
-    }
-
-    /// Merge counters from another run (used when the outer loop re-runs
-    /// both steps).
-    pub fn absorb(&mut self, other: &RepairStats) {
-        self.step1_time += other.step1_time;
-        self.step2_time += other.step2_time;
-        self.outer_iterations += other.outer_iterations;
-        self.groups_kept += other.groups_kept;
-        self.groups_dropped += other.groups_dropped;
-        self.expansions += other.expansions;
-        self.step2_picks += other.step2_picks;
-        self.cancel_checks += other.cancel_checks;
     }
 }
 
@@ -60,22 +46,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.total_time(), Duration::from_millis(42));
-    }
-
-    #[test]
-    fn absorb_accumulates() {
-        let mut a = RepairStats { groups_kept: 2, outer_iterations: 1, ..Default::default() };
-        let b = RepairStats {
-            groups_kept: 3,
-            groups_dropped: 1,
-            outer_iterations: 1,
-            expansions: 7,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.groups_kept, 5);
-        assert_eq!(a.groups_dropped, 1);
-        assert_eq!(a.outer_iterations, 2);
-        assert_eq!(a.expansions, 7);
     }
 }

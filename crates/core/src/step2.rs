@@ -10,7 +10,6 @@ use crate::stats::RepairStats;
 use ftrepair_bdd::{NodeId, FALSE};
 use ftrepair_program::{realizability, DistributedProgram, Process};
 use ftrepair_symbolic::SymbolicContext;
-use ftrepair_telemetry::Telemetry;
 
 /// Output of Algorithm 2.
 #[derive(Clone, Debug)]
@@ -19,25 +18,21 @@ pub struct Step2Result {
     pub processes: Vec<Process>,
     /// Their union `δ_P'`.
     pub trans: NodeId,
-    /// Counters (groups kept/dropped, expansions, picks).
-    pub stats: RepairStats,
 }
 
 /// Run Algorithm 2 on the Step 1 output `trans` with fault-span `span`,
 /// against `token` — how Algorithm 1 shares one deadline across both
-/// steps. Group pick/keep/drop/expand decisions are counted into `tele`
-/// alongside the [`RepairStats`] fields (same events, same numbers — run
-/// reports and returned stats must agree).
+/// steps. Group pick/keep/drop/expand decisions are added into `stats`,
+/// the caller's tally for the whole repair.
 pub fn step2(
     prog: &mut DistributedProgram,
     trans: NodeId,
     span: NodeId,
     opts: &RepairOptions,
-    tele: &Telemetry,
+    stats: &mut RepairStats,
     token: &Token,
 ) -> Result<Step2Result, RepairAborted> {
     token.check()?;
-    let mut stats = RepairStats::default();
     let nprocs = prog.processes.len();
     // Line 1: δ := δ_P'' ∪ { (s0, s1) | s0 ∉ T } — all transitions starting
     // outside the fault-span are fair game.
@@ -53,21 +48,11 @@ pub fn step2(
         keep.extend(processes.iter().map(|p: &Process| p.trans));
         let p = &prog.processes[j];
         let (name, read, write) = (p.name.clone(), p.read.clone(), p.write.clone());
-        let delta_j = partition_for(
-            &mut prog.cx,
-            &read,
-            &write,
-            delta,
-            opts,
-            &keep,
-            &mut stats,
-            tele,
-            token,
-        )?;
+        let delta_j = partition_for(&mut prog.cx, &read, &write, delta, opts, &keep, stats, token)?;
         processes.push(Process { name, read, write, trans: delta_j });
         union = prog.cx.mgr().or(union, delta_j);
     }
-    Ok(Step2Result { processes, trans: union, stats })
+    Ok(Step2Result { processes, trans: union })
 }
 
 /// Line 1 of Algorithm 2 as a predicate transform.
@@ -88,6 +73,7 @@ pub fn with_outside_span(cx: &mut SymbolicContext, trans: NodeId, span: NodeId) 
 /// once per pick in the iterative loop. `keep` lists the caller's live BDD
 /// roots — the governance checkpoints here (same boundaries as the token
 /// checks) pass them through so a mid-partition collection keeps them.
+/// Group decisions are added into `stats`.
 #[allow(clippy::too_many_arguments)]
 pub fn partition_for(
     cx: &mut SymbolicContext,
@@ -97,7 +83,6 @@ pub fn partition_for(
     opts: &RepairOptions,
     keep: &[NodeId],
     stats: &mut RepairStats,
-    tele: &Telemetry,
     token: &Token,
 ) -> Result<NodeId, RepairAborted> {
     let with_keep = |extra: &[NodeId]| {
@@ -106,13 +91,6 @@ pub fn partition_for(
         roots
     };
     cx.maybe_gc(&with_keep(&[delta]));
-    // Lock-free counter handles, registered once per process — the inner
-    // pick loop only touches atomics. Each increment sits next to its
-    // `RepairStats` twin so the two tallies cannot drift apart.
-    let c_picks = tele.counter("step2.picks");
-    let c_kept = tele.counter("step2.groups_kept");
-    let c_dropped = tele.counter("step2.groups_dropped");
-    let c_expansions = tele.counter("step2.expansions");
 
     let unwritable: Vec<_> = cx.var_ids().into_iter().filter(|v| !write.contains(v)).collect();
     let unreadable: Vec<_> = cx.var_ids().into_iter().filter(|v| !read.contains(v)).collect();
@@ -124,20 +102,16 @@ pub fn partition_for(
         return Ok(FALSE);
     }
     if opts.step2_closed_form {
-        stats.cancel_checks += 1;
         token.check_governed(cx)?;
         let keep = complete_groups(cx, &unreadable, cand);
         stats.step2_picks += 1;
-        c_picks.inc();
         if keep != FALSE {
             stats.groups_kept += 1;
-            c_kept.inc();
         }
         // Every incomplete group is the group of some step of Δ_j, so a
         // group was dropped iff `keep` lost a step.
         if keep != cand {
             stats.groups_dropped += 1;
-            c_dropped.inc();
         }
         debug_assert!({
             let g = realizability::group(cx, &unreadable, keep);
@@ -151,11 +125,9 @@ pub fn partition_for(
 
     // Lines 7–22: peel off one group (or its expansion) at a time.
     while cand != FALSE {
-        stats.cancel_checks += 1;
         token.check_governed(cx)?;
         cx.maybe_gc(&with_keep(&[cand, delta_j]));
         stats.step2_picks += 1;
-        c_picks.inc();
         // Line 8: choose one concrete transition.
         let pick = cx.mgr().pick_cube_bdd(cand, &all_levels);
         debug_assert_ne!(pick, FALSE);
@@ -166,7 +138,6 @@ pub fn partition_for(
             // Line 11: incomplete group — remove it wholesale.
             cand = cx.mgr().diff(cand, g);
             stats.groups_dropped += 1;
-            c_dropped.inc();
             continue;
         }
         // Lines 13–18: try to expand over each readable-but-not-written
@@ -177,7 +148,6 @@ pub fn partition_for(
                 if g2 != g && cx.mgr().leq(g2, cand) {
                     g = g2;
                     stats.expansions += 1;
-                    c_expansions.inc();
                 }
             }
         }
@@ -185,7 +155,6 @@ pub fn partition_for(
         delta_j = cx.mgr().or(delta_j, g);
         cand = cx.mgr().diff(cand, g);
         stats.groups_kept += 1;
-        c_kept.inc();
     }
     Ok(delta_j)
 }
@@ -240,14 +209,16 @@ mod tests {
     use ftrepair_program::verify::verify_realizability;
     use ftrepair_program::{ProgramBuilder, TRUE};
 
-    /// Untraced Step 2 under the options' deadline.
+    /// Unbounded Step 2 and its counts.
     fn run(
         p: &mut DistributedProgram,
         trans: NodeId,
         span: NodeId,
         opts: &RepairOptions,
-    ) -> Result<Step2Result, RepairAborted> {
-        step2(p, trans, span, opts, &Telemetry::off(), &Token::from_options(opts))
+    ) -> (Step2Result, RepairStats) {
+        let mut stats = RepairStats::default();
+        let r = step2(p, trans, span, opts, &mut stats, &Token::unbounded()).unwrap();
+        (r, stats)
     }
 
     /// The Figure 3–5 universe: v0, v1, v2 booleans, p_j reads {v0,v1}
@@ -269,10 +240,10 @@ mod tests {
         // space, so no free additions: Step 2 must delete it.
         let (mut p, _) = fig_builder();
         let t = p.cx.transition_cube(&[0, 0, 0], &[0, 1, 0]);
-        let r = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let (r, stats) = run(&mut p, t, TRUE, &RepairOptions::default());
         assert_eq!(r.trans, FALSE);
-        assert!(r.stats.groups_dropped >= 1);
-        assert_eq!(r.stats.groups_kept, 0);
+        assert!(stats.groups_dropped >= 1);
+        assert_eq!(stats.groups_kept, 0);
     }
 
     #[test]
@@ -282,7 +253,7 @@ mod tests {
         let t1 = p.cx.transition_cube(&[0, 0, 0], &[0, 1, 0]);
         let t2 = p.cx.transition_cube(&[0, 0, 1], &[0, 1, 1]);
         let t = p.cx.mgr().or(t1, t2);
-        let r = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let (r, _) = run(&mut p, t, TRUE, &RepairOptions::default());
         assert!(p.cx.mgr().leq(t, r.trans));
         let report = verify_realizability(&mut p, &r.processes);
         assert!(report.ok(), "{report:?}");
@@ -303,7 +274,7 @@ mod tests {
             let missing = p.cx.state_cube(&[0, 0, 1]);
             p.cx.mgr().not(missing)
         };
-        let r = run(&mut p, t, span, &RepairOptions::default()).unwrap();
+        let (r, _) = run(&mut p, t, span, &RepairOptions::default());
         assert!(p.cx.mgr().leq(t, r.trans), "original transition kept");
         let report = verify_realizability(&mut p, &r.processes);
         assert!(report.ok(), "{report:?}");
@@ -319,7 +290,7 @@ mod tests {
         let c = p.cx.transition_cube(&[1, 1, 0], &[1, 1, 1]);
         let ab = p.cx.mgr().or(a, b);
         let t = p.cx.mgr().or(ab, c);
-        let r = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let (r, _) = run(&mut p, t, TRUE, &RepairOptions::default());
         let report = verify_realizability(&mut p, &r.processes);
         assert!(report.ok(), "{report:?}");
         // The double-write transition cannot survive (no process can do it).
@@ -332,7 +303,7 @@ mod tests {
         let t1 = p.cx.transition_cube(&[0, 0, 0], &[0, 1, 0]);
         let t2 = p.cx.transition_cube(&[0, 0, 1], &[0, 1, 1]);
         let t = p.cx.mgr().or(t1, t2);
-        let r = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        let (r, _) = run(&mut p, t, TRUE, &RepairOptions::default());
         // span = TRUE means nothing outside: result ⊆ input.
         assert!(p.cx.mgr().leq(r.trans, t));
     }
@@ -352,27 +323,26 @@ mod tests {
         let g1 = mk(&mut p, 1);
         let t = p.cx.mgr().or(g0, g1);
 
-        let with = run(&mut p, t, TRUE, &RepairOptions::iterative_step2()).unwrap();
-        let without = run(
+        let (with, with_stats) = run(&mut p, t, TRUE, &RepairOptions::iterative_step2());
+        let (without, without_stats) = run(
             &mut p,
             t,
             TRUE,
             &RepairOptions { use_expand_group: false, ..RepairOptions::iterative_step2() },
-        )
-        .unwrap();
-        let closed = run(&mut p, t, TRUE, &RepairOptions::default()).unwrap();
+        );
+        let (closed, closed_stats) = run(&mut p, t, TRUE, &RepairOptions::default());
         assert_eq!(with.trans, without.trans, "same semantics either way");
         assert_eq!(with.trans, closed.trans, "closed form matches the loop");
         assert!(p.cx.mgr().leq(t, with.trans));
         assert!(
-            with.stats.step2_picks < without.stats.step2_picks,
+            with_stats.step2_picks < without_stats.step2_picks,
             "expansion must save picks: {} vs {}",
-            with.stats.step2_picks,
-            without.stats.step2_picks
+            with_stats.step2_picks,
+            without_stats.step2_picks
         );
-        assert!(with.stats.expansions >= 1);
+        assert!(with_stats.expansions >= 1);
         assert!(
-            closed.stats.step2_picks <= with.stats.step2_picks,
+            closed_stats.step2_picks <= with_stats.step2_picks,
             "closed form does at most one pass per process"
         );
     }
@@ -393,8 +363,8 @@ mod tests {
             let missing = p.cx.state_cube(&[1, 0, 1]);
             p.cx.mgr().not(missing)
         };
-        let iter = run(&mut p, t, span, &RepairOptions::iterative_step2()).unwrap();
-        let closed = run(&mut p, t, span, &RepairOptions::default()).unwrap();
+        let (iter, _) = run(&mut p, t, span, &RepairOptions::iterative_step2());
+        let (closed, _) = run(&mut p, t, span, &RepairOptions::default());
         assert_eq!(iter.trans, closed.trans);
         for (x, y) in iter.processes.iter().zip(&closed.processes) {
             assert_eq!(x.trans, y.trans, "process {} differs", x.name);
@@ -404,9 +374,9 @@ mod tests {
     #[test]
     fn empty_input_yields_empty_output() {
         let (mut p, _) = fig_builder();
-        let r = run(&mut p, FALSE, TRUE, &RepairOptions::default()).unwrap();
+        let (r, stats) = run(&mut p, FALSE, TRUE, &RepairOptions::default());
         assert_eq!(r.trans, FALSE);
-        assert_eq!(r.stats.step2_picks, 0);
+        assert_eq!(stats.step2_picks, 0);
     }
 
     #[test]
@@ -415,12 +385,11 @@ mod tests {
         let t1 = p.cx.transition_cube(&[0, 0, 0], &[0, 1, 0]);
         let t2 = p.cx.transition_cube(&[0, 0, 1], &[0, 1, 1]);
         let t = p.cx.mgr().or(t1, t2);
-        let opts =
-            RepairOptions { deadline: Some(std::time::Duration::ZERO), ..Default::default() };
-        let tele = Telemetry::new();
-        let r = step2(&mut p, t, TRUE, &opts, &tele, &Token::from_options(&opts));
+        let mut stats = RepairStats::default();
+        let token = Token::deadline_in(std::time::Duration::ZERO);
+        let r = step2(&mut p, t, TRUE, &RepairOptions::default(), &mut stats, &token);
         assert_eq!(r.unwrap_err(), RepairAborted::Timeout);
-        assert_eq!(tele.snapshot().counter("step2.picks"), 0, "no pick before the abort");
+        assert_eq!(stats.step2_picks, 0, "no pick before the abort");
     }
 
     #[test]

@@ -155,8 +155,10 @@ fn step2_agrees_with_explicit_group_filtering() {
         if r1.failed {
             return;
         }
-        let (opts, tele, token) = (RepairOptions::default(), Telemetry::off(), Token::unbounded());
-        let r2 = ftrepair_core::step2(&mut p, r1.trans, r1.span, &opts, &tele, &token).unwrap();
+        let (opts, token) = (RepairOptions::default(), Token::unbounded());
+        let mut stats = ftrepair_core::RepairStats::default();
+        let r2 =
+            ftrepair_core::step2(&mut p, r1.trans, r1.span, &opts, &mut stats, &token).unwrap();
 
         let trans_edges = extract::bdd_to_edges(&p, &explicit.space, r1.trans);
         let span_states = extract::bdd_to_states(&p, &explicit.space, r1.span);

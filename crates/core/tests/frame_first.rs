@@ -88,7 +88,7 @@ fn assert_allowed(prog: &mut DistributedProgram, pre: &Prelude, s1: NodeId, t1: 
 /// counts.
 fn assert_step2(prog: &mut DistributedProgram, trans: NodeId, span: NodeId) {
     let name = prog.name.clone();
-    let (opts, tele, token) = (RepairOptions::default(), Telemetry::off(), Token::unbounded());
+    let (opts, token) = (RepairOptions::default(), Token::unbounded());
     let delta = with_outside_span(&mut prog.cx, trans, span);
     let mut total = [0; 3];
     let mut relations = Vec::new();
@@ -102,8 +102,8 @@ fn assert_step2(prog: &mut DistributedProgram, trans: NodeId, span: NodeId) {
         let mut stats = RepairStats::default();
         let roots = [trans, span, delta];
         let cx = &mut prog.cx;
-        let got = partition_for(cx, &read, &write, delta, &opts, &roots, &mut stats, &tele, &token)
-            .unwrap();
+        let got =
+            partition_for(cx, &read, &write, delta, &opts, &roots, &mut stats, &token).unwrap();
         let (want, want_counters) = reference::partition(cx, &unreadable, &unwritable, delta);
         assert_eq!(got, want, "{name}: δ_{j} differs");
         assert_eq!(counters(&stats), want_counters, "{name}: process {j}'s counters differ");
@@ -112,10 +112,11 @@ fn assert_step2(prog: &mut DistributedProgram, trans: NodeId, span: NodeId) {
         }
         relations.push(want);
     }
-    let r2 = step2(prog, trans, span, &opts, &tele, &token).unwrap();
+    let mut stats = RepairStats::default();
+    let r2 = step2(prog, trans, span, &opts, &mut stats, &token).unwrap();
     let got: Vec<NodeId> = r2.processes.iter().map(|p| p.trans).collect();
     assert_eq!(got, relations, "{name}: step2's relations differ");
-    assert_eq!(counters(&r2.stats), total, "{name}: step2's counters differ");
+    assert_eq!(counters(&stats), total, "{name}: step2's counters differ");
 }
 
 /// Every identity at the points where both algorithms use it:

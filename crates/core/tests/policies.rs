@@ -2,7 +2,11 @@
 //! Step 2 strategy equivalence, and heuristic effects on real case studies.
 
 use ftrepair_casestudies::{byzantine::BOT, byzantine_agreement};
-use ftrepair_core::{lazy_repair, verify::verify_outcome, RepairAborted, RepairOptions};
+use ftrepair_core::{
+    lazy_repair, lazy_repair_warm, verify::verify_outcome, RepairAborted, RepairOptions, Token,
+    WarmSeeds,
+};
+use ftrepair_telemetry::Telemetry;
 
 #[test]
 fn default_policy_keeps_initial_states_in_the_invariant() {
@@ -98,8 +102,10 @@ fn tiny_node_budget_aborts_with_resource_exhausted() {
     // GC: the first governance checkpoint latches exhaustion and the next
     // loop boundary unwinds cleanly — no abort-by-OOM.
     let (mut p, _) = byzantine_agreement(2);
-    let starved = RepairOptions { max_nodes: 16, ..Default::default() };
-    assert_eq!(lazy_repair(&mut p, &starved).unwrap_err(), RepairAborted::ResourceExhausted);
+    let starved = Token::unbounded().with_node_budget(16);
+    let (opts, tele, seeds) = (RepairOptions::default(), Telemetry::off(), WarmSeeds::none());
+    let r = lazy_repair_warm(&mut p, &opts, &tele, &starved, &seeds);
+    assert_eq!(r.unwrap_err(), RepairAborted::ResourceExhausted);
 
     // The budget bounds whether a run finishes, never what it computes:
     // the same manager, re-armed unbudgeted, completes and verifies.

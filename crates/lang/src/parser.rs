@@ -41,10 +41,17 @@ pub fn parse(src: &str) -> Result<Program, ParseError> {
 /// compiler, `Debug`, `Drop`) recurses once per level, so without a bound a
 /// few kilobytes of `(`s, `!`s or `a & a & …` in an untrusted spec
 /// overflow a worker's stack and abort the process, where hostile input
-/// must get an error. At 256 levels every walker fits a 2 MiB thread
-/// stack, and the canonical text [`crate::unparse()`] prints opens at most
-/// one parenthesis per operator, so it parses back under the same bound.
+/// must get an error. At 256 levels every walker fits a
+/// [`WORKER_STACK_SIZE`] thread stack, and the canonical text
+/// [`crate::unparse()`] prints opens at most one parenthesis per operator,
+/// so it parses back under the same bound.
 pub const MAX_EXPR_DEPTH: usize = 256;
+
+/// The stack, in bytes, that [`MAX_EXPR_DEPTH`] is argued for: 2 MiB, the
+/// default size of a spawned thread. A thread that handles untrusted specs
+/// asks for it explicitly, because `RUST_MIN_STACK` sets the default and
+/// could shrink it below what the bound needs.
+pub const WORKER_STACK_SIZE: usize = 2 << 20;
 
 /// An expression and its depth (operators on its longest path).
 type Parsed = (Expr, usize);
@@ -541,12 +548,12 @@ mod tests {
 
     /// Every walker of an expression (parse, unparse, compile, `Debug`,
     /// `Drop`) recurses once per level. At the bound they all fit the
-    /// 2 MiB stack of a spawned thread, as a daemon worker has, and the
-    /// canonical text parses back to the same AST; one level deeper, the
-    /// parser refuses the spec.
+    /// [`WORKER_STACK_SIZE`] stack a daemon worker has, and the canonical
+    /// text parses back to the same AST; one level deeper, the parser
+    /// refuses the spec.
     #[test]
     fn the_depth_bound_fits_a_worker_stack_and_round_trips() {
-        let worker = std::thread::Builder::new().stack_size(2 << 20).spawn(|| {
+        let worker = std::thread::Builder::new().stack_size(WORKER_STACK_SIZE).spawn(|| {
             for src in at_depth(MAX_EXPR_DEPTH) {
                 let ast = parse(&src).unwrap_or_else(|e| panic!("{e}: {src}"));
                 let canonical = crate::unparse(&ast);

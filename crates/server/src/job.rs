@@ -76,12 +76,10 @@ impl JobSpec {
     }
 }
 
-/// The options half of the content key, a short stable string. It is an
-/// *explicit* field list, not a derive over the whole struct: `deadline`
-/// and `max_nodes` bound whether a job finishes, never what it computes,
-/// and aborted runs are never cached — including them would fragment the
-/// cache, and the same spec run under ten budgets would compute the same
-/// repair ten times.
+/// The options half of the content key, a short stable string. Budgets are
+/// not options (they ride on the job's [`Token`]): they bound whether a job
+/// finishes, never what it computes, so the same spec run under ten
+/// budgets addresses one entry.
 /// Two retired knobs stay in the text at their only remaining value, so
 /// stores and journals written before their removal keep their keys: `p0`
 /// (parallel Step 2, always off) and `:auto` (the reorder mode; the
@@ -103,9 +101,8 @@ pub fn options_fingerprint(mode: Mode, o: &RepairOptions) -> String {
 /// into the mode and options it encodes. Used by boot recovery to replay a
 /// journaled job exactly as it was submitted — the journal stores the
 /// fingerprint, not the options struct, so the two stay in lockstep by
-/// construction (see the roundtrip test). Budgets (`deadline`,
-/// `max_nodes`) are not in the fingerprint; the caller re-applies the
-/// server's own limits. A `p1` (parallel Step 2), a `:none`/`:sift`
+/// construction (see the roundtrip test). Budgets are not in the
+/// fingerprint; the caller's token carries its own limits. A `p1` (parallel Step 2), a `:none`/`:sift`
 /// reorder mode or an outer-iteration bound other than
 /// [`MAX_OUTER_ITERATIONS`], all since removed, does not parse: that job
 /// cannot be rerun under the key it was recorded with.
@@ -144,7 +141,6 @@ pub fn options_from_fingerprint(s: &str) -> Option<(Mode, RepairOptions)> {
             step2_closed_form,
             use_expand_group,
             allow_new_terminal_inside,
-            ..RepairOptions::default()
         },
     ))
 }
@@ -674,20 +670,6 @@ mod tests {
     }
 
     #[test]
-    fn budgets_do_not_fragment_the_content_address() {
-        // Deadline and node budget bound whether a run finishes, not what
-        // it computes; a budgeted rerun must hit the unbudgeted cache.
-        let plain = prepare(TOGGLE, Mode::Lazy, RepairOptions::default()).unwrap();
-        let budgeted = RepairOptions {
-            deadline: Some(std::time::Duration::from_secs(5)),
-            max_nodes: 10_000,
-            ..Default::default()
-        };
-        let bounded = prepare(TOGGLE, Mode::Lazy, budgeted).unwrap();
-        assert_eq!(plain.key, bounded.key, "budgets are not part of the address");
-    }
-
-    #[test]
     fn prepare_rejects_malformed_specs() {
         let err = prepare("program oops", Mode::Lazy, RepairOptions::default()).unwrap_err();
         assert!(err.starts_with("parse error:"), "{err}");
@@ -725,8 +707,8 @@ mod tests {
     #[test]
     fn execute_repairs_verifies_and_builds_sim_bundle() {
         let spec = prepare(TOGGLE, Mode::Lazy, RepairOptions::default()).unwrap();
-        let token = Token::from_options(&spec.opts);
-        let result = execute(&spec, &Telemetry::off(), true, &token, None, false).unwrap();
+        let result =
+            execute(&spec, &Telemetry::off(), true, &Token::unbounded(), None, false).unwrap();
         assert!(!result.failed);
         assert!(result.masking && result.realizable);
         assert_eq!(result.response.get("ok").unwrap().as_bool(), Some(true));
@@ -748,8 +730,8 @@ mod tests {
     fn a_bundle_at_the_cap_holds_every_edge_and_invariant_state() {
         // Six cells over 0..3: exactly SIM_STATE_CAP states.
         let spec = prepare(&chain_spec(6, 4, None), Mode::Lazy, RepairOptions::default()).unwrap();
-        let token = Token::from_options(&spec.opts);
-        let result = execute(&spec, &Telemetry::off(), true, &token, None, true).unwrap();
+        let result =
+            execute(&spec, &Telemetry::off(), true, &Token::unbounded(), None, true).unwrap();
         assert!(result.masking && result.realizable);
         let bundle = match &result.sim {
             SimStatus::Ready(bundle) => bundle,
@@ -790,8 +772,8 @@ mod tests {
     fn disk_rebuilds_give_the_bundle_or_refusal_of_the_miss_path() {
         let repaired = |text: &str| {
             let spec = prepare(text, Mode::Lazy, RepairOptions::default()).unwrap();
-            let token = Token::from_options(&spec.opts);
-            let result = execute(&spec, &Telemetry::off(), true, &token, None, true).unwrap();
+            let result =
+                execute(&spec, &Telemetry::off(), true, &Token::unbounded(), None, true).unwrap();
             assert!(result.artifacts.is_some(), "a verified repair exports");
             (spec, result)
         };
@@ -884,8 +866,8 @@ mod tests {
             RepairOptions::default(),
         )
         .unwrap();
-        let token = Token::from_options(&spec.opts);
-        let err = execute(&spec, &Telemetry::off(), false, &token, None, false).unwrap_err();
+        let err =
+            execute(&spec, &Telemetry::off(), false, &Token::unbounded(), None, false).unwrap_err();
         let msg = err.to_string();
         assert!(matches!(err, ExecError::Invalid(_)), "{err:?}");
         assert!(msg.starts_with("compile error:"), "{msg}");
@@ -894,14 +876,9 @@ mod tests {
 
     #[test]
     fn execute_surfaces_deadline_aborts() {
-        let opts =
-            RepairOptions { deadline: Some(std::time::Duration::ZERO), ..RepairOptions::default() };
-        let spec = prepare(TOGGLE, Mode::Lazy, opts).unwrap();
-        let token = Token::from_options(&spec.opts);
+        let spec = prepare(TOGGLE, Mode::Lazy, RepairOptions::default()).unwrap();
+        let token = Token::deadline_in(std::time::Duration::ZERO);
         let err = execute(&spec, &Telemetry::off(), false, &token, None, false).unwrap_err();
         assert!(matches!(err, ExecError::Aborted(RepairAborted::Timeout)), "{err:?}");
-        // The deadline is not part of the content address.
-        let plain = prepare(TOGGLE, Mode::Lazy, RepairOptions::default()).unwrap();
-        assert_eq!(spec.key, plain.key, "deadline must not fragment the cache");
     }
 }

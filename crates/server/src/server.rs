@@ -22,6 +22,7 @@ use crate::queue::{JobQueue, PushError};
 use crate::signal;
 use ftrepair_core::{RepairAborted, RepairOptions, Token};
 use ftrepair_explicit::simulate::SimConfig;
+use ftrepair_lang::parser::WORKER_STACK_SIZE;
 use ftrepair_store::{
     CheckpointStore, DiskStore, JobJournal, JournalRecord, NewEntry as StoreWrite,
 };
@@ -210,13 +211,18 @@ impl Shared {
         self.shutdown.load(Ordering::SeqCst) || signal::requested()
     }
 
-    /// The cancellation token one repair job runs under: the server-wide
-    /// cancel flag plus this job's deadline, and the key's checkpoint sink
-    /// whenever checkpoint slots have a durable home.
-    fn job_token(&self, key: &str) -> Token {
+    /// The token one repair job runs under, carrying every limit: the
+    /// server-wide cancel flag, this job's deadline, and the node budget —
+    /// the server's, tightened by the request's `max_nodes` (`0`: none; a
+    /// client may lower the operator's OOM guard, never raise it) — plus
+    /// the key's checkpoint sink whenever checkpoint slots have a durable
+    /// home.
+    fn job_token(&self, key: &str, max_nodes: usize) -> Token {
         let token = Token::unbounded()
             .with_flag(Arc::clone(&self.cancel_jobs))
-            .with_deadline_in(self.job_timeout);
+            .with_deadline_in(self.job_timeout)
+            .with_node_budget(self.job_max_nodes)
+            .with_node_budget(max_nodes);
         let Some(ckpts) = &self.ckpts else {
             return token;
         };
@@ -662,16 +668,21 @@ impl Server {
         // delays the accept loop. Joined before the store-write queue
         // closes (replays enqueue write-throughs like any other job); the
         // bounded drain covers it via `active`, and a shutdown mid-replay
-        // leaves the untouched records pending for the next boot.
+        // leaves the untouched records pending for the next boot. It and
+        // the workers parse specs, so they get the stack the parser's depth
+        // bound is argued for, whatever `RUST_MIN_STACK` says.
+        let spec_thread = || std::thread::Builder::new().stack_size(WORKER_STACK_SIZE);
         let recoverer = (!recovery.is_empty()).then(|| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || recover_jobs(&shared, recovery))
+            spec_thread().spawn(move || recover_jobs(&shared, recovery)).expect("spawn recovery")
         });
 
         std::thread::scope(|scope| {
             for _ in 0..shared.workers {
                 let shared = Arc::clone(&shared);
-                scope.spawn(move || supervise_worker(&shared));
+                spec_thread()
+                    .spawn_scoped(scope, move || supervise_worker(&shared))
+                    .expect("spawn worker");
             }
 
             while !shared.shutting_down() {
@@ -961,9 +972,6 @@ fn replay_job(shared: &Shared, rec: &JournalRecord) {
         shared.journal_done(&rec.key, "unparseable-options");
         return;
     };
-    // Budgets are not journaled (they are not part of the content key);
-    // re-apply this server's own limits like any fresh submission.
-    let opts = RepairOptions { max_nodes: shared.job_max_nodes, ..opts };
     let spec = match job::prepare(&rec.spec, mode, opts) {
         Ok(spec) => spec,
         Err(message) => {
@@ -987,7 +995,9 @@ fn replay_job(shared: &Shared, rec: &JournalRecord) {
     let record =
         JobRecord::new(trace_id, &spec.name, spec.mode.as_str(), &spec.key, Duration::ZERO);
     shared.jobs.push(Arc::clone(&record));
-    match run_job(shared, &record, Origin::Replay, || Ok(spec)) {
+    // Budgets are not journaled (they are not part of the content key), so
+    // the replay runs under this server's own limits alone.
+    match run_job(shared, &record, Origin::Replay, 0, || Ok(spec)) {
         // Already in a tier: the crash came after the result landed but
         // before the done record did, or a live client raced the replay.
         Ok((_, Tier::Memory | Tier::Disk)) => {
@@ -1230,38 +1240,35 @@ fn handle_job(shared: &Shared, id: &str) -> Reply {
     }
 }
 
-/// Decode the repair knobs shared by `/repair` and `/simulate`.
-fn job_params(req: &Request, job_max_nodes: usize) -> Result<(Mode, RepairOptions), String> {
+/// Decode the repair knobs shared by `/repair` and `/simulate`: the mode,
+/// the options, and the client's node budget (`?max-nodes=`, `0` when
+/// absent). The budget is not part of the content key: like the deadline,
+/// it bounds whether a job finishes, not what it computes.
+fn job_params(req: &Request) -> Result<(Mode, RepairOptions, usize), String> {
     let mode = match req.query("mode") {
         None | Some("lazy") => Mode::Lazy,
         Some("cautious") => Mode::Cautious,
         Some(other) => return Err(format!("unknown mode {other:?} (use lazy or cautious)")),
     };
-    // A client may tighten the node budget below the server's, never relax
-    // it — `--job-max-nodes` is the operator's OOM guard. Not part of the
-    // content key: like the deadline, it bounds whether a job finishes,
-    // not what it computes.
-    let max_nodes = match req.query("max-nodes") {
-        None => job_max_nodes,
-        Some(v) => {
-            let requested: usize = v
-                .parse()
-                .map_err(|_| format!("max-nodes must be a non-negative integer, got {v:?}"))?;
-            match (requested, job_max_nodes) {
-                (0, server) => server,
-                (client, 0) => client,
-                (client, server) => client.min(server),
-            }
-        }
-    };
+    let max_nodes = query_number(req, "max-nodes", 0)?;
     let opts = RepairOptions {
         restrict_to_reachable: !req.query_flag("pure-lazy"),
         step2_closed_form: !req.query_flag("iterative-step2"),
         allow_new_terminal_inside: !req.query_flag("strict-terminal"),
-        max_nodes,
         ..Default::default()
     };
-    Ok((mode, opts))
+    Ok((mode, opts, max_nodes))
+}
+
+/// The numeric query parameter `name`: `default` when absent, and an error
+/// naming it when it is not a non-negative integer.
+fn query_number<T: std::str::FromStr>(req: &Request, name: &str, default: T) -> Result<T, String> {
+    match req.query(name) {
+        None => Ok(default),
+        Some(v) => {
+            v.parse().map_err(|_| format!("{name} must be a non-negative integer, got {v:?}"))
+        }
+    }
 }
 
 /// Who submitted a job.
@@ -1307,7 +1314,7 @@ fn cached_repair(
     if source.trim().is_empty() {
         return Err(Reply::error(400, "empty request body: POST the .ftr spec text"));
     }
-    let (mode, opts) = job_params(req, shared.job_max_nodes).map_err(|m| Reply::error(400, &m))?;
+    let (mode, opts, max_nodes) = job_params(req).map_err(|m| Reply::error(400, &m))?;
 
     // A body prepared before under the same options is recalled from the
     // memo: its key and name are all the memory tier needs, and the
@@ -1326,7 +1333,8 @@ fn cached_repair(
         JobRecord::new(ctx.trace_id, &known.name, mode.as_str(), &known.key, ctx.queue_wait);
     shared.jobs.push(Arc::clone(&record));
     let prepare = || spec.map_or_else(|| job::prepare(source, mode, opts), Ok);
-    let (entry, tier) = run_job(shared, &record, Origin::Request(ctx.trace_id), prepare)?;
+    let origin = Origin::Request(ctx.trace_id);
+    let (entry, tier) = run_job(shared, &record, origin, max_nodes, prepare)?;
     match tier {
         Tier::Memory => record.finish(JobStatus::CacheHit),
         Tier::Disk => record.finish(JobStatus::DiskHit),
@@ -1343,11 +1351,13 @@ fn cached_repair(
 ///
 /// The job is `record.key`; `prepare` yields its parsed spec and is called
 /// only once the memory tier has missed and this job leads the flight, so
-/// a prepare-memo hit served from memory never parses.
+/// a prepare-memo hit served from memory never parses. `max_nodes`
+/// tightens the server's node budget for this job (`0`: no tightening).
 fn run_job(
     shared: &Shared,
     record: &JobRecord,
     origin: Origin,
+    max_nodes: usize,
     prepare: impl FnOnce() -> Result<job::JobSpec, String>,
 ) -> Result<(Arc<CacheEntry>, Tier), Reply> {
     // A replayed record is pending in the journal already, so every ending
@@ -1427,7 +1437,7 @@ fn run_job(
     // snapshot is folded into the server registry afterwards so /metrics
     // still aggregates everything.
     let job_tele = Telemetry::new();
-    let token = shared.job_token(&spec.key);
+    let token = shared.job_token(&spec.key, max_nodes);
     // The per-job panic boundary: a crashing repair costs the client a 500
     // and the server one recycled worker — nothing more, and the response
     // is written by this (surviving) thread, so no connection is ever
@@ -1579,10 +1589,15 @@ fn handle_repair(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
 }
 
 fn handle_simulate(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
-    let config = SimConfig {
-        runs: req.query("runs").and_then(|v| v.parse().ok()).unwrap_or(200),
-        max_faults: req.query("max-faults").and_then(|v| v.parse().ok()).unwrap_or(3),
-        ..Default::default()
+    let params = (|| {
+        let runs = query_number(req, "runs", 200)?;
+        let max_faults = query_number(req, "max-faults", 3)?;
+        let seed = query_number(req, "seed", 0xF7_5EED)?;
+        Ok::<_, String>((SimConfig { runs, max_faults, ..Default::default() }, seed))
+    })();
+    let (config, seed) = match params {
+        Ok(params) => params,
+        Err(message) => return Reply::error(400, &message),
     };
     if config.runs == 0 || config.runs > 100_000 {
         return Reply::error(400, "runs must be between 1 and 100000");
@@ -1593,7 +1608,6 @@ fn handle_simulate(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
     if config.max_faults > 1_000 {
         return Reply::error(400, "max-faults must be between 0 and 1000");
     }
-    let seed = req.query("seed").and_then(|v| v.parse().ok()).unwrap_or(0xF7_5EED);
 
     let (entry, cached) = match cached_repair(shared, req, ctx) {
         Ok(pair) => pair,

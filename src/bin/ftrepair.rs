@@ -266,19 +266,22 @@ fn duration_flag(flags: &[String], name: &str) -> Result<Option<Duration>, Strin
     }
 }
 
-/// Parse the repair options ([`JOB_FLAGS`]).
-fn job_options(flags: &[String]) -> Result<(job::Mode, RepairOptions), String> {
+/// Parse the repair options ([`JOB_FLAGS`]), and the token carrying the
+/// run's limits (`--timeout`, armed from now, and `--max-nodes`).
+fn job_options(flags: &[String]) -> Result<(job::Mode, RepairOptions, Token), String> {
     let has = |f: &str| flags.iter().any(|a| a == f);
     let mode = if has("--cautious") { job::Mode::Cautious } else { job::Mode::Lazy };
     let opts = RepairOptions {
         restrict_to_reachable: !has("--pure-lazy"),
         step2_closed_form: !has("--iterative-step2"),
         allow_new_terminal_inside: !has("--strict-terminal"),
-        deadline: duration_flag(flags, "--timeout")?,
-        max_nodes: parsed_flag(flags, "--max-nodes", 0usize)?,
         ..Default::default()
     };
-    Ok((mode, opts))
+    let mut token = Token::unbounded().with_node_budget(parsed_flag(flags, "--max-nodes", 0)?);
+    if let Some(budget) = duration_flag(flags, "--timeout")? {
+        token = token.with_deadline_in(budget);
+    }
+    Ok((mode, opts, token))
 }
 
 fn serve(flags: &[String]) -> ExitCode {
@@ -613,7 +616,7 @@ fn run_job(
         eprintln!("{e}");
         ExitCode::from(2)
     };
-    let (mode, opts) = job_options(flags).map_err(usage)?;
+    let (mode, opts, mut token) = job_options(flags).map_err(usage)?;
     let path_flag = |name| flag_value(flags, name).map(|v| v.map(PathBuf::from));
     let metrics_out = path_flag("--metrics-out")
         .map_err(|_| usage("--metrics-out requires a path argument".to_string()))?;
@@ -686,7 +689,6 @@ fn run_job(
     } else {
         Telemetry::off()
     };
-    let mut token = Token::from_options(&spec.opts);
     if let Some(ckpts) = &ckpts {
         token = token.with_checkpointer(job::checkpoint_sink(ckpts, &spec.key, |_, written| {
             if let Err(e) = written {

@@ -452,6 +452,19 @@ fn simulate_replays_faults_against_the_cached_repair() {
         "{body}"
     );
 
+    // A malformed number is refused by name, not replaced by its default.
+    for (query, name) in [
+        ("runs=abc", "runs"),
+        ("runs=-5", "runs"),
+        ("max-faults=lots", "max-faults"),
+        ("seed=xyz", "seed"),
+    ] {
+        let (status, body) = request(addr, "POST", &format!("/simulate?{query}"), &toggle);
+        assert_eq!(status, 400, "{query}: {body}");
+        let error = body.get("error").and_then(Json::as_str).unwrap_or("");
+        assert!(error.starts_with(name), "{query}: {body}");
+    }
+
     handle.shutdown();
     join.join().unwrap();
 }
@@ -676,15 +689,14 @@ fn prometheus_exposition_lints_clean_and_metrics_json_is_v2() {
     join.join().unwrap();
 }
 
-/// Binary-level: `ftrepair serve` announces its address, serves traffic,
-/// and drains cleanly on SIGTERM.
-#[test]
-#[cfg(unix)]
-fn serve_binary_shuts_down_gracefully_on_sigterm() {
+/// Start `ftrepair serve` on an ephemeral port with `envs` added to its
+/// environment, and parse the address it announces.
+fn serve_binary(envs: &[(&str, &str)]) -> (std::process::Child, SocketAddr) {
     use std::process::{Command, Stdio};
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_ftrepair"))
         .args(["serve", "--addr", "127.0.0.1:0", "--workers", "2"])
+        .envs(envs.iter().copied())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -698,7 +710,17 @@ fn serve_binary_shuts_down_gracefully_on_sigterm() {
         .unwrap_or_else(|| panic!("unexpected announce line {announce:?}"))
         .parse()
         .expect("parse announced address");
+    (child, addr)
+}
 
+/// Binary-level: `ftrepair serve` announces its address, serves traffic,
+/// and drains cleanly on SIGTERM.
+#[test]
+#[cfg(unix)]
+fn serve_binary_shuts_down_gracefully_on_sigterm() {
+    use std::process::Command;
+
+    let (mut child, addr) = serve_binary(&[]);
     let (status, body) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200, "{body}");
     let (status, body) = request(addr, "POST", "/repair", &spec("toggle_pair.ftr"));
@@ -728,4 +750,34 @@ fn serve_binary_shuts_down_gracefully_on_sigterm() {
     let mut stderr = String::new();
     child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
     assert!(stderr.contains("drained and stopped"), "{stderr}");
+}
+
+/// `RUST_MIN_STACK` sets the default stack of spawned threads, but the
+/// daemon's workers ask for the stack the parser's depth bound is argued
+/// for: a legal spec whose invariant is a 250-term chain still repairs,
+/// and the process stays up.
+#[test]
+#[cfg(unix)]
+fn a_small_rust_min_stack_does_not_shrink_the_workers() {
+    let chain = vec!["(x = 0) | (x = 1)"; 125].join(" | ");
+    let deep = spec("toggle_pair.ftr")
+        .lines()
+        .map(|line| {
+            if line.starts_with("invariant") {
+                format!("invariant {chain};")
+            } else {
+                line.into()
+            }
+        })
+        .collect::<Vec<_>>()
+        .join("\n");
+    assert!(deep.contains(&chain), "toggle_pair.ftr has a one-line invariant");
+
+    let (mut child, addr) = serve_binary(&[("RUST_MIN_STACK", "65536")]);
+    let (status, body) = request(addr, "POST", "/repair", &deep);
+    let (health, _) = request(addr, "GET", "/healthz", "");
+    let _ = child.kill();
+    let _ = child.wait();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(health, 200);
 }
