@@ -27,9 +27,11 @@
 use ftrepair_casestudies::{byzantine_agreement, byzantine_failstop, stabilizing_chain};
 use ftrepair_core::{
     build_run_report, cautious_repair, lazy_repair_traced, verify::verify_outcome, LazyOutcome,
-    RepairOptions,
+    RepairOptions, Token,
 };
 use ftrepair_program::DistributedProgram;
+use ftrepair_server::job::{self, JobResult, JobSpec, Mode, Tiers, WarmInfo};
+use ftrepair_server::ServerConfig;
 use ftrepair_telemetry::{RunReport, Telemetry};
 use std::time::Duration;
 
@@ -293,10 +295,9 @@ pub struct WarmStartRow {
     pub warm: Row,
     /// `cold total / warm total`.
     pub speedup: f64,
-    /// Did warm and cold produce semantically identical invariant, span,
-    /// and repaired transition relation? Checked exactly: the cold BDDs are
-    /// exported, re-imported into the warm run's manager (canonicalizing
-    /// them in its order), and compared root-for-root.
+    /// Did warm and cold produce the same invariant, span, and repaired
+    /// transition relation? Checked exactly on their exports: equal
+    /// functions export equal DAGs under one variable order.
     pub parity: bool,
 }
 
@@ -309,131 +310,88 @@ pub fn warm_chain_spec(n: usize, d: u64, edited: bool) -> String {
     ftrepair_casestudies::chain_spec(n, d, edited.then_some(1))
 }
 
-/// The warm-start ablation: persist the unedited chain's repair in a
-/// throwaway [`DiskStore`], then repair the one-action-edited chain twice —
-/// cold, and warm via the store's fingerprint nearest-neighbor lookup (the
-/// full serialize → disk → decode → import round trip). Each row reports
-/// the speedup and an exact parity check between the two repairs.
-///
-/// [`DiskStore`]: ftrepair_store::DiskStore
-pub fn ablation_warm_start(sizes: &[(usize, u64)]) -> Vec<WarmStartRow> {
-    use ftrepair_store::{
-        DiskStore, NewEntry, SpecFingerprint, ART_INVARIANT, ART_SPAN, ART_TRANS,
-    };
+/// The exported roots of a verified repair (relation, invariant,
+/// fault-span), for the ablations' parity checks.
+type Roots = Option<Vec<(String, ftrepair_bdd::SerializedBdd)>>;
 
+/// One lazy job of Ablation E or F, through the daemon's pipeline
+/// ([`job::execute`]) under `token`, seeded with `warm`. It exports its
+/// roots, so two runs have parity when their [`Roots`] are equal.
+fn run_job(spec: &JobSpec, tele: &Telemetry, token: &Token, warm: Option<&WarmInfo>) -> JobResult {
+    job::execute(spec, tele, false, token, warm, true).expect("bench runs have no deadline")
+}
+
+/// A finished job as the table row `instance`, with its exported roots.
+fn job_row(instance: String, reachable_states: f64, result: JobResult) -> (Row, Roots) {
+    let verified = result.verified();
+    let mut report = result.report;
+    report.set("case", instance.as_str().into());
+    report.set("reachable_states", reachable_states.into());
+    report.set("verified", verified.into());
+    let row = Row {
+        instance,
+        reachable_states,
+        cautious: None,
+        step1: result.stats.step1_time,
+        step2: result.stats.step2_time,
+        outer_iterations: result.stats.outer_iterations,
+        verified,
+        failed: result.failed,
+        report,
+    };
+    (row, result.artifacts)
+}
+
+/// The lazy job of a chain text, under the default options.
+fn chain_job(text: &str) -> JobSpec {
+    job::prepare(text, Mode::Lazy, RepairOptions::default()).expect("chain parses")
+}
+
+/// The warm-start ablation, through the daemon's [`Tiers`]: repair the
+/// unedited chain and write it through to a throwaway
+/// [`DiskStore`](ftrepair_store::DiskStore), then repair the
+/// one-action-edited chain twice — cold, and warm from the seed the tiers'
+/// fingerprint nearest-neighbor lookup finds (the full serialize → disk →
+/// decode → import round trip). Each row reports the speedup and an exact
+/// parity check between the two repairs.
+pub fn ablation_warm_start(sizes: &[(usize, u64)]) -> Vec<WarmStartRow> {
     let store_root =
         std::env::temp_dir().join(format!("ftrepair-bench-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_root);
-    let tele = Telemetry::off();
-    let store = DiskStore::open(&store_root, 0, &tele).expect("open bench store");
+    let store = ftrepair_store::DiskStore::open(&store_root, 0, &Telemetry::off())
+        .expect("open bench store");
+    let tiers = Tiers::new(Some(store), None, &ServerConfig::default(), &Telemetry::off());
+    let run = |spec: &JobSpec, warm: Option<&WarmInfo>| {
+        run_job(spec, &Telemetry::new(), &Token::unbounded(), warm)
+    };
 
     let rows = sizes
         .iter()
         .map(|&(n, d)| {
             let instance = format!("Sc^{n}(d={d})");
-            let opts = RepairOptions::default();
 
-            // Donor: cold-repair the unedited spec, persist its artifacts.
-            let donor_src = warm_chain_spec(n, d, false);
-            let donor_ast = ftrepair_lang::parse(&donor_src).expect("donor parses");
-            let mut donor = ftrepair_lang::compile(&donor_ast).expect("donor compiles");
-            let donor_out = lazy_repair_traced(&mut donor, &opts, &Telemetry::off())
-                .expect("bench runs have no deadline");
-            assert!(!donor_out.failed, "donor repair failed on {instance}");
-            let mgr = donor.cx.mgr_ref();
-            store
-                .put(&NewEntry {
-                    key: ftrepair_store::content_key(&donor_src, "lazy"),
-                    case: instance.clone(),
-                    mode: "lazy".into(),
-                    warm_start: false,
-                    fingerprint: SpecFingerprint::of(&donor_ast),
-                    response: ftrepair_telemetry::Json::obj(),
-                    artifacts: vec![
-                        (ART_TRANS.into(), mgr.export(donor_out.trans)),
-                        (ART_INVARIANT.into(), mgr.export(donor_out.invariant)),
-                        (ART_SPAN.into(), mgr.export(donor_out.span)),
-                    ],
-                })
-                .expect("store donor entry");
+            // Donor: the unedited chain, written through as the daemon
+            // writes a verified miss.
+            let donor = chain_job(&warm_chain_spec(n, d, false));
+            let mut result = run(&donor, None);
+            let write = tiers.settle(&donor, &mut result).expect("the donor repair verifies");
+            tiers.write(&write).expect("store donor entry");
 
-            // Cold baseline on the edited spec.
-            let edited_src = warm_chain_spec(n, d, true);
-            let edited_ast = ftrepair_lang::parse(&edited_src).expect("edited parses");
-            let factory = || ftrepair_lang::compile(&edited_ast).expect("edited compiles");
-            let cold = measure(format!("{instance} cold"), factory, &opts, false);
-            assert!(cold.verified, "cold repair unverified on {instance}");
+            // The edited spec, cold and then seeded by the tiers.
+            let edited = chain_job(&warm_chain_spec(n, d, true));
+            let mut prog = ftrepair_lang::compile(&edited.ast).expect("edited compiles");
+            let reachable = reachable_states(&mut prog);
+            let (cold, cold_roots) =
+                job_row(format!("{instance} cold"), reachable, run(&edited, None));
+            let seed = tiers.seed(&edited).expect("donor is within warm distance");
+            let result = run(&edited, Some(&seed));
+            assert!(result.warm_used, "the donor did not seed {instance}");
+            let (warm, warm_roots) = job_row(format!("{instance} warm"), reachable, result);
 
-            // Warm: fingerprint lookup → donor artifacts → seeded repair.
-            let fp = SpecFingerprint::of(&edited_ast);
-            let (donor_key, neighbor_distance) =
-                store.nearest(&fp, 16).expect("donor is within warm distance");
-            let stored = store.peek(&donor_key).expect("donor entry readable");
-            let mut prog = factory();
-            let seeds = ftrepair_core::WarmSeeds {
-                invariant: ftrepair_store::find_artifact(&stored.artifacts, ART_INVARIANT)
-                    .map(|a| prog.cx.mgr().try_import(a).expect("invariant imports")),
-                span: ftrepair_store::find_artifact(&stored.artifacts, ART_SPAN)
-                    .map(|a| prog.cx.mgr().try_import(a).expect("span imports")),
-            };
-            let wtele = Telemetry::new();
-            let winstance = format!("{instance} warm");
-            let wout = ftrepair_core::lazy_repair_warm(
-                &mut prog,
-                &opts,
-                &wtele,
-                &ftrepair_core::Token::unbounded(),
-                &seeds,
-            )
-            .expect("bench runs have no deadline");
-            assert!(!wout.failed, "warm repair failed on {instance}");
-            let mut wreport = build_run_report(
-                &winstance,
-                "lazy",
-                &opts,
-                &wout.stats,
-                wout.failed,
-                &wtele,
-                &prog.cx,
-            );
-            let wverified = {
-                let (m, r) = verify_outcome(&mut prog, &wout);
-                m.ok() && r.ok()
-            };
-            assert!(wverified, "warm repair unverified on {instance}");
-            wreport.set("reachable_states", cold.reachable_states.into());
-            wreport.set("verified", wverified.into());
-
-            // Exact parity: canonicalize the cold roots in the warm
-            // manager and compare.
-            let parity = {
-                let cold_prog_exports = {
-                    let mut cp = factory();
-                    let cout = ftrepair_core::lazy_repair(&mut cp, &opts)
-                        .expect("bench runs have no deadline");
-                    let m = cp.cx.mgr_ref();
-                    [m.export(cout.invariant), m.export(cout.span), m.export(cout.trans)]
-                };
-                let m = prog.cx.mgr();
-                m.try_import(&cold_prog_exports[0]) == Ok(wout.invariant)
-                    && m.try_import(&cold_prog_exports[1]) == Ok(wout.span)
-                    && m.try_import(&cold_prog_exports[2]) == Ok(wout.trans)
-            };
-
-            let warm = Row {
-                instance: winstance,
-                reachable_states: cold.reachable_states,
-                cautious: None,
-                step1: wout.stats.step1_time,
-                step2: wout.stats.step2_time,
-                outer_iterations: wout.stats.outer_iterations,
-                verified: wverified,
-                failed: wout.failed,
-                report: wreport,
-            };
             let speedup =
                 cold.lazy_total().as_secs_f64() / warm.lazy_total().as_secs_f64().max(f64::EPSILON);
-            WarmStartRow { neighbor_distance, cold, warm, speedup, parity }
+            let parity = cold_roots.is_some() && cold_roots == warm_roots;
+            WarmStartRow { neighbor_distance: seed.distance, cold, warm, speedup, parity }
         })
         .collect();
 
@@ -472,148 +430,89 @@ pub fn render_warm_start(rows: &[WarmStartRow], title: &str) -> String {
 
 /// One measurement of the checkpoint-resume ablation: the same chain
 /// repaired cold, aborted mid-repair by a deadline (leaving a checkpoint
-/// slot behind), and resumed from that slot — through the same
-/// serialize → disk → decode → import pipeline the CLI's
-/// `repair --checkpoint-dir`/`--resume` and the daemon's journal replay
-/// use.
+/// slot behind), and resumed from that slot — through the [`Tiers`] the
+/// CLI's `repair --checkpoint-dir` and the daemon use, with their
+/// serialize → disk → decode → import round trip.
 #[derive(Clone, Debug)]
 pub struct CheckpointResumeRow {
     /// Human-readable instance name, e.g. `Sc^14(d=8)`.
     pub instance: String,
-    /// Wall-clock of the uninterrupted cold repair.
+    /// Repair time (Step 1 + Step 2) of the uninterrupted cold run.
     pub cold: Duration,
     /// Deadline the aborted run was given (starts at half the cold time;
     /// widened if it fired before the first checkpointable boundary).
     pub abort_after: Duration,
     /// Offer index recorded in the slot the abort left behind.
     pub checkpoint_iteration: u64,
-    /// Wall-clock of the repair resumed from the slot.
+    /// Repair time (Step 1 + Step 2) of the run resumed from the slot.
     pub resumed: Duration,
     /// `cold / resumed`.
     pub speedup: f64,
-    /// Root-for-root parity between the resumed and the cold repair
-    /// (cold roots exported, re-imported into the resumed manager, and
-    /// compared — order-robust).
+    /// Do the resumed and the cold repair export the same roots?
     pub parity: bool,
     /// Resumed repair independently re-verified (masking + realizability).
     pub verified: bool,
 }
 
 /// The checkpoint-resume ablation: cold-repair the chain, re-run it under
-/// a deadline with a [`Checkpointer`] writing into a real
-/// [`CheckpointStore`] (the abort's forced write lands the resume point),
-/// then repair once more seeded from the reopened slot and compare.
-///
-/// [`Checkpointer`]: ftrepair_core::Checkpointer
-/// [`CheckpointStore`]: ftrepair_store::CheckpointStore
+/// a deadline with the [`Tiers`]' checkpoint sink writing into a real
+/// [`CheckpointStore`](ftrepair_store::CheckpointStore) (the abort's
+/// forced write lands the resume point), then repair once more from the
+/// seed the tiers read back from the slot, and compare.
 pub fn ablation_checkpoint_resume(sizes: &[(usize, u64)]) -> Vec<CheckpointResumeRow> {
-    use ftrepair_core::{lazy_repair_warm, CheckpointPolicy, Checkpointer, Token, WarmSeeds};
-    use ftrepair_store::{
-        content_key, find_artifact, CheckpointStore, ART_INVARIANT, ART_MS, ART_SPAN,
-    };
-    use std::sync::Arc;
-    use std::time::Instant;
-
     let store_root =
         std::env::temp_dir().join(format!("ftrepair-bench-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store_root);
-    let ckpts = Arc::new(CheckpointStore::open(&store_root).expect("open bench checkpoint store"));
+    let ckpts =
+        ftrepair_store::CheckpointStore::open(&store_root).expect("open bench checkpoint store");
+    let tiers = Tiers::new(None, Some(ckpts), &ServerConfig::default(), &Telemetry::off());
+    let slots = tiers.checkpoints().expect("the tiers hold the slots");
     let tele = Telemetry::off();
 
     let rows = sizes
         .iter()
         .map(|&(n, d)| {
             let instance = format!("Sc^{n}(d={d})");
-            let opts = RepairOptions::default();
-            let src = warm_chain_spec(n, d, false);
-            let ast = ftrepair_lang::parse(&src).expect("chain parses");
-            let factory = || ftrepair_lang::compile(&ast).expect("chain compiles");
-            let key = content_key(&src, "lazy");
+            let spec = chain_job(&warm_chain_spec(n, d, false));
 
             // Cold baseline, roots exported for the parity check.
-            let mut cold_prog = factory();
-            let t0 = Instant::now();
-            let cold_out = lazy_repair_warm(
-                &mut cold_prog,
-                &opts,
-                &tele,
-                &Token::unbounded(),
-                &WarmSeeds::none(),
-            )
-            .expect("unbounded run cannot abort");
-            let cold = t0.elapsed();
-            assert!(!cold_out.failed, "cold repair failed on {instance}");
-            let cold_exports = {
-                let m = cold_prog.cx.mgr_ref();
-                [m.export(cold_out.invariant), m.export(cold_out.span), m.export(cold_out.trans)]
-            };
-            drop(cold_prog);
+            let cold = run_job(&spec, &tele, &Token::unbounded(), None);
+            assert!(!cold.failed, "cold repair failed on {instance}");
+            let cold_time = cold.stats.total_time();
 
             // Aborted run: a deadline at half the cold time; the offer
             // preceding the aborting governance check force-writes the
             // slot. A deadline that fires before the first boundary with
             // anything to save leaves no slot — widen and retry; one that
             // the whole repair beats (timer noise) is shrunk.
-            let mut abort_after = cold / 2;
+            let mut abort_after = cold_time / 2;
             for attempt in 0.. {
                 assert!(attempt < 6, "no checkpoint slot after {attempt} attempts on {instance}");
-                let _ = ckpts.clear(&key);
-                let sink_store = Arc::clone(&ckpts);
-                let sink_key = key.clone();
-                let token = Token::deadline_in(abort_after).with_checkpointer(Arc::new(
-                    Checkpointer::new(CheckpointPolicy::default(), move |img| {
-                        let arts = [
-                            (ART_INVARIANT.to_string(), img.invariant.clone()),
-                            (ART_SPAN.to_string(), img.span.clone()),
-                            (ART_MS.to_string(), img.ms.clone()),
-                        ];
-                        sink_store
-                            .put(&sink_key, img.iteration, &arts)
-                            .expect("bench checkpoint write");
-                    }),
-                ));
-                let mut prog = factory();
-                match lazy_repair_warm(&mut prog, &opts, &tele, &token, &WarmSeeds::none()) {
-                    Err(_) if ckpts.get(&key).is_some() => break,
-                    Err(_) => abort_after += cold / 4,
+                let _ = slots.clear(&spec.key);
+                let token = tiers.arm(Token::deadline_in(abort_after), &spec.key);
+                match job::execute(&spec, &tele, false, &token, None, false) {
+                    Err(_) if slots.get(&spec.key).is_some() => break,
+                    Err(_) => abort_after += cold_time / 4,
                     Ok(_) => abort_after = abort_after.mul_f64(0.5),
                 }
             }
-            let slot = ckpts.get(&key).expect("slot exists after the retry loop");
 
-            // Resume: reopen the slot off disk, seed, run to completion.
-            let mut prog = factory();
-            let seeds = WarmSeeds {
-                invariant: find_artifact(&slot.artifacts, ART_INVARIANT)
-                    .map(|a| prog.cx.mgr().try_import(a).expect("invariant imports")),
-                span: find_artifact(&slot.artifacts, ART_SPAN)
-                    .map(|a| prog.cx.mgr().try_import(a).expect("span imports")),
-            };
-            assert!(!seeds.is_empty(), "slot for {instance} is missing its artifacts");
-            let t0 = Instant::now();
-            let out = lazy_repair_warm(&mut prog, &opts, &tele, &Token::unbounded(), &seeds)
-                .expect("unbounded run cannot abort");
-            let resumed = t0.elapsed();
-            assert!(!out.failed, "resumed repair failed on {instance}");
-            let verified = {
-                let (m, r) = verify_outcome(&mut prog, &out);
-                m.ok() && r.ok()
-            };
-            let parity = {
-                let m = prog.cx.mgr();
-                m.try_import(&cold_exports[0]) == Ok(out.invariant)
-                    && m.try_import(&cold_exports[1]) == Ok(out.span)
-                    && m.try_import(&cold_exports[2]) == Ok(out.trans)
-            };
+            // Resume: the tiers seed the run from the slot on disk, and
+            // retire it once the run finishes.
+            let seed = tiers.seed(&spec).expect("the abort left a slot");
+            let mut resumed = run_job(&spec, &tele, &Token::unbounded(), Some(&seed));
+            assert!(resumed.warm_used, "the slot did not seed the resumed run on {instance}");
+            tiers.settle(&spec, &mut resumed);
+            let resumed_time = resumed.stats.total_time();
             CheckpointResumeRow {
                 instance,
-                cold,
+                cold: cold_time,
                 abort_after,
-                checkpoint_iteration: slot.iteration,
-                resumed,
-                speedup: cold.as_secs_f64() / resumed.as_secs_f64().max(f64::EPSILON),
-                parity,
-                verified,
+                checkpoint_iteration: seed.checkpoint.expect("a slot seed has its offer index"),
+                resumed: resumed_time,
+                speedup: cold_time.as_secs_f64() / resumed_time.as_secs_f64().max(f64::EPSILON),
+                parity: cold.artifacts.is_some() && cold.artifacts == resumed.artifacts,
+                verified: resumed.verified(),
             }
         })
         .collect();

@@ -55,9 +55,6 @@ pub enum JobStatus {
     /// job was in flight when the previous process died, but its result was
     /// already durable in the disk store.
     Recovered = 11,
-    /// Shed at shutdown: still queued when the drain deadline passed
-    /// (HTTP 503).
-    Abandoned = 12,
 }
 
 impl JobStatus {
@@ -75,7 +72,6 @@ impl JobStatus {
             JobStatus::DiskHit => "disk_hit",
             JobStatus::Exhausted => "exhausted",
             JobStatus::Recovered => "recovered",
-            JobStatus::Abandoned => "abandoned",
         }
     }
 
@@ -92,7 +88,6 @@ impl JobStatus {
             9 => JobStatus::DiskHit,
             10 => JobStatus::Exhausted,
             11 => JobStatus::Recovered,
-            12 => JobStatus::Abandoned,
             _ => JobStatus::Running,
         }
     }

@@ -1,14 +1,17 @@
 //! The repair job pipeline shared by the daemon's requests, its journal
-//! replay, and the CLI's `repair` and `simulate`: canonicalize a spec,
-//! address it, seed it from the store tiers, run and verify the repair,
-//! and (for small instances) build the explicit bundle that fault-injection
-//! simulation replays.
+//! replay, the CLI's `repair` and `simulate`, and the tables' Ablations E
+//! and F: canonicalize a spec, address it, look it up and seed it through
+//! the durable [`Tiers`], run and verify the repair, and (for small
+//! instances) build the explicit bundle that fault-injection simulation
+//! replays.
 
+use crate::breaker::Breaker;
+use crate::server::ServerConfig;
 use ftrepair_bdd::{NodeId, SerializedBdd};
 use ftrepair_core::{
     build_run_report, cautious_repair_cancellable, lazy_repair_warm, verify::verify_outcome,
-    CheckpointPolicy, Checkpointer, LazyOutcome, RepairAborted, RepairOptions, RepairStats, Token,
-    WarmSeeds, MAX_OUTER_ITERATIONS,
+    CheckpointImage, CheckpointPolicy, Checkpointer, LazyOutcome, RepairAborted, RepairOptions,
+    RepairStats, Token, WarmSeeds, MAX_OUTER_ITERATIONS,
 };
 use ftrepair_explicit::extract::{bdd_to_edges, bdd_to_states, ExplicitProgram};
 use ftrepair_explicit::simulate::{simulate, SimConfig, SimFailure, SimReport};
@@ -20,6 +23,7 @@ use ftrepair_store::{
 };
 use ftrepair_telemetry::{Json, RunReport, Telemetry};
 use std::collections::HashSet;
+use std::io;
 use std::sync::Arc;
 
 /// Largest state space the simulation bundle is built for. The bundle
@@ -250,32 +254,22 @@ impl JobResult {
     pub fn verified(&self) -> bool {
         self.masking && self.realizable
     }
-
-    /// The disk-store write for this result, taking its artifacts — `None`
-    /// unless the repair was verified and artifacts were exported.
-    pub fn take_store_entry(&mut self, spec: &JobSpec) -> Option<NewEntry> {
-        let artifacts = self.artifacts.take()?;
-        Some(NewEntry {
-            key: spec.key.clone(),
-            case: spec.name.clone(),
-            mode: spec.mode.as_str().to_string(),
-            warm_start: self.warm_used,
-            fingerprint: spec.fingerprint(),
-            response: self.response.clone(),
-            artifacts,
-        })
-    }
 }
 
-/// A cached neighbor's artifacts, handed to [`execute`] to seed the
-/// repair's first reachability fixpoint.
+/// Stored artifacts handed to [`execute`] to seed the repair's first
+/// reachability fixpoint: a neighbor's repair, or this key's own
+/// checkpoint slot ([`Tiers::seed`]).
 #[derive(Debug)]
 pub struct WarmInfo {
-    /// Content address of the donor entry (reported in the response).
+    /// Content address of the donor entry, or `checkpoint@N` for a slot
+    /// (reported in the response).
     pub neighbor: String,
     /// Fingerprint distance between donor and job (number of differing
-    /// action hashes).
+    /// action hashes); 0 for a slot.
     pub distance: usize,
+    /// The offer index the slot was written at, when the seed is this
+    /// key's own checkpoint slot.
+    pub checkpoint: Option<u64>,
     /// The donor's repaired invariant.
     pub invariant: SerializedBdd,
     /// The donor's fault-span.
@@ -289,65 +283,255 @@ pub struct WarmInfo {
 /// is just wasted imports.
 pub const WARM_MAX_DISTANCE: usize = 16;
 
-/// This key's own mid-repair checkpoint slot, repackaged as warm-start
-/// seeds at distance 0: a resumed run seeds Step 1 from where the
-/// interrupted one stopped instead of from zero. Returns the slot's
-/// iteration beside the seeds. Lazy mode only — the cautious baseline has
-/// no seedable phase.
-pub fn checkpoint_seed(ckpts: &CheckpointStore, spec: &JobSpec) -> Option<(u64, WarmInfo)> {
-    if spec.mode != Mode::Lazy {
-        return None;
-    }
-    let slot = ckpts.get(&spec.key)?;
-    let invariant = find_artifact(&slot.artifacts, ART_INVARIANT)?.clone();
-    let span = find_artifact(&slot.artifacts, ART_SPAN)?.clone();
-    let neighbor = format!("checkpoint@{}", slot.iteration);
-    Some((slot.iteration, WarmInfo { neighbor, distance: 0, invariant, span }))
+/// `errno` for a full volume: a write-through that hits it sheds the
+/// store's coldest entries and retries once.
+const ENOSPC: i32 = 28;
+
+/// The durable tiers around a repair job, and the one copy of their
+/// policy: the daemon's requests and journal replay, the CLI's `repair`
+/// and `simulate`, and the tables' Ablations E and F all go through them.
+/// They hold the disk store, behind its circuit [`Breaker`], and the
+/// per-key checkpoint slots; either may be absent, and without both every
+/// job runs cold and leaves nothing behind.
+///
+/// A job asks them, in order: [`Tiers::lookup`] for an exact stored
+/// result; on a miss, [`Tiers::seed`] for what to start from and
+/// [`Tiers::arm`] for its checkpoint sink; once the repair has finished,
+/// [`Tiers::settle`] for what to keep, which [`Tiers::write`] (at once or
+/// from a writer thread) puts in the store. The store reports transient
+/// volume errors in its own counter rather than in return values (a flaky
+/// read is a miss, not data loss), so every read is classified by that
+/// counter for the breaker; while the breaker is not closed, reads are
+/// skipped and writes dropped, both counted.
+pub struct Tiers {
+    store: Option<DiskStore>,
+    breaker: Breaker,
+    ckpts: Option<Arc<CheckpointStore>>,
+    /// Seed misses from the nearest stored neighbor?
+    warm_start: bool,
+    tele: Telemetry,
 }
 
-/// The nearest stored neighbor within [`WARM_MAX_DISTANCE`], as warm-start
-/// seeds: a resubmitted spec differing in a few actions imports the
-/// neighbor's invariant and fault-span and seeds the first reachability
-/// fixpoint. Lazy mode only.
-pub fn neighbor_seed(store: &DiskStore, spec: &JobSpec) -> Option<WarmInfo> {
-    if spec.mode != Mode::Lazy {
-        return None;
+impl Tiers {
+    /// Tiers over `store` and the checkpoint slots `ckpts`, counting into
+    /// `tele`. `config` supplies the breaker's settings and whether stored
+    /// neighbors seed misses (`warm_start`).
+    pub fn new(
+        store: Option<DiskStore>,
+        ckpts: Option<CheckpointStore>,
+        config: &ServerConfig,
+        tele: &Telemetry,
+    ) -> Tiers {
+        // Seeded per process: a fleet sharing one sick volume must not
+        // probe it in lockstep, which is the whole point of the jitter.
+        let breaker = Breaker::new(
+            config.breaker_threshold,
+            config.breaker_backoff,
+            config.breaker_max_backoff,
+            u64::from(std::process::id()) ^ 0xB4EA_4E37_5EED_0001,
+            tele,
+        );
+        let ckpts = ckpts.map(Arc::new);
+        Tiers { store, breaker, ckpts, warm_start: config.warm_start, tele: tele.clone() }
     }
-    let (neighbor, distance) = store.nearest(&spec.fingerprint(), WARM_MAX_DISTANCE)?;
-    let mut artifacts = store.peek(&neighbor)?.artifacts;
-    let mut take = |name: &str| {
-        let i = artifacts.iter().position(|(n, _)| n == name)?;
-        Some(artifacts.swap_remove(i).1)
-    };
-    let invariant = take(ART_INVARIANT)?;
-    let span = take(ART_SPAN)?;
-    Some(WarmInfo { neighbor, distance, invariant, span })
-}
 
-/// The checkpoint sink for one job: every policy-approved offer from the
-/// repair loops (and the forced final offer when an abort is imminent)
-/// lands the job's current `(invariant, span, ms)` in its slot —
-/// crash-safely, so the slot is always the previous or the new snapshot,
-/// never a torn one. `written` hears the key and how each write went.
-pub fn checkpoint_sink(
-    ckpts: &Arc<CheckpointStore>,
-    key: &str,
-    written: impl Fn(&str, std::io::Result<()>) + Send + Sync + 'static,
-) -> Arc<Checkpointer> {
-    let ckpts = Arc::clone(ckpts);
-    let key = key.to_string();
-    Arc::new(Checkpointer::new(CheckpointPolicy::default(), move |img| {
-        let result = ckpts.put(
-            &key,
-            img.iteration,
-            &[
+    /// The disk store, to report on or maintain.
+    pub(crate) fn store(&self) -> Option<&DiskStore> {
+        self.store.as_ref()
+    }
+
+    /// The store's circuit breaker, to report on or probe.
+    pub(crate) fn breaker(&self) -> &Breaker {
+        &self.breaker
+    }
+
+    /// The checkpoint slots, to report on.
+    pub fn checkpoints(&self) -> Option<&CheckpointStore> {
+        self.ckpts.as_deref()
+    }
+
+    /// Is there a store for [`Tiers::write`]? [`execute`] exports a
+    /// verified repair's artifacts only then.
+    pub fn persists(&self) -> bool {
+        self.store.is_some()
+    }
+
+    /// Run one read against the store under the breaker: skipped while it
+    /// is not closed, and classified by the store's I/O error counter.
+    fn read<T>(&self, f: impl FnOnce(&DiskStore) -> T) -> Option<T> {
+        let store = self.store.as_ref()?;
+        if !self.breaker.allow() {
+            self.tele.add("store.breaker.skipped_reads", 1);
+            return None;
+        }
+        let before = store.io_errors();
+        let out = f(store);
+        if store.io_errors() > before {
+            self.breaker.record_failure();
+        } else {
+            self.breaker.record_success();
+        }
+        Some(out)
+    }
+
+    /// An exact stored result for `spec`: its response, and the
+    /// `/simulate` bundle rebuilt from its artifacts when `build_sim` asks
+    /// ([`SimStatus::Unavailable`] otherwise). Corrupt entries read as
+    /// misses (counted and quarantined inside the store).
+    pub fn lookup(&self, spec: &JobSpec, build_sim: bool) -> Option<(Json, SimStatus)> {
+        let stored = self.read(|store| store.get(&spec.key)).flatten()?;
+        self.tele.add("store.promotions", 1);
+        let sim = if build_sim {
+            rebuild_sim_bundle(&spec.ast, &stored.artifacts)
+        } else {
+            SimStatus::Unavailable
+        };
+        Some((stored.response, sim))
+    }
+
+    /// What seeds a miss of `spec`, in lazy mode only (the cautious
+    /// baseline has no seedable phase): this key's own checkpoint slot,
+    /// where an interrupted run of the same spec and options stopped
+    /// (distance 0: resume, don't restart); else, with `warm_start`, the
+    /// nearest stored neighbor within [`WARM_MAX_DISTANCE`] — a spec that
+    /// differs in a few actions imports its invariant and fault-span. Any
+    /// seed is sound: the repair's own fixpoints shrink it back, and
+    /// [`execute`] re-verifies the result.
+    pub fn seed(&self, spec: &JobSpec) -> Option<WarmInfo> {
+        if spec.mode != Mode::Lazy {
+            return None;
+        }
+        let resume = self.ckpts.as_ref().and_then(|ckpts| {
+            let slot = ckpts.get(&spec.key)?;
+            Some(WarmInfo {
+                neighbor: format!("checkpoint@{}", slot.iteration),
+                distance: 0,
+                checkpoint: Some(slot.iteration),
+                invariant: find_artifact(&slot.artifacts, ART_INVARIANT)?.clone(),
+                span: find_artifact(&slot.artifacts, ART_SPAN)?.clone(),
+            })
+        });
+        if resume.is_some() {
+            self.tele.add("server.jobs.checkpoint_resumes", 1);
+            return resume;
+        }
+        if !self.warm_start {
+            return None;
+        }
+        let warm = self
+            .read(|store| {
+                let (neighbor, distance) = store.nearest(&spec.fingerprint(), WARM_MAX_DISTANCE)?;
+                let mut artifacts = store.peek(&neighbor)?.artifacts;
+                let mut take = |name: &str| {
+                    let i = artifacts.iter().position(|(n, _)| n == name)?;
+                    Some(artifacts.swap_remove(i).1)
+                };
+                let (invariant, span) = (take(ART_INVARIANT)?, take(ART_SPAN)?);
+                Some(WarmInfo { neighbor, distance, checkpoint: None, invariant, span })
+            })
+            .flatten()?;
+        self.tele.add("store.warm_lookups", 1);
+        Some(warm)
+    }
+
+    /// `token` with `key`'s checkpoint sink, when the slots have a home:
+    /// every policy-approved offer from the repair loops (and the forced
+    /// final offer when an abort is imminent) lands the job's current
+    /// `(invariant, span, ms)` in its slot — crash-safely, so the slot is
+    /// always the previous or the new snapshot, never a torn one.
+    pub fn arm(&self, token: Token, key: &str) -> Token {
+        let Some(ckpts) = &self.ckpts else {
+            return token;
+        };
+        let (ckpts, key, tele) = (Arc::clone(ckpts), key.to_string(), self.tele.clone());
+        let sink = move |img: &CheckpointImage| {
+            let artifacts = [
                 (ART_INVARIANT.to_string(), img.invariant.clone()),
                 (ART_SPAN.to_string(), img.span.clone()),
                 (ART_MS.to_string(), img.ms.clone()),
-            ],
-        );
-        written(&key, result)
-    }))
+            ];
+            match ckpts.put(&key, img.iteration, &artifacts) {
+                Ok(()) => tele.add("server.jobs.checkpoints_written", 1),
+                Err(e) => {
+                    tele.add("telemetry.write_errors", 1);
+                    eprintln!("warning: checkpoint write for {key} failed: {e}");
+                }
+            }
+        };
+        token.with_checkpointer(Arc::new(Checkpointer::new(CheckpointPolicy::default(), sink)))
+    }
+
+    /// What a finished run of `spec` leaves: its checkpoint slot is
+    /// retired, whatever the result (a terminal result makes the snapshot
+    /// stale), and a verified repair's store write is handed back for
+    /// [`Tiers::write`], taking its artifacts. `None` without a store.
+    pub fn settle(&self, spec: &JobSpec, result: &mut JobResult) -> Option<NewEntry> {
+        if let Some(ckpts) = &self.ckpts {
+            let _ = ckpts.clear(&spec.key);
+        }
+        self.store.as_ref()?;
+        Some(NewEntry {
+            key: spec.key.clone(),
+            case: spec.name.clone(),
+            mode: spec.mode.as_str().to_string(),
+            warm_start: result.warm_used,
+            fingerprint: spec.fingerprint(),
+            response: result.response.clone(),
+            artifacts: result.artifacts.take()?,
+        })
+    }
+
+    /// Write a repair through to the store. While the breaker is open the
+    /// write is dropped without touching the volume; `ENOSPC` first sheds
+    /// the coldest entries and retries once; the outcome feeds the
+    /// breaker. `Ok(true)`: stored. `Ok(false)`: not stored, because the
+    /// key was there already or the breaker dropped it. `Err`: the write
+    /// failed. Persistence is an optimization, so a failure is counted and
+    /// left to the caller to log, never fatal.
+    pub fn write(&self, entry: &NewEntry) -> io::Result<bool> {
+        let Some(store) = &self.store else {
+            return Ok(false);
+        };
+        if !self.breaker.allow() {
+            self.tele.add("store.breaker.dropped_writes", 1);
+            return Ok(false);
+        }
+        let mut result = store.put(entry);
+        if result.as_ref().is_err_and(|e| e.raw_os_error() == Some(ENOSPC)) {
+            self.tele.add("store.enospc", 1);
+            if store.shed_coldest(2) > 0 {
+                result = store.put(entry);
+            }
+        }
+        match &result {
+            Ok(stored) => {
+                if *stored {
+                    self.tele.add("store.writes", 1);
+                }
+                self.breaker.record_success();
+            }
+            Err(_) => {
+                self.tele.add("telemetry.write_errors", 1);
+                self.breaker.record_failure();
+            }
+        }
+        result
+    }
+}
+
+/// The fault-injection batch `/simulate` and `ftrepair simulate` run,
+/// bounded: every run, and every injected fault (each re-arms the recovery
+/// budget and grows the trace), costs worker time, so `runs` must be
+/// 1–100,000 and `max_faults` at most 1,000. The error names the
+/// parameter.
+pub fn sim_config(runs: usize, max_faults: usize) -> Result<SimConfig, String> {
+    if runs == 0 || runs > 100_000 {
+        return Err("runs must be between 1 and 100000".into());
+    }
+    if max_faults > 1_000 {
+        return Err("max-faults must be between 0 and 1000".into());
+    }
+    Ok(SimConfig { runs, max_faults, ..Default::default() })
 }
 
 /// Why a job produced no result.
@@ -397,22 +581,23 @@ fn run_repair(
 /// Compile, repair, and independently verify a prepared job — the one
 /// execution path behind every front end.
 ///
-/// `token` bounds the run (deadline, node budget, cancel flag, and an
-/// optional checkpoint sink); a fired token surfaces as
+/// `token` bounds the run (deadline, node budget, cancel flag, and the
+/// checkpoint sink [`Tiers::arm`] adds); a fired token surfaces as
 /// [`ExecError::Aborted`], a compile-time semantic error ("compile error:
 /// …") as [`ExecError::Invalid`]. `build_sim` additionally extracts the
 /// explicit bundle when the state space is at most [`SIM_STATE_CAP`]
 /// states.
 ///
-/// `warm` carries a cached neighbor's invariant/fault-span artifacts; when
-/// they import cleanly (and the mode is lazy) they seed Step 1's first
-/// reachability fixpoint. Seeding never changes the result — the seeded
-/// span is clamped and Phase 4 shrinks it back to the fixpoint — but the
-/// output is belt-and-braces re-verified anyway, and on the (never yet
-/// observed) event of a warm run failing verification the job is rerun
-/// cold from a fresh compile. `export_artifacts` additionally serializes
-/// the repaired transition relation, invariant, and fault-span for the
-/// disk store (verified successful repairs only).
+/// `warm` carries the invariant/fault-span artifacts [`Tiers::seed`]
+/// found; when they import cleanly (and the mode is lazy) they seed Step
+/// 1's first reachability fixpoint. Seeding never changes the result — the
+/// seeded span is clamped and Phase 4 shrinks it back to the fixpoint —
+/// but the output is belt-and-braces re-verified anyway, and on the (never
+/// yet observed) event of a warm run failing verification the job is
+/// rerun cold from a fresh compile. `export_artifacts` additionally
+/// serializes the repaired transition relation, invariant, and fault-span
+/// (verified successful repairs only), which [`Tiers::settle`] hands to
+/// the store.
 pub fn execute(
     spec: &JobSpec,
     tele: &Telemetry,
@@ -591,7 +776,7 @@ fn build_sim_bundle(
 /// `0..hi` as `hi + 1` values). A missing artifact or an import mismatch
 /// yields [`SimStatus::Unavailable`]. Each refuses `/simulate` with its own
 /// explanation.
-pub fn rebuild_sim_bundle(ast: &Ast, artifacts: &[(String, SerializedBdd)]) -> SimStatus {
+fn rebuild_sim_bundle(ast: &Ast, artifacts: &[(String, SerializedBdd)]) -> SimStatus {
     if let Some(refusal) = too_large(ast.vars.iter().map(|decl| decl.hi.checked_add(1))) {
         return refusal;
     }

@@ -30,11 +30,14 @@
 //!
 //! One lifecycle serves every job, whether a request or a journal replay
 //! at boot: poison check, memory cache, single-flight, store tier,
-//! journal, warm seed, the guarded [`job::execute`], and one
-//! classification of how it ended. A request whose exact body was prepared
-//! before enters it through the [`cache::PrepareMemo`] without being
-//! parsed again. The CLI's `repair` and `simulate` run the same
-//! [`job::prepare`] → [`job::execute`] pipeline.
+//! journal, seed, the guarded [`job::execute`], and one classification of
+//! how it ended. A request whose exact body was prepared before enters it
+//! through the [`cache::PrepareMemo`] without being parsed again. The
+//! durable tiers around the repair — the store lookup, the checkpoint or
+//! neighbor seed, the checkpoint sink, slot retirement and write-through
+//! — are one [`job::Tiers`], which the CLI's `repair` and `simulate` and
+//! the tables' warm-start and checkpoint-resume ablations run too, around
+//! the same [`job::prepare`] → [`job::execute`] pipeline.
 //!
 //! Backpressure: the job queue is bounded; when it is full new connections
 //! are answered `429` immediately. Shutdown: SIGTERM/ctrl-c stops the

@@ -12,28 +12,28 @@
 //!   accept loop stops, closes the queue, and the workers drain every job
 //!   already accepted before the scope joins them.
 
-use crate::breaker::Breaker;
 use crate::cache::{CacheEntry, PoisonList, PrepareMemo, Prepared, ResultCache};
 use crate::flight::InFlight;
 use crate::http::{self, Request};
 use crate::introspect::{JobRecord, JobRing, JobStatus, JOB_RING_CAP};
-use crate::job::{self, ExecError, Mode, SimStatus};
+use crate::job::{self, ExecError, Mode, SimStatus, Tiers};
 use crate::queue::{JobQueue, PushError};
 use crate::signal;
 use ftrepair_core::{RepairAborted, RepairOptions, Token};
-use ftrepair_explicit::simulate::SimConfig;
 use ftrepair_lang::parser::WORKER_STACK_SIZE;
 use ftrepair_store::{
     CheckpointStore, DiskStore, JobJournal, JournalRecord, NewEntry as StoreWrite,
 };
 use ftrepair_telemetry::report::set_snapshot_fields;
 use ftrepair_telemetry::trace::{format_trace_id, mint_trace_id, parse_trace_id};
-use ftrepair_telemetry::{prometheus, Histogram, Json, RunReport, Telemetry, SCHEMA_VERSION};
+use ftrepair_telemetry::{
+    prometheus, Counter, Histogram, Json, RunReport, Telemetry, SCHEMA_VERSION,
+};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -148,17 +148,14 @@ struct Shared {
     /// Exact request bodies already prepared, so a repeat skips
     /// `job::prepare` (bounded by the cache's capacity).
     memo: PrepareMemo,
-    /// The durable tier under the in-memory cache; `None` when the daemon
-    /// runs without `--store-dir`.
-    store: Option<Arc<DiskStore>>,
-    /// Trips the store into memory-only degraded mode after consecutive
-    /// I/O failures; `/healthz` drives its half-open recovery probes.
-    breaker: Breaker,
+    /// The durable tiers under the in-memory cache: the disk store
+    /// (`--store-dir`) behind its breaker, whose half-open probes
+    /// `/healthz` drives, and the checkpoint slots, present whenever the
+    /// store or the journal gives them a home.
+    tiers: Tiers,
     /// Completed repairs queued for asynchronous write-through — the
     /// response path never waits on disk.
     store_writes: JobQueue<StoreWrite>,
-    /// Warm-start lookups enabled?
-    warm_start: bool,
     poison: PoisonList,
     inflight: InFlight,
     /// Ring of the most recent jobs for `GET /jobs`.
@@ -179,16 +176,14 @@ struct Shared {
     degraded_window: Duration,
     /// Write-ahead job journal (`--journal`); `None` disables recovery.
     journal: Option<JobJournal>,
-    /// Per-key mid-repair checkpoint slots. Present whenever the store or
-    /// the journal gives them a durable home; absent in pure-memory mode.
-    ckpts: Option<Arc<CheckpointStore>>,
-    /// Incomplete journal records found at boot (each is either completed
-    /// from the store without recompute, or replayed).
-    recovered: AtomicU64,
-    /// Recovered records that actually re-executed.
-    replayed: AtomicU64,
-    /// Jobs shed at the shutdown drain deadline.
-    abandoned: AtomicU64,
+    /// `server.jobs.recovered`: incomplete journal records found at boot
+    /// (each is either completed from the store without recompute, or
+    /// replayed).
+    recovered: Counter,
+    /// `server.jobs.replayed`: recovered records that actually re-executed.
+    replayed: Counter,
+    /// `server.jobs.abandoned`: jobs shed at the shutdown drain deadline.
+    abandoned: Counter,
     /// Pending journal records the boot scan found (frozen at bind).
     pending_at_boot: u64,
     /// Connections (and boot replays) a worker is currently handling —
@@ -215,71 +210,14 @@ impl Shared {
     /// server-wide cancel flag, this job's deadline, and the node budget —
     /// the server's, tightened by the request's `max_nodes` (`0`: none; a
     /// client may lower the operator's OOM guard, never raise it) — plus
-    /// the key's checkpoint sink whenever checkpoint slots have a durable
-    /// home.
+    /// the key's checkpoint sink ([`Tiers::arm`]).
     fn job_token(&self, key: &str, max_nodes: usize) -> Token {
         let token = Token::unbounded()
             .with_flag(Arc::clone(&self.cancel_jobs))
             .with_deadline_in(self.job_timeout)
             .with_node_budget(self.job_max_nodes)
             .with_node_budget(max_nodes);
-        let Some(ckpts) = &self.ckpts else {
-            return token;
-        };
-        let tele = self.tele.clone();
-        token.with_checkpointer(job::checkpoint_sink(
-            ckpts,
-            key,
-            move |key, written| match written {
-                Ok(()) => tele.add("server.jobs.checkpoints_written", 1),
-                Err(e) => {
-                    tele.add("telemetry.write_errors", 1);
-                    eprintln!("ftrepair-server: checkpoint write for {key} failed: {e}");
-                }
-            },
-        ))
-    }
-
-    /// The best warm-start seed for a full miss: the checkpoint slot of an
-    /// interrupted run of this exact key (distance 0 — resume, don't
-    /// restart), else the nearest stored neighbor's artifacts.
-    fn warm_seed(&self, spec: &job::JobSpec) -> Option<job::WarmInfo> {
-        if let Some((_, seed)) = self.ckpts.as_ref().and_then(|c| job::checkpoint_seed(c, spec)) {
-            self.tele.add("server.jobs.checkpoint_resumes", 1);
-            return Some(seed);
-        }
-        // A cautious job has no seedable phase, so it never touches the
-        // store (or its breaker) looking for one.
-        if !self.warm_start || spec.mode != Mode::Lazy {
-            return None;
-        }
-        let warm = self.with_store(|store| job::neighbor_seed(store, spec)).flatten();
-        if warm.is_some() {
-            self.tele.add("store.warm_lookups", 1);
-        }
-        warm
-    }
-
-    /// Run one read-path operation against the store under the breaker:
-    /// skipped entirely while the breaker is not closed (memory-only
-    /// degraded mode), and classified by the store's I/O error counter
-    /// afterwards — `DiskStore` reports transient volume errors there
-    /// rather than in return values (a flaky read is a miss, not data
-    /// loss, so `get` has no error channel to inspect).
-    fn with_store<T>(&self, f: impl FnOnce(&DiskStore) -> T) -> Option<T> {
-        let store = self.store.as_ref()?;
-        if !self.breaker.allow() {
-            self.tele.add("store.breaker.skipped_reads", 1);
-            return None;
-        }
-        let before = store.io_errors();
-        let out = f(store);
-        if store.io_errors() > before {
-            self.breaker.record_failure();
-        } else {
-            self.breaker.record_success();
-        }
-        Some(out)
+        self.tiers.arm(token, key)
     }
 
     /// WAL a job before it executes (no-op without `--journal`). Once the
@@ -537,7 +475,7 @@ impl Server {
                 };
                 #[cfg(not(any(test, feature = "chaos")))]
                 let opened = DiskStore::open(dir, config.store_budget, &tele)?;
-                Some(Arc::new(opened))
+                Some(opened)
             }
             None => None,
         };
@@ -574,30 +512,23 @@ impl Server {
             .map(|dir| dir.join("checkpoints"))
             .or_else(|| config.journal.as_ref().map(|p| p.with_file_name("checkpoints")));
         let ckpts = match ckpt_root {
-            Some(root) => Some(Arc::new(CheckpointStore::open(&root)?)),
+            Some(root) => Some(CheckpointStore::open(&root)?),
             None => None,
         };
-        // Seeded per-process: a fleet sharing one sick volume must not
-        // probe it in lockstep, which is the whole point of the jitter.
-        let breaker = Breaker::new(
-            config.breaker_threshold,
-            config.breaker_backoff,
-            config.breaker_max_backoff,
-            u64::from(std::process::id()) ^ 0xB4EA_4E37_5EED_0001,
-            &tele,
-        );
+        let tiers = Tiers::new(store, ckpts, config, &tele);
         let h_request = tele.histogram("server.request.seconds");
+        let recovered = tele.counter("server.jobs.recovered");
+        let replayed = tele.counter("server.jobs.replayed");
+        let abandoned = tele.counter("server.jobs.abandoned");
         let h_queue_wait = tele.histogram("server.queue_wait.seconds");
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue_cap),
             cache,
             memo: PrepareMemo::new(config.cache_cap),
-            store,
-            breaker,
+            tiers,
             // Same bound as the connection queue: a burst beyond it drops
             // writes (counted), never blocks a worker.
             store_writes: JobQueue::new(config.queue_cap.max(16)),
-            warm_start: config.warm_start,
             poison: PoisonList::new(config.poison_cap),
             inflight: InFlight::new(),
             jobs: JobRing::new(JOB_RING_CAP),
@@ -613,10 +544,9 @@ impl Server {
             job_max_nodes: config.job_max_nodes,
             degraded_window: config.degraded_window,
             journal,
-            ckpts,
-            recovered: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
-            abandoned: AtomicU64::new(0),
+            recovered,
+            replayed,
+            abandoned,
             pending_at_boot,
             active: AtomicUsize::new(0),
             drain_timeout: config.drain_timeout,
@@ -654,14 +584,21 @@ impl Server {
         let accepted = shared.tele.counter("server.http.accepted");
         let rejected = shared.tele.counter("server.http.rejected_busy");
 
-        // The store writer outlives the worker scope (it must drain writes
-        // the last workers enqueue), so it runs as a plain spawned thread
-        // holding its own `Arc<Shared>` and is joined explicitly after the
-        // scope — deterministic drain, no writes lost at shutdown.
-        let writer = shared.store.as_ref().map(|store| {
-            let store = Arc::clone(store);
+        // The store writer drains the write-through queue into the tiers
+        // until it closes. It outlives the worker scope (it must drain
+        // writes the last workers enqueue), so it runs as a plain spawned
+        // thread holding its own `Arc<Shared>` and is joined explicitly
+        // after the scope — deterministic drain, no writes lost at
+        // shutdown.
+        let writer = shared.tiers.persists().then(|| {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || store_writer(&shared, &store))
+            std::thread::spawn(move || {
+                while let Some(entry) = shared.store_writes.pop() {
+                    if let Err(e) = shared.tiers.write(&entry) {
+                        eprintln!("ftrepair-server: store write for {} failed: {e}", entry.key);
+                    }
+                }
+            })
         });
 
         // Boot recovery runs on its own thread so a slow replay never
@@ -763,50 +700,6 @@ fn error_body(message: &str) -> String {
     j.to_string()
 }
 
-/// Drain the write-through queue into the disk store until it closes.
-/// Failures are counted and logged but never propagate — persistence is an
-/// optimization, and a full disk must not take repairs down with it.
-///
-/// Two escalations beyond count-and-log:
-///
-/// * `ENOSPC` triggers an emergency eviction of the coldest entries and
-///   one retry — a store sized near its volume's capacity frees its own
-///   space before giving up;
-/// * each failed write feeds the circuit breaker; while the breaker is
-///   open, queued writes are dropped outright (counted) instead of
-///   hammering a volume already known to be sick.
-const ENOSPC: i32 = 28;
-
-fn store_writer(shared: &Shared, store: &DiskStore) {
-    while let Some(entry) = shared.store_writes.pop() {
-        if !shared.breaker.allow() {
-            shared.tele.add("store.breaker.dropped_writes", 1);
-            continue;
-        }
-        let mut result = store.put(&entry);
-        if let Err(e) = &result {
-            if e.raw_os_error() == Some(ENOSPC) {
-                shared.tele.add("store.enospc", 1);
-                if store.shed_coldest(2) > 0 {
-                    result = store.put(&entry);
-                }
-            }
-        }
-        match result {
-            Ok(true) => {
-                shared.tele.add("store.writes", 1);
-                shared.breaker.record_success();
-            }
-            Ok(false) => shared.breaker.record_success(), // benign race: another writer landed this key
-            Err(e) => {
-                shared.tele.add("telemetry.write_errors", 1);
-                shared.breaker.record_failure();
-                eprintln!("ftrepair-server: store write for {} failed: {e}", entry.key);
-            }
-        }
-    }
-}
-
 /// How one incarnation of a worker's serve loop ended.
 enum WorkerExit {
     /// The queue is closed and empty; the pool is draining for shutdown.
@@ -883,11 +776,6 @@ impl Drop for ActiveGuard<'_> {
     }
 }
 
-/// Bound the shutdown drain. Wait for the queue to empty and every worker
-/// (and boot replay) to go idle; at `drain_timeout`, cancel in-flight
-/// repairs — their tokens force one final checkpoint on the way out — and
-/// answer every still-queued connection `503`, counted under
-/// `server.jobs.abandoned`, instead of dropping sockets on the floor.
 /// Read and discard whatever request bytes the client already sent on a
 /// socket we are answering without serving: dropping a socket with unread
 /// data provokes an RST that can destroy the just-written response before
@@ -911,6 +799,11 @@ fn discard_request_bytes(stream: &mut std::net::TcpStream) {
     }
 }
 
+/// Bound the shutdown drain. Wait for the queue to empty and every worker
+/// (and boot replay) to go idle; at `drain_timeout`, cancel in-flight
+/// repairs — their tokens force one final checkpoint on the way out — and
+/// answer every still-queued connection `503`, counted under
+/// `server.jobs.abandoned`, instead of dropping sockets on the floor.
 fn drain_with_deadline(shared: &Shared) {
     let deadline = Instant::now() + shared.drain_timeout;
     loop {
@@ -931,8 +824,7 @@ fn drain_with_deadline(shared: &Shared) {
         );
     }
     for (mut stream, _queued_at) in shed {
-        shared.abandoned.fetch_add(1, Ordering::Relaxed);
-        shared.tele.add("server.jobs.abandoned", 1);
+        shared.abandoned.inc();
         let body = error_body("server draining: job abandoned before a worker picked it up");
         let _ = http::write_response(&mut stream, 503, JSON, &body);
         discard_request_bytes(&mut stream);
@@ -953,8 +845,7 @@ fn recover_jobs(shared: &Shared, pending: Vec<JournalRecord>) {
         if shared.shutting_down() {
             break;
         }
-        shared.recovered.fetch_add(1, Ordering::Relaxed);
-        shared.tele.add("server.jobs.recovered", 1);
+        shared.recovered.inc();
         replay_job(shared, &rec);
     }
 }
@@ -1131,21 +1022,22 @@ fn handle_healthz(shared: &Shared) -> Reply {
     j.set("workers", shared.workers.into());
     j.set("workers_alive", (*shared.workers_alive.lock().unwrap()).into());
     let mut store = Json::obj();
-    match &shared.store {
+    let breaker = shared.tiers.breaker();
+    match shared.tiers.store() {
         Some(s) => {
             // `/healthz` is the daemon's only periodic traffic, so the
             // breaker's half-open probes ride it: once the backoff deadline
             // passes, the next poll writes/reads/deletes a probe file and
             // either closes the breaker or re-opens it with a longer wait.
-            if shared.breaker.try_probe() {
+            if breaker.try_probe() {
                 match s.probe() {
-                    Ok(()) => shared.breaker.record_success(),
-                    Err(_) => shared.breaker.record_failure(),
+                    Ok(()) => breaker.record_success(),
+                    Err(_) => breaker.record_failure(),
                 }
             }
             store.set("enabled", true.into());
-            store.set("status", if shared.breaker.degraded() { "degraded" } else { "ok" }.into());
-            store.set("breaker", shared.breaker.state_str().into());
+            store.set("status", if breaker.degraded() { "degraded" } else { "ok" }.into());
+            store.set("breaker", breaker.state_str().into());
             store.set("path", s.root().display().to_string().into());
             store.set("entries", s.len().into());
             store.set("bytes", s.bytes().into());
@@ -1162,14 +1054,15 @@ fn handle_healthz(shared: &Shared) -> Reply {
     if let Some(journal) = &shared.journal {
         recovery.set("journal_path", journal.path().display().to_string().into());
         recovery.set("pending_at_boot", shared.pending_at_boot.into());
-        recovery.set("recovered", shared.recovered.load(Ordering::Relaxed).into());
-        recovery.set("replayed", shared.replayed.load(Ordering::Relaxed).into());
+        recovery.set("recovered", shared.recovered.get().into());
+        recovery.set("replayed", shared.replayed.get().into());
     }
-    recovery.set("checkpointing", shared.ckpts.is_some().into());
-    if let Some(ckpts) = &shared.ckpts {
+    let ckpts = shared.tiers.checkpoints();
+    recovery.set("checkpointing", ckpts.is_some().into());
+    if let Some(ckpts) = ckpts {
         recovery.set("checkpoint_slots", ckpts.len().into());
     }
-    recovery.set("abandoned", shared.abandoned.load(Ordering::Relaxed).into());
+    recovery.set("abandoned", shared.abandoned.get().into());
     j.set("recovery", recovery);
     Reply::json(200, j.to_string())
 }
@@ -1181,7 +1074,7 @@ fn handle_metrics(shared: &Shared, format: Option<&str>) -> Reply {
     shared.tele.set_gauge("server.cache.entries", shared.cache.len() as u64);
     shared.tele.set_gauge("server.memo.entries", shared.memo.len() as u64);
     shared.tele.set_gauge("server.jobs.quarantined_keys", shared.poison.len() as u64);
-    if shared.store.is_some() {
+    if shared.tiers.persists() {
         // store.bytes / store.entries are published by the store itself on
         // every operation; only the queue depth is scrape-time state.
         shared.tele.set_gauge("store.write_queue.depth", shared.store_writes.len() as u64);
@@ -1408,14 +1301,11 @@ fn run_job(
 
     // The durable tier: an exact key persisted by an earlier process
     // incarnation is promoted into the memory cache — no recomputation,
-    // and followers of this flight find it there. Corrupt entries read
-    // as misses (counted and quarantined inside the store); with the
-    // breaker open the lookup is skipped and the job recomputes —
-    // memory-only degraded mode costs work, never availability.
-    if let Some(stored) = shared.with_store(|store| store.get(&spec.key)).flatten() {
-        shared.tele.add("store.promotions", 1);
-        let sim = job::rebuild_sim_bundle(&spec.ast, &stored.artifacts);
-        let entry = shared.cache.insert(CacheEntry::new(spec.key.clone(), &stored.response, sim));
+    // and followers of this flight find it there. With the breaker open
+    // the lookup is skipped and the job recomputes — memory-only degraded
+    // mode costs work, never availability.
+    if let Some((response, sim)) = shared.tiers.lookup(spec, true) {
+        let entry = shared.cache.insert(CacheEntry::new(spec.key.clone(), &response, sim));
         return Ok((entry, Tier::Disk));
     }
 
@@ -1425,14 +1315,11 @@ fn run_job(
         // returns, a crash at any later point (including mid-repair)
         // leaves the job recoverable at the next boot.
         Origin::Request(trace_id) => shared.journal_start(spec, trace_id),
-        Origin::Replay => {
-            shared.replayed.fetch_add(1, Ordering::Relaxed);
-            shared.tele.add("server.jobs.replayed", 1);
-        }
+        Origin::Replay => shared.replayed.inc(),
     }
 
     // Full miss: seed from a checkpoint slot or the nearest neighbor.
-    let warm = shared.warm_seed(spec);
+    let warm = shared.tiers.seed(spec);
     // Per-job telemetry keeps concurrent jobs' reports separate; the
     // snapshot is folded into the server registry afterwards so /metrics
     // still aggregates everything.
@@ -1450,7 +1337,7 @@ fn run_job(
         if let Some(chaos) = &shared.chaos {
             chaos.before_execute(&spec.key, &token);
         }
-        job::execute(spec, &job_tele, true, &token, warm.as_ref(), shared.store.is_some())
+        job::execute(spec, &job_tele, true, &token, warm.as_ref(), shared.tiers.persists())
     }));
     let job_snap = job_tele.snapshot();
     shared.tele.absorb_snapshot(&job_snap);
@@ -1560,18 +1447,11 @@ fn finalize_success(
         shared.tele.add("server.jobs.warm_started", 1);
     }
 
-    // The job reached a terminal result, so its mid-repair snapshot is
-    // stale — retire the slot rather than letting it seed a future run
-    // with older state than the cached answer.
-    if let Some(ckpts) = &shared.ckpts {
-        let _ = ckpts.clear(&spec.key);
-    }
-
-    // Write-through: hand verified successful repairs (the only ones
-    // `job::execute` exports artifacts for) to the async writer. The
-    // response path never blocks on disk; a full queue drops the write and
-    // counts it.
-    if let Some(write) = result.take_store_entry(spec) {
+    // The job reached a terminal result: retire its slot, and hand a
+    // verified repair's write-through to the async writer. The response
+    // path never blocks on disk; a full queue drops the write and counts
+    // it.
+    if let Some(write) = shared.tiers.settle(spec, &mut result) {
         if shared.store_writes.try_push(write).is_err() {
             shared.tele.add("telemetry.write_errors", 1);
             eprintln!("ftrepair-server: store write queue full; dropping write for {}", spec.key);
@@ -1593,21 +1473,12 @@ fn handle_simulate(shared: &Shared, req: &Request, ctx: &ReqCtx) -> Reply {
         let runs = query_number(req, "runs", 200)?;
         let max_faults = query_number(req, "max-faults", 3)?;
         let seed = query_number(req, "seed", 0xF7_5EED)?;
-        Ok::<_, String>((SimConfig { runs, max_faults, ..Default::default() }, seed))
+        Ok::<_, String>((job::sim_config(runs, max_faults)?, seed))
     })();
     let (config, seed) = match params {
         Ok(params) => params,
         Err(message) => return Reply::error(400, &message),
     };
-    if config.runs == 0 || config.runs > 100_000 {
-        return Reply::error(400, "runs must be between 1 and 100000");
-    }
-    // Every injected fault re-arms the recovery budget and grows the trace,
-    // so an unbounded max-faults lets one request pin a worker arbitrarily
-    // long. Bound it like runs.
-    if config.max_faults > 1_000 {
-        return Reply::error(400, "max-faults must be between 0 and 1000");
-    }
 
     let (entry, cached) = match cached_repair(shared, req, ctx) {
         Ok(pair) => pair,

@@ -99,9 +99,10 @@ fn wait_counter(addr: SocketAddr, name: &str, want: u64) -> Json {
 
 /// The tentpole scenario end to end: a job that dies after its journal
 /// start record (the cancel flag stands in for the kill) is replayed to
-/// completion by the next boot, seeded from the checkpoint it wrote on the
-/// way down, and later requests for the same spec are served cached — no
-/// client ever re-pays the repair.
+/// completion by the next boot, and later requests for the same spec are
+/// served cached — no client ever re-pays the repair. The replay runs
+/// cold: the flag is raised before the POST, so the job aborts at its
+/// first token check, before any checkpoint offer, and leaves no slot.
 #[test]
 fn cancelled_job_is_replayed_on_reboot_and_later_requests_hit_the_cache() {
     let dir = temp_dir("replay");
@@ -146,6 +147,44 @@ fn cancelled_job_is_replayed_on_reboot_and_later_requests_hit_the_cache() {
     let (_, health) = request(addr, "GET", "/healthz", "");
     let recovery = health.get("recovery").expect("recovery section");
     assert_eq!(recovery.get("pending_at_boot").and_then(Json::as_u64), Some(0), "{health}");
+    handle.shutdown();
+    join.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job aborted by its node budget leaves a checkpoint slot under
+/// `--store-dir` (no journal needed), and the retry without the budget
+/// resumes from it, verifies, and retires it.
+#[test]
+fn budget_aborted_job_resumes_from_its_slot() {
+    let dir = temp_dir("slot");
+    let spec_path =
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/specs/stabilizing_chain10.ftr");
+    let spec = std::fs::read_to_string(spec_path).unwrap();
+    let slots = || {
+        std::fs::read_dir(dir.join("store").join("checkpoints"))
+            .unwrap()
+            .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "ckpt"))
+            .count()
+    };
+    let (addr, handle, join) = start(ServerConfig { journal: None, ..config(&dir) });
+
+    let (status, body) = request(addr, "POST", "/repair?max-nodes=2000", &spec);
+    assert_eq!(status, 503, "{body}");
+    assert_eq!(body.get("error").and_then(Json::as_str), Some("node budget exhausted"), "{body}");
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(counter(&metrics, "server.jobs.checkpoints_written"), 1, "{metrics}");
+    assert_eq!(slots(), 1, "the abort left one slot");
+
+    let (status, body) = request(addr, "POST", "/repair", &spec);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body.get("warm_start").and_then(Json::as_bool), Some(true), "{body}");
+    assert_eq!(body.get("warm_neighbor").and_then(Json::as_str), Some("checkpoint@1"), "{body}");
+    assert_eq!(body.get("verified").and_then(Json::as_bool), Some(true), "{body}");
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(counter(&metrics, "server.jobs.checkpoint_resumes"), 1, "{metrics}");
+    assert_eq!(slots(), 0, "the finished run retired the slot");
+
     handle.shutdown();
     join.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! ftrepair repair   <file.ftr> [repair options] [--store-dir <path>]
-//!                              [--checkpoint-dir <path>] [--resume]
+//!                              [--checkpoint-dir <path>]
 //!                              [--metrics-out <path>] [--trace] [--trace-out <path>]
 //! ftrepair simulate <file.ftr> [repair options] [--runs N] [--max-faults K] [--seed S]
 //! ftrepair check    <file.ftr>
@@ -27,15 +27,16 @@
 //! * `repair` adds masking fault-tolerance. Stdout is the repaired program
 //!   as guarded commands — the daemon's `program` text; stderr carries the
 //!   summary (timings, both verification verdicts, invariant and
-//!   fault-span sizes). Every repair goes through one job pipeline, so the
-//!   flags combine freely: `--store-dir` serves an exact hit from disk (no
-//!   repair runs, no report is appended), warm-starts a miss from the
-//!   nearest stored neighbor, and writes verified results through;
-//!   `--checkpoint-dir` leaves a resume point when a run exits 124/125,
-//!   and `--resume` continues from it; `--metrics-out` appends one JSONL
-//!   run report per computed repair; `--trace` streams span open/close
-//!   events to stderr; `--trace-out` writes the span tree as Chrome
-//!   `trace_event` JSON (Perfetto, `chrome://tracing`).
+//!   fault-span sizes). Every repair goes through one job pipeline and the
+//!   daemon's tiers, so the flags combine freely: `--store-dir` serves an
+//!   exact hit from disk (no repair runs, no report is appended),
+//!   warm-starts a miss from the nearest stored neighbor, and writes
+//!   verified results through; `--checkpoint-dir` leaves a resume point
+//!   when a run exits 124/125, and the next run of the same spec and
+//!   options with that directory continues from it; `--metrics-out`
+//!   appends one JSONL run report per computed repair; `--trace` streams
+//!   span open/close events to stderr; `--trace-out` writes the span tree
+//!   as Chrome `trace_event` JSON (Perfetto, `chrome://tracing`).
 //! * `simulate` runs the same pipeline, then replays random
 //!   fault-injection batches against the repair, like the daemon's
 //!   `POST /simulate`.
@@ -57,13 +58,12 @@
 
 use ftrepair::program::{realizability, semantics, DistributedProgram};
 use ftrepair::repair::{RepairAborted, RepairOptions, Token};
-use ftrepair::server::job::{self, SimStatus};
+use ftrepair::server::job::{self, SimStatus, Tiers};
 use ftrepair::server::{signal, Server, ServerConfig};
 use ftrepair::store::{CheckpointStore, DiskStore};
 use ftrepair::telemetry::{trace, Json, Telemetry};
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Exit code for a repair that exhausted `--timeout`, following the
@@ -106,7 +106,6 @@ const JOB_FLAGS: Flags = &[
 const REPAIR_FLAGS: Flags = &[
     ("--store-dir", Some("<path>")),
     ("--checkpoint-dir", Some("<path>")),
-    ("--resume", None),
     ("--metrics-out", Some("<path>")),
     ("--trace", None),
     ("--trace-out", Some("<path>")),
@@ -498,12 +497,11 @@ fn store_cmd(args: &[String]) -> ExitCode {
 
 fn simulate(source: &str, path: &str, flags: &[String]) -> ExitCode {
     let config = (|| -> Result<_, String> {
-        let config = ftrepair::explicit::simulate::SimConfig {
-            runs: parsed_flag(flags, "--runs", 200usize)?,
-            max_faults: parsed_flag(flags, "--max-faults", 3usize)?,
-            ..Default::default()
-        };
-        Ok((config, parsed_flag(flags, "--seed", 0xF7_5EEDu64)?))
+        let runs = parsed_flag(flags, "--runs", 200usize)?;
+        let max_faults = parsed_flag(flags, "--max-faults", 3usize)?;
+        let seed = parsed_flag(flags, "--seed", 0xF7_5EEDu64)?;
+        // The bounds name their parameter, which is the flag's name.
+        Ok((job::sim_config(runs, max_faults).map_err(|e| format!("--{e}"))?, seed))
     })();
     let (config, seed) = match config {
         Ok(c) => c,
@@ -545,10 +543,8 @@ fn info(prog: &mut DistributedProgram) -> ExitCode {
     println!("state space: {} states", prog.cx.count_states(universe));
     println!("invariant:   {} states", prog.cx.count_states(prog.invariant));
     println!("fault transitions: {}", prog.cx.count_transitions(prog.faults));
-    for (j, p) in prog.processes.clone().iter().enumerate() {
-        let n = prog.cx.count_transitions(p.trans);
-        println!("process {} ({} transitions)", p.name, n);
-        let _ = j;
+    for p in &prog.processes {
+        println!("process {} ({} transitions)", p.name, prog.cx.count_transitions(p.trans));
     }
     ExitCode::SUCCESS
 }
@@ -593,10 +589,11 @@ fn check(prog: &mut DistributedProgram) -> ExitCode {
     }
 }
 
-/// The one CLI job, behind both `repair` and `simulate`: prepare → store
-/// tier → checkpoint or neighbor seed → `job::execute` → one
-/// classification → persist. Returns the response document and the
-/// simulation bundle (built only with `build_sim`), or the exit code.
+/// The one CLI job, behind both `repair` and `simulate`: prepare → the
+/// daemon's [`Tiers`] (store lookup, then a checkpoint or neighbor seed)
+/// → `job::execute` → one classification → settle and write through.
+/// Returns the response document and the simulation bundle (built only
+/// with `build_sim`), or the exit code.
 ///
 /// `--store-dir`: an exact content-key hit is served from disk without
 /// running a repair (and appends no run report); a miss warm-starts from
@@ -604,8 +601,9 @@ fn check(prog: &mut DistributedProgram) -> ExitCode {
 /// a later `serve --store-dir` or `repair --store-dir` finds it.
 /// `--checkpoint-dir`: the repair loops snapshot their progress into this
 /// key's slot, so a run killed by `--timeout` (exit 124) or `--max-nodes`
-/// (exit 125) leaves a resume point; `--resume` seeds the run from it, and
-/// a verified success retires it.
+/// (exit 125) leaves a resume point; the next run of the same spec and
+/// options with that directory seeds from it, and any finished run
+/// retires it.
 fn run_job(
     source: &str,
     path: &str,
@@ -616,17 +614,13 @@ fn run_job(
         eprintln!("{e}");
         ExitCode::from(2)
     };
-    let (mode, opts, mut token) = job_options(flags).map_err(usage)?;
+    let (mode, opts, token) = job_options(flags).map_err(usage)?;
     let path_flag = |name| flag_value(flags, name).map(|v| v.map(PathBuf::from));
     let metrics_out = path_flag("--metrics-out")
         .map_err(|_| usage("--metrics-out requires a path argument".to_string()))?;
     let trace_out = path_flag("--trace-out").map_err(usage)?;
     let store_dir = path_flag("--store-dir").map_err(usage)?;
     let ckpt_dir = path_flag("--checkpoint-dir").map_err(usage)?;
-    let resume = flags.iter().any(|a| a == "--resume");
-    if resume && ckpt_dir.is_none() {
-        return Err(usage("--resume requires --checkpoint-dir".to_string()));
-    }
     let trace = flags.iter().any(|a| a == "--trace");
 
     let spec = job::prepare(source, mode, opts).map_err(|e| {
@@ -643,40 +637,24 @@ fn run_job(
         None => None,
     };
     let ckpts = match &ckpt_dir {
-        Some(dir) => Some(Arc::new(
-            CheckpointStore::open(dir).map_err(|e| cannot_open("checkpoint dir", dir, e))?,
-        )),
+        Some(dir) => {
+            Some(CheckpointStore::open(dir).map_err(|e| cannot_open("checkpoint dir", dir, e))?)
+        }
         None => None,
     };
+    let tiers = Tiers::new(store, ckpts, &ServerConfig::default(), &Telemetry::off());
 
     // The store tier: an exact hit runs no repair.
-    if let (Some(store), Some(dir)) = (&store, &store_dir) {
-        if let Some(stored) = store.get(&spec.key) {
-            eprintln!("served from store {} (key {})", dir.display(), &spec.key[..16]);
-            summarize(&spec, &stored.response)?;
-            let sim = if build_sim {
-                job::rebuild_sim_bundle(&spec.ast, &stored.artifacts)
-            } else {
-                SimStatus::Unavailable
-            };
-            return Ok((stored.response, sim));
-        }
+    if let (Some(dir), Some((response, sim))) = (&store_dir, tiers.lookup(&spec, build_sim)) {
+        eprintln!("served from store {} (key {})", dir.display(), &spec.key[..16]);
+        summarize(&spec, &response)?;
+        return Ok((response, sim));
     }
-
-    // `--resume`: this exact key's checkpoint slot beats any neighbor — it
-    // is the interrupted run's own progress, distance zero by definition.
-    let mut warm = None;
-    if let (true, Some(ckpts)) = (resume, &ckpts) {
-        match job::checkpoint_seed(ckpts, &spec) {
-            Some((iteration, seed)) => {
-                eprintln!("resuming from checkpoint at iteration {iteration}");
-                warm = Some(seed);
-            }
-            None => eprintln!("no checkpoint for this spec; starting cold"),
-        }
-    }
-    if warm.is_none() {
-        warm = store.as_ref().and_then(|store| job::neighbor_seed(store, &spec));
+    // A miss seeds from this key's checkpoint slot — an interrupted run's
+    // own progress — or else from the nearest stored neighbor.
+    let warm = tiers.seed(&spec);
+    if let Some(iteration) = warm.as_ref().and_then(|w| w.checkpoint) {
+        eprintln!("resuming from checkpoint at iteration {iteration}");
     }
 
     // Telemetry costs nothing when off; turn it on whenever the run is
@@ -689,13 +667,7 @@ fn run_job(
     } else {
         Telemetry::off()
     };
-    if let Some(ckpts) = &ckpts {
-        token = token.with_checkpointer(job::checkpoint_sink(ckpts, &spec.key, |_, written| {
-            if let Err(e) = written {
-                eprintln!("warning: checkpoint write failed: {e}");
-            }
-        }));
-    }
+    let token = tiers.arm(token, &spec.key);
     // One trace ID per CLI run, same wire format as the server's
     // `X-Trace-Id`; it names the exported trace tree.
     let trace_id = trace::mint_trace_id();
@@ -705,7 +677,7 @@ fn run_job(
         root.field("case", spec.name.as_str().into());
         root.field("mode", spec.mode.as_str().into());
         root.field("trace_id", trace::format_trace_id(trace_id).into());
-        job::execute(&spec, &tele, build_sim, &token, warm.as_ref(), store.is_some())
+        job::execute(&spec, &tele, build_sim, &token, warm.as_ref(), tiers.persists())
     };
 
     // A trace is written however the run ended; a run report only when a
@@ -729,13 +701,11 @@ fn run_job(
             let job::ExecError::Aborted(why) = e else {
                 return Err(ExitCode::from(1));
             };
-            if let (Some(ckpts), Some(dir)) = (&ckpts, &ckpt_dir) {
-                if ckpts.get(&spec.key).is_some() {
-                    eprintln!(
-                        "checkpoint saved in {}; rerun with --resume to continue from it",
-                        dir.display()
-                    );
-                }
+            if let Some(ckpts) = tiers.checkpoints().filter(|c| c.get(&spec.key).is_some()) {
+                eprintln!(
+                    "checkpoint saved in {}; rerun with the same --checkpoint-dir to resume from it",
+                    ckpts.root().display()
+                );
             }
             return Err(abort_exit(why));
         }
@@ -764,19 +734,13 @@ fn run_job(
         );
         eprintln!("verified: masking={} realizability={}", result.masking, result.realizable);
     }
-    if result.verified() {
-        // The run is complete: its resume point is stale, retire it.
-        if let Some(ckpts) = &ckpts {
-            let _ = ckpts.clear(&spec.key);
-        }
-        // Synchronous write-through (the CLI has no async writer to hand
-        // off to); only verified repairs carry artifacts.
-        if let (Some(store), Some(entry)) = (&store, result.take_store_entry(&spec)) {
-            match store.put(&entry) {
-                Ok(true) => eprintln!("stored under key {}", &spec.key[..16]),
-                Ok(false) => {}
-                Err(e) => eprintln!("warning: store write failed: {e}"),
-            }
+    // The run finished: its slot is stale, and a verified repair is
+    // written through (synchronously: the CLI has no writer thread).
+    if let Some(entry) = tiers.settle(&spec, &mut result) {
+        match tiers.write(&entry) {
+            Ok(true) => eprintln!("stored under key {}", &spec.key[..16]),
+            Ok(false) => {}
+            Err(e) => eprintln!("warning: store write failed: {e}"),
         }
     }
     summarize(&spec, &result.response)?;

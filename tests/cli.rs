@@ -228,6 +228,19 @@ fn simulate_runs_on_a_spec_at_the_state_cap() {
     assert_eq!(report.get("runs").unwrap().as_u64(), Some(50));
 }
 
+/// `simulate` bounds its batch as `POST /simulate` does: a usage error
+/// naming the flag, before any repair runs, never a vacuous pass.
+#[test]
+fn simulate_rejects_out_of_range_batches() {
+    for (flag, value) in [("--runs", "0"), ("--runs", "100001"), ("--max-faults", "1001")] {
+        let (stdout, stderr, code) =
+            ftrepair_code(&["simulate", &spec("toggle_pair.ftr"), flag, value]);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(&format!("{flag} must be between")), "{flag} {value}: {stderr}");
+        assert!(stdout.is_empty() && !stderr.contains("repaired"), "{flag} {value}: {stderr}");
+    }
+}
+
 #[test]
 fn simulate_rejects_malformed_specs_cleanly() {
     let dir = std::env::temp_dir().join("ftrepair-cli-test");
@@ -337,9 +350,6 @@ fn exit_codes_are_a_contract() {
 
     let (_, stderr, code) = ftrepair_code(&["repair", "no-such-file.ftr"]);
     assert_eq!(code, Some(2), "unreadable input is a usage error: {stderr}");
-    let (_, stderr, code) = ftrepair_code(&["repair", &spec("toggle_pair.ftr"), "--resume"]);
-    assert_eq!(code, Some(2), "--resume without --checkpoint-dir is 2: {stderr}");
-    assert!(stderr.contains("--resume requires --checkpoint-dir"), "{stderr}");
 
     let (_, stderr, code) = ftrepair_code(&["repair", &spec("token_ring.ftr"), "--timeout", "0"]);
     assert_eq!(code, Some(124), "deadline exhaustion is 124: {stderr}");
@@ -349,9 +359,10 @@ fn exit_codes_are_a_contract() {
 }
 
 /// The offline checkpoint round trip: a run starved into exit 125 leaves a
-/// resume slot behind (and says so), `--resume` continues from it to a
-/// verified repair, and success clears the slot. The starvation budget is
-/// node-count based, so this is deterministic across build profiles.
+/// resume slot behind (and says so), the next run with the same
+/// `--checkpoint-dir` continues from it to a verified repair, and success
+/// clears the slot. The starvation budget is node-count based, so this is
+/// deterministic across build profiles.
 #[test]
 fn aborted_repair_checkpoints_and_resume_completes() {
     let dir = std::env::temp_dir().join(format!("ftrepair-cli-ckpt-{}", std::process::id()));
@@ -362,7 +373,7 @@ fn aborted_repair_checkpoints_and_resume_completes() {
     let (_, stderr, code) =
         ftrepair_code(&["repair", &chain, "--max-nodes", "2000", "--checkpoint-dir", dir_str]);
     assert_eq!(code, Some(125), "{stderr}");
-    assert!(stderr.contains("rerun with --resume"), "{stderr}");
+    assert!(stderr.contains("checkpoint saved in"), "{stderr}");
     let slots = || {
         std::fs::read_dir(&dir)
             .unwrap()
@@ -372,18 +383,16 @@ fn aborted_repair_checkpoints_and_resume_completes() {
     };
     assert_eq!(slots(), 1, "the abort left one checkpoint slot");
 
-    let (_, stderr, code) =
-        ftrepair_code(&["repair", &chain, "--checkpoint-dir", dir_str, "--resume"]);
+    let resume = ["repair", &chain, "--checkpoint-dir", dir_str];
+    let (_, stderr, code) = ftrepair_code(&resume);
     assert_eq!(code, Some(0), "{stderr}");
     assert!(stderr.contains("resuming from checkpoint at iteration"), "{stderr}");
     assert!(stderr.contains("verified: true"), "{stderr}");
     assert_eq!(slots(), 0, "success cleared the slot");
 
-    // A fresh `--resume` with nothing on disk is honest about it and
-    // still completes cold.
-    let (_, stderr, code) =
-        ftrepair_code(&["repair", &chain, "--checkpoint-dir", dir_str, "--resume"]);
+    // With the slot retired, the next run starts cold.
+    let (_, stderr, code) = ftrepair_code(&resume);
     assert_eq!(code, Some(0), "{stderr}");
-    assert!(stderr.contains("no checkpoint for this spec; starting cold"), "{stderr}");
+    assert!(!stderr.contains("resuming from checkpoint"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
