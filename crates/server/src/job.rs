@@ -245,7 +245,8 @@ pub struct JobResult {
     /// fault-span) for the disk store; only exported on request and only
     /// for verified successful repairs.
     pub artifacts: Option<Vec<(String, SerializedBdd)>>,
-    /// Did a near-key neighbor's artifacts actually seed this repair?
+    /// Did the [`Tiers::seed`] artifacts (a near-key neighbor's, or this
+    /// key's checkpoint slot) actually seed this repair?
     pub warm_used: bool,
 }
 
@@ -470,6 +471,7 @@ impl Tiers {
             let _ = ckpts.clear(&spec.key);
         }
         self.store.as_ref()?;
+        let artifacts = result.artifacts.take()?;
         Some(NewEntry {
             key: spec.key.clone(),
             case: spec.name.clone(),
@@ -477,7 +479,7 @@ impl Tiers {
             warm_start: result.warm_used,
             fingerprint: spec.fingerprint(),
             response: result.response.clone(),
-            artifacts: result.artifacts.take()?,
+            artifacts,
         })
     }
 
