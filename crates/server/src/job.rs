@@ -402,14 +402,24 @@ impl Tiers {
         if spec.mode != Mode::Lazy {
             return None;
         }
+        // The invariant and fault-span, moved out of stored artifacts.
+        let seeds = |mut artifacts: Vec<(String, SerializedBdd)>| {
+            let mut take = |name: &str| {
+                let i = artifacts.iter().position(|(n, _)| n == name)?;
+                Some(artifacts.swap_remove(i).1)
+            };
+            Some((take(ART_INVARIANT)?, take(ART_SPAN)?))
+        };
         let resume = self.ckpts.as_ref().and_then(|ckpts| {
             let slot = ckpts.get(&spec.key)?;
+            let (invariant, span) = seeds(slot.artifacts)?;
+            let neighbor = format!("checkpoint@{}", slot.iteration);
             Some(WarmInfo {
-                neighbor: format!("checkpoint@{}", slot.iteration),
+                neighbor,
                 distance: 0,
                 checkpoint: Some(slot.iteration),
-                invariant: find_artifact(&slot.artifacts, ART_INVARIANT)?.clone(),
-                span: find_artifact(&slot.artifacts, ART_SPAN)?.clone(),
+                invariant,
+                span,
             })
         });
         if resume.is_some() {
@@ -422,12 +432,7 @@ impl Tiers {
         let warm = self
             .read(|store| {
                 let (neighbor, distance) = store.nearest(&spec.fingerprint(), WARM_MAX_DISTANCE)?;
-                let mut artifacts = store.peek(&neighbor)?.artifacts;
-                let mut take = |name: &str| {
-                    let i = artifacts.iter().position(|(n, _)| n == name)?;
-                    Some(artifacts.swap_remove(i).1)
-                };
-                let (invariant, span) = (take(ART_INVARIANT)?, take(ART_SPAN)?);
+                let (invariant, span) = seeds(store.peek(&neighbor)?.artifacts)?;
                 Some(WarmInfo { neighbor, distance, checkpoint: None, invariant, span })
             })
             .flatten()?;

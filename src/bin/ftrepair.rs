@@ -679,6 +679,12 @@ fn run_job(
         root.field("trace_id", trace::format_trace_id(trace_id).into());
         job::execute(&spec, &tele, build_sim, &token, warm.as_ref(), tiers.persists())
     };
+    // A finished run's slot is stale: retire it before any output below
+    // can fail, and keep a verified repair's store write for the end.
+    let run = run.map(|mut result| {
+        let write = tiers.settle(&spec, &mut result);
+        (result, write)
+    });
 
     // A trace is written however the run ended; a run report only when a
     // repair finished (aborts and compile errors have none).
@@ -694,8 +700,8 @@ fn run_job(
             out.display(),
         );
     }
-    let mut result = match run {
-        Ok(result) => result,
+    let (result, write) = match run {
+        Ok(done) => done,
         Err(e) => {
             eprintln!("{path}: {e}");
             let job::ExecError::Aborted(why) = e else {
@@ -734,9 +740,8 @@ fn run_job(
         );
         eprintln!("verified: masking={} realizability={}", result.masking, result.realizable);
     }
-    // The run finished: its slot is stale, and a verified repair is
-    // written through (synchronously: the CLI has no writer thread).
-    if let Some(entry) = tiers.settle(&spec, &mut result) {
+    // Write-through, synchronously: the CLI has no writer thread.
+    if let Some(entry) = write {
         match tiers.write(&entry) {
             Ok(true) => eprintln!("stored under key {}", &spec.key[..16]),
             Ok(false) => {}

@@ -396,3 +396,30 @@ fn aborted_repair_checkpoints_and_resume_completes() {
     assert!(!stderr.contains("resuming from checkpoint"), "{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Any finished run retires its slot, also one whose output then fails:
+/// `--metrics-out` naming a directory makes the resumed run exit 2 after
+/// its repair, and the run after it starts cold.
+#[test]
+fn a_finished_run_retires_its_slot_even_when_its_output_fails() {
+    let dir = std::env::temp_dir().join(format!("ftrepair-cli-retire-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_str = dir.to_str().unwrap();
+    let chain = spec("stabilizing_chain10.ftr");
+    let run = |extra: &[&str]| {
+        let mut args = vec!["repair", chain.as_str(), "--checkpoint-dir", dir_str];
+        args.extend_from_slice(extra);
+        ftrepair_code(&args)
+    };
+
+    let (_, stderr, code) = run(&["--max-nodes", "2000"]);
+    assert_eq!(code, Some(125), "{stderr}");
+    let (_, stderr, code) = run(&["--metrics-out", dir_str]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("resuming from checkpoint at iteration"), "{stderr}");
+    assert!(stderr.contains("cannot write metrics"), "{stderr}");
+    let (_, stderr, code) = run(&[]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(!stderr.contains("resuming from checkpoint"), "the slot outlived its run: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
