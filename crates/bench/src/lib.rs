@@ -502,6 +502,7 @@ pub fn ablation_checkpoint_resume(sizes: &[(usize, u64)]) -> Vec<CheckpointResum
             let seed = tiers.seed(&spec).expect("the abort left a slot");
             let mut resumed = run_job(&spec, &tele, &Token::unbounded(), Some(&seed));
             assert!(resumed.warm_used, "the slot did not seed the resumed run on {instance}");
+            let parity = cold.artifacts.is_some() && cold.artifacts == resumed.artifacts;
             tiers.settle(&spec, &mut resumed);
             let resumed_time = resumed.stats.total_time();
             CheckpointResumeRow {
@@ -511,7 +512,7 @@ pub fn ablation_checkpoint_resume(sizes: &[(usize, u64)]) -> Vec<CheckpointResum
                 checkpoint_iteration: seed.checkpoint.expect("a slot seed has its offer index"),
                 resumed: resumed_time,
                 speedup: cold_time.as_secs_f64() / resumed_time.as_secs_f64().max(f64::EPSILON),
-                parity: cold.artifacts.is_some() && cold.artifacts == resumed.artifacts,
+                parity,
                 verified: resumed.verified(),
             }
         })

@@ -346,7 +346,7 @@ impl Tiers {
         &self.breaker
     }
 
-    /// The checkpoint slots, to report on.
+    /// The checkpoint slots, to report on or probe.
     pub fn checkpoints(&self) -> Option<&CheckpointStore> {
         self.ckpts.as_deref()
     }
