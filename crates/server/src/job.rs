@@ -1073,4 +1073,50 @@ mod tests {
         let err = execute(&spec, &Telemetry::off(), false, &token, None, false).unwrap_err();
         assert!(matches!(err, ExecError::Aborted(RepairAborted::Timeout)), "{err:?}");
     }
+
+    /// The tiers' seed order: a miss seeds from the nearest stored
+    /// neighbor until its key has a checkpoint slot, which then wins; a
+    /// cautious job seeds from neither. A finished run retires the slot.
+    #[test]
+    fn tiers_seed_from_the_slot_before_a_neighbor() {
+        let root = std::env::temp_dir().join(format!("ftrepair-tiers-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let tele = Telemetry::new();
+        let store = DiskStore::open(&root.join("store"), 0, &tele).unwrap();
+        let ckpts = CheckpointStore::open(&root.join("checkpoints")).unwrap();
+        let tiers = Tiers::new(Some(store), Some(ckpts), &ServerConfig::default(), &tele);
+        let job = |edit, mode| prepare(&chain_spec(4, 4, edit), mode, RepairOptions::default());
+        let run = |spec: &JobSpec, warm: Option<&WarmInfo>| {
+            execute(spec, &Telemetry::off(), false, &Token::unbounded(), warm, true).unwrap()
+        };
+
+        let donor = job(None, Mode::Lazy).unwrap();
+        let mut result = run(&donor, None);
+        let write = tiers.settle(&donor, &mut result).expect("a verified repair is written");
+        assert!(tiers.write(&write).unwrap());
+
+        let edited = job(Some(1), Mode::Lazy).unwrap();
+        assert!(tiers.lookup(&edited, false).is_none());
+        let warm = tiers.seed(&edited).expect("the donor is a near neighbor");
+        assert_eq!((warm.neighbor.as_str(), warm.checkpoint), (donor.key.as_str(), None));
+
+        let slot = [(ART_INVARIANT.into(), warm.invariant), (ART_SPAN.into(), warm.span)];
+        let cautious = job(Some(1), Mode::Cautious).unwrap();
+        for key in [&edited.key, &cautious.key] {
+            tiers.checkpoints().unwrap().put(key, 3, &slot).unwrap();
+        }
+        assert!(tiers.seed(&cautious).is_none());
+        let resume = tiers.seed(&edited).expect("the slot seeds");
+        assert_eq!((resume.neighbor.as_str(), resume.distance), ("checkpoint@3", 0));
+        assert_eq!(resume.checkpoint, Some(3));
+
+        let mut result = run(&edited, Some(&resume));
+        assert!(result.warm_used && result.verified());
+        assert!(tiers.settle(&edited, &mut result).is_some());
+        assert!(tiers.checkpoints().unwrap().get(&edited.key).is_none(), "the slot was retired");
+        let snap = tele.snapshot();
+        assert_eq!(snap.counter("store.warm_lookups"), 1);
+        assert_eq!(snap.counter("server.jobs.checkpoint_resumes"), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
