@@ -8,8 +8,10 @@
 //! history: it starts at [`MIN_SLOTS`] and doubles under insert pressure
 //! (a table's worth of stores since the last resize) only while it is
 //! smaller than [`SLOTS_PER_LIVE_NODE`] times the manager's live-node count
-//! and [`MAX_SLOTS`]. It never shrinks; a repair's manager lives for one
-//! job.
+//! and [`MAX_SLOTS`]. It never shrinks, and when its manager is dropped its
+//! slots pass, emptied, to the next manager on the thread
+//! ([`ComputedTable::recycled`]), so a thread's later jobs start at the size
+//! its earlier ones reached.
 //!
 //! Losing an entry costs only recomputation, and results are canonical, so
 //! every root is the same function it would be with an unbounded memo.
@@ -77,7 +79,7 @@ impl Op {
 /// `FALSE`); `c` is a node id only for [`Op::Ite`] and otherwise an
 /// interned set or map index, or 0.
 #[derive(Clone, Copy, Default)]
-struct Entry {
+pub(crate) struct Entry {
     op: Option<Op>,
     a: u32,
     b: u32,
@@ -96,22 +98,34 @@ pub(crate) struct ComputedTable {
     misses: [u64; COUNTERS],
     /// Entries currently resident, per counter.
     resident: [usize; COUNTERS],
+    /// Doublings over the table's life in this manager.
+    growths: usize,
 }
 
-impl Default for ComputedTable {
-    fn default() -> Self {
+impl ComputedTable {
+    /// An empty table over `slots` (a power of two, at least [`MIN_SLOTS`],
+    /// of any content), at that size: every slot is emptied and every tally
+    /// starts at zero.
+    pub(crate) fn recycled(mut slots: Vec<Entry>) -> Self {
+        debug_assert!(slots.len().is_power_of_two() && slots.len() >= MIN_SLOTS);
+        slots.fill(Entry::default());
         ComputedTable {
-            slots: vec![Entry::default(); MIN_SLOTS],
-            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            shift: 64 - slots.len().trailing_zeros(),
+            slots,
             stores: 0,
             hits: [0; COUNTERS],
             misses: [0; COUNTERS],
             resident: [0; COUNTERS],
+            growths: 0,
         }
     }
-}
 
-impl ComputedTable {
+    /// Move the slots out, for [`ComputedTable::recycled`]; the table is
+    /// left without slots and must not be probed again.
+    pub(crate) fn take_slots(&mut self) -> Vec<Entry> {
+        std::mem::take(&mut self.slots)
+    }
+
     #[inline]
     fn index(&self, op: Op, a: u32, b: u32, c: u32) -> usize {
         let ab = u64::from(a) | u64::from(b) << 32;
@@ -169,6 +183,7 @@ impl ComputedTable {
         self.slots.resize(2 * n, Entry::default());
         self.shift -= 1;
         self.stores = 0;
+        self.growths += 1;
         for i in (0..n).rev() {
             let e = std::mem::take(&mut self.slots[i]);
             if let Some(op) = e.op {
@@ -210,6 +225,11 @@ impl ComputedTable {
     /// Entries currently resident across every operation.
     pub(crate) fn len(&self) -> usize {
         self.resident.iter().sum()
+    }
+
+    /// Doublings since the table was built or recycled.
+    pub(crate) fn growths(&self) -> usize {
+        self.growths
     }
 }
 

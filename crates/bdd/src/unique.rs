@@ -8,8 +8,10 @@
 //! the arena, until it finds the node or an empty slot. A subtable is kept
 //! at most half full, so a probe reads about 1.5 arena nodes on a hit and
 //! 2.5 on a miss. Nothing is ever deleted one entry at a time: garbage
-//! collection rebuilds every subtable from the surviving nodes, at a size
-//! that fits them ([`Subtable::sized_for`]).
+//! collection empties every subtable and re-enters the surviving nodes
+//! ([`Subtable::reset_for`]). A subtable never shrinks, so the next
+//! manager on the thread, which inherits it emptied, starts at the size
+//! this one reached.
 
 use crate::node::{Node, NodeId};
 
@@ -62,10 +64,22 @@ impl Subtable {
         }
     }
 
+    /// Empty the subtable for `n` nodes at most half full: at its own size
+    /// if that holds them, else at [`Subtable::sized_for`]`(n)`.
+    pub(crate) fn reset_for(&mut self, n: usize) {
+        if self.slots.len() < 2 * n + 1 {
+            *self = Subtable::sized_for(n);
+        } else {
+            self.slots.fill(0);
+            self.len = 0;
+        }
+    }
+
     /// Enter node `id`, already in the arena, at the empty slot
-    /// [`Subtable::find`] returned for it; past half full, double.
+    /// [`Subtable::find`] returned for it; past half full, double. Returns
+    /// whether it doubled.
     #[inline]
-    pub(crate) fn insert_at(&mut self, slot: usize, id: NodeId, nodes: &[Node]) {
+    pub(crate) fn insert_at(&mut self, slot: usize, id: NodeId, nodes: &[Node]) -> bool {
         self.slots[slot] = id.0;
         self.len += 1;
         if 2 * self.len > self.slots.len() {
@@ -75,7 +89,9 @@ impl Subtable {
             for idx in old.into_iter().filter(|&idx| idx != 0) {
                 self.place(NodeId(idx), &nodes[idx as usize]);
             }
+            return true;
         }
+        false
     }
 
     /// Enter node `id`, known to be absent, without comparing: the first

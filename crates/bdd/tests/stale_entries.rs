@@ -7,12 +7,14 @@
 //! entry that outlived a collection while naming a freed slot would hand
 //! back the wrong function. Every result is checked against a truth-table
 //! oracle, over thousands of distinct operations, enough to collide in the
-//! table and to make it grow.
+//! table and to make it grow. Managers run one after another on a thread
+//! share their tables, so the same runs also check that a manager that
+//! inherits a busy one's tables sees none of its entries.
 //!
 //! The generator runs on the in-tree deterministic [`SplitMix64`] PRNG with
 //! fixed seeds, so failures reproduce exactly.
 
-use ftrepair_bdd::{Manager, NodeId, SplitMix64, FALSE, TRUE};
+use ftrepair_bdd::{CacheCounter, Manager, NodeId, SplitMix64, FALSE, TRUE};
 
 const NVARS: u32 = 8;
 /// A truth table over `NVARS` variables: bit `a` of the 256 is the value
@@ -101,12 +103,20 @@ fn random_vars(rng: &mut SplitMix64) -> Vec<u32> {
 
 /// One run: `ops` random operations over a pool of at most `pool_max`
 /// functions, with a collection every `gc_every` operations that keeps
-/// each pool member with probability `keep`. Returns whether the computed
-/// table grew past its initial size.
-fn run(seed: u64, ops: usize, pool_max: usize, gc_every: usize, keep: f64) -> bool {
+/// each pool member with probability `keep`. Returns the computed table's
+/// initial and final slot counts.
+fn run(seed: u64, ops: usize, pool_max: usize, gc_every: usize, keep: f64) -> (usize, usize) {
     let mut rng = SplitMix64::seed_from_u64(seed);
     let mut m = Manager::new(NVARS);
-    let floor = m.stats().cache_slots;
+    let (s, cs) = (m.stats(), m.cache_stats());
+    let untouched = cs.op_caches().iter().all(|(_, c)| *c == CacheCounter::default())
+        && cs.unique == CacheCounter::default();
+    assert!(
+        untouched
+            && (s.live_nodes, s.peak_live_nodes, s.cache_entries, s.table_growths) == (0, 0, 0, 0),
+        "seed {seed}: a new manager starts empty: {s:?} {cs:?}"
+    );
+    let floor = s.cache_slots;
     let odd_vars: Vec<u32> = (0..NVARS / 2).map(|i| 2 * i + 1).collect();
     let odd = m.varset(&odd_vars);
     let up = m.varmap(&(0..NVARS / 2).map(|i| (2 * i, 2 * i + 1)).collect::<Vec<_>>());
@@ -121,7 +131,6 @@ fn run(seed: u64, ops: usize, pool_max: usize, gc_every: usize, keep: f64) -> bo
         }))
         .collect();
     let mut pool = literals.clone();
-    let mut grew = false;
     for step in 1..=ops {
         let pick = |rng: &mut SplitMix64, pool: &[(NodeId, Table)]| pool[rng.gen_index(pool.len())];
         let (f, tf) = pick(&mut rng, &pool);
@@ -173,7 +182,6 @@ fn run(seed: u64, ops: usize, pool_max: usize, gc_every: usize, keep: f64) -> bo
             let i = rng.gen_index(pool.len());
             pool[i] = (r, tr);
         }
-        grew |= m.stats().cache_slots > floor;
         if step % gc_every == 0 {
             pool.retain(|_| rng.random_bool(keep));
             pool.extend(&literals);
@@ -187,16 +195,37 @@ fn run(seed: u64, ops: usize, pool_max: usize, gc_every: usize, keep: f64) -> bo
     let s = m.stats();
     assert_eq!(s.gc_runs, ops / gc_every, "setup: collections ran");
     assert!(s.free_nodes > 0, "setup: freed slots wait for reuse");
-    grew
+    (floor, s.cache_slots)
 }
 
 #[test]
 fn no_stale_entry_survives_a_collection() {
     // A large pool: thousands of live nodes, so the table also grows (and
-    // moves its entries) between collections.
+    // moves its entries) between collections. Each seed runs on a thread
+    // of its own, so it starts from the smallest table rather than the one
+    // the seed before left behind.
     for seed in 0..4 {
-        assert!(run(seed, 6000, 600, 500, 0.5), "seed {seed}: the computed table must grow");
+        let (floor, last) = std::thread::spawn(move || run(seed, 6000, 600, 500, 0.5))
+            .join()
+            .expect("the run passes");
+        assert!(last > floor, "seed {seed}: the computed table must grow");
     }
+}
+
+#[test]
+fn a_manager_on_a_busy_thread_inherits_no_entry() {
+    // One thread: each run's manager starts from the tables the run before
+    // left, at the size they reached, and must hold none of its entries.
+    std::thread::spawn(|| {
+        let mut last = run(200, 6000, 600, 500, 0.5).1;
+        for seed in 201..204 {
+            let (floor, end) = run(seed, 3000, 600, 250, 0.5);
+            assert_eq!(floor, last, "seed {seed}: the run before left its table");
+            last = end;
+        }
+    })
+    .join()
+    .expect("every run passes");
 }
 
 #[test]

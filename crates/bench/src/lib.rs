@@ -16,13 +16,14 @@
 //! Step 1's reachability breadth-first against chained over writer parts.
 //!
 //! Every measured repair is re-verified (masking + realizability) before a
-//! row is reported; rows carry the measured reachable-state counts so the
-//! tables are self-describing, and every row also carries the same JSONL
-//! [`RunReport`] the CLI's `--metrics-out` emits (one schema, two
-//! producers). Use `cargo run --release -p ftrepair-bench --bin tables --
-//! all` for the paper-style output; the end-to-end and per-layer
-//! benchmark of the engine and the daemon is the separate `ledger/`
-//! package.
+//! row is reported, and every timed repair runs on a thread of its own, so
+//! it starts from empty kernel tables whatever ran before it. Rows carry
+//! the measured reachable-state counts so the tables are self-describing,
+//! and every row also carries the same JSONL [`RunReport`] the CLI's
+//! `--metrics-out` emits (one schema, two producers). Use `cargo run
+//! --release -p ftrepair-bench --bin tables -- all` for the paper-style
+//! output; the end-to-end and per-layer benchmark of the engine and the
+//! daemon is the separate `ledger/` package.
 
 use ftrepair_casestudies::{byzantine_agreement, byzantine_failstop, stabilizing_chain};
 use ftrepair_core::{
@@ -86,6 +87,22 @@ fn chained_reach(prog: &mut DistributedProgram) -> Fixpoint {
     Fixpoint { reach, parts: parts.len(), sweeps }
 }
 
+/// Run `f` on a new thread, with a daemon worker's stack, and return what
+/// it returns. A BDD manager starts from the tables the last manager
+/// dropped on its thread left behind, so a repair timed on the harness's
+/// own thread would be credited with whatever ran before it; on a new
+/// thread every timed side starts from the same, empty tables.
+fn on_fresh_thread<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(ftrepair_lang::parser::WORKER_STACK_SIZE)
+            .spawn_scoped(scope, f)
+            .expect("spawn a measuring thread")
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })
+}
+
 /// One chained reachability fixpoint: its result, the number of parts it
 /// chained over, and its sweeps.
 struct Fixpoint {
@@ -97,9 +114,10 @@ struct Fixpoint {
 /// Run lazy repair on a fresh instance from `factory`, verify the result,
 /// and measure the paper's quantities. Optionally also run cautious repair
 /// (on another fresh instance, so BDD caches don't cross-contaminate).
+/// Each repair runs on a thread of its own.
 pub fn measure(
     label: impl Into<String>,
-    factory: impl Fn() -> DistributedProgram,
+    factory: impl Fn() -> DistributedProgram + Sync,
     opts: &RepairOptions,
     with_cautious: bool,
 ) -> Row {
@@ -107,29 +125,34 @@ pub fn measure(
     let mut prog = factory();
     let reachable = reachable_states(&mut prog);
 
-    let mut prog = factory();
-    let tele = Telemetry::new();
-    // Bench runs carry no deadline, so an abort is impossible here.
-    let out: LazyOutcome =
-        lazy_repair_traced(&mut prog, opts, &tele).expect("bench runs have no deadline");
-    // Report before verification: the verifier's BDD traffic must not
-    // pollute the run's cache hit rates.
-    let mut report =
-        build_run_report(&label, "lazy", opts, &out.stats, out.failed, &tele, &prog.cx);
-    let verified = if out.failed {
-        false
-    } else {
-        let (m, r) = verify_outcome(&mut prog, &out);
-        m.ok() && r.ok()
-    };
+    let (out, mut report, verified) = on_fresh_thread(|| {
+        let mut prog = factory();
+        let tele = Telemetry::new();
+        // Bench runs carry no deadline, so an abort is impossible here.
+        let out: LazyOutcome =
+            lazy_repair_traced(&mut prog, opts, &tele).expect("bench runs have no deadline");
+        // Report before verification: the verifier's BDD traffic must not
+        // pollute the run's cache hit rates.
+        let report =
+            build_run_report(&label, "lazy", opts, &out.stats, out.failed, &tele, &prog.cx);
+        let verified = if out.failed {
+            false
+        } else {
+            let (m, r) = verify_outcome(&mut prog, &out);
+            m.ok() && r.ok()
+        };
+        (out, report, verified)
+    });
     report.set("reachable_states", reachable.into());
     report.set("verified", verified.into());
 
     let cautious = with_cautious.then(|| {
-        let mut prog = factory();
-        let c = cautious_repair(&mut prog, opts).expect("bench runs have no deadline");
-        assert!(!c.failed, "cautious repair failed on {}", prog.name);
-        c.stats.total_time()
+        on_fresh_thread(|| {
+            let mut prog = factory();
+            let c = cautious_repair(&mut prog, opts).expect("bench runs have no deadline");
+            assert!(!c.failed, "cautious repair failed on {}", prog.name);
+            c.stats.total_time()
+        })
     });
 
     Row {
@@ -362,7 +385,7 @@ pub fn ablation_warm_start(sizes: &[(usize, u64)]) -> Vec<WarmStartRow> {
         .expect("open bench store");
     let tiers = Tiers::new(Some(store), None, &ServerConfig::default(), &Telemetry::off());
     let run = |spec: &JobSpec, warm: Option<&WarmInfo>| {
-        run_job(spec, &Telemetry::new(), &Token::unbounded(), warm)
+        on_fresh_thread(|| run_job(spec, &Telemetry::new(), &Token::unbounded(), warm))
     };
 
     let rows = sizes
@@ -475,8 +498,9 @@ pub fn ablation_checkpoint_resume(sizes: &[(usize, u64)]) -> Vec<CheckpointResum
             let instance = format!("Sc^{n}(d={d})");
             let spec = chain_job(&warm_chain_spec(n, d, false));
 
-            // Cold baseline, roots exported for the parity check.
-            let cold = run_job(&spec, &tele, &Token::unbounded(), None);
+            // Cold baseline, roots exported for the parity check. Every
+            // run, the aborted ones too, starts from empty tables.
+            let cold = on_fresh_thread(|| run_job(&spec, &tele, &Token::unbounded(), None));
             assert!(!cold.failed, "cold repair failed on {instance}");
             let cold_time = cold.stats.total_time();
 
@@ -490,7 +514,7 @@ pub fn ablation_checkpoint_resume(sizes: &[(usize, u64)]) -> Vec<CheckpointResum
                 assert!(attempt < 6, "no checkpoint slot after {attempt} attempts on {instance}");
                 let _ = slots.clear(&spec.key);
                 let token = tiers.arm(Token::deadline_in(abort_after), &spec.key);
-                match job::execute(&spec, &tele, false, &token, None, false) {
+                match on_fresh_thread(|| job::execute(&spec, &tele, false, &token, None, false)) {
                     Err(_) if slots.get(&spec.key).is_some() => break,
                     Err(_) => abort_after += cold_time / 4,
                     Ok(_) => abort_after = abort_after.mul_f64(0.5),
@@ -500,7 +524,8 @@ pub fn ablation_checkpoint_resume(sizes: &[(usize, u64)]) -> Vec<CheckpointResum
             // Resume: the tiers seed the run from the slot on disk, and
             // retire it once the run finishes.
             let seed = tiers.seed(&spec).expect("the abort left a slot");
-            let mut resumed = run_job(&spec, &tele, &Token::unbounded(), Some(&seed));
+            let mut resumed =
+                on_fresh_thread(|| run_job(&spec, &tele, &Token::unbounded(), Some(&seed)));
             assert!(resumed.warm_used, "the slot did not seed the resumed run on {instance}");
             let parity = cold.artifacts.is_some() && cold.artifacts == resumed.artifacts;
             tiers.settle(&spec, &mut resumed);
@@ -576,10 +601,11 @@ pub struct VerifyRow {
 }
 
 /// Measure one verify-ablation row on two fresh instances from
-/// `factory`, repaired lazily or, with `cautious`, by the baseline.
+/// `factory`, repaired lazily or, with `cautious`, by the baseline, each
+/// on a thread of its own.
 pub fn measure_verify(
     label: impl Into<String>,
-    factory: impl Fn() -> DistributedProgram,
+    factory: impl Fn() -> DistributedProgram + Sync,
     cautious: bool,
 ) -> VerifyRow {
     use ftrepair_program::verify::{verify_masking, verify_masking_certified};
@@ -600,21 +626,24 @@ pub fn measure_verify(
         (t0.elapsed(), out)
     };
 
-    let mut prog = factory();
-    let (_, out) = run_repair(&mut prog);
-    let t0 = Instant::now();
-    let orig = prog.program_trans();
-    let (inv, faults, safety) = (prog.invariant, prog.faults, prog.safety);
-    let exact_report =
-        verify_masking(&mut prog.cx, orig, inv, out.trans, out.invariant, faults, &safety);
-    let exact = t0.elapsed();
-    drop(prog);
+    let (exact, exact_report) = on_fresh_thread(|| {
+        let mut prog = factory();
+        let (_, out) = run_repair(&mut prog);
+        let t0 = Instant::now();
+        let orig = prog.program_trans();
+        let (inv, faults, safety) = (prog.invariant, prog.faults, prog.safety);
+        let report =
+            verify_masking(&mut prog.cx, orig, inv, out.trans, out.invariant, faults, &safety);
+        (t0.elapsed(), report)
+    });
 
-    let mut prog = factory();
-    let (repair, out) = run_repair(&mut prog);
-    let t0 = Instant::now();
-    let report = verify_masking_certified(&mut prog, out.trans, out.invariant, out.span);
-    let certified = t0.elapsed();
+    let (repair, certified, report) = on_fresh_thread(|| {
+        let mut prog = factory();
+        let (repair, out) = run_repair(&mut prog);
+        let t0 = Instant::now();
+        let report = verify_masking_certified(&mut prog, out.trans, out.invariant, out.span);
+        (repair, t0.elapsed(), report)
+    });
 
     VerifyRow {
         instance,
@@ -687,14 +716,15 @@ pub struct ReachRow {
 }
 
 /// Measure one reachability-ablation row on two fresh instances from
-/// `factory`. Each arms the repair's garbage-collection trigger
-/// ([`ftrepair_core::GC_THRESHOLD`]), so the peaks are what a repair's
-/// Phase 3 sees. The breadth-first side is `forward_reachable_keep` over
-/// the single part `δ_P ∪ f`: it takes exactly the images of the
-/// monolithic `forward_reachable`, and counts them.
+/// `factory`, each on a thread of its own. Each arms the repair's
+/// garbage-collection trigger ([`ftrepair_core::GC_THRESHOLD`]), so the
+/// peaks are what a repair's Phase 3 sees. The breadth-first side is
+/// `forward_reachable_keep` over the single part `δ_P ∪ f`: it takes
+/// exactly the images of the monolithic `forward_reachable`, and counts
+/// them.
 pub fn measure_reach(
     label: impl Into<String>,
-    factory: impl Fn() -> DistributedProgram,
+    factory: impl Fn() -> DistributedProgram + Sync,
 ) -> ReachRow {
     use std::time::Instant;
 
@@ -705,18 +735,22 @@ pub fn measure_reach(
         prog
     };
 
-    let mut bfs = fresh();
-    let t0 = Instant::now();
-    let t = bfs.program_trans();
-    let combined = bfs.cx.mgr().or(t, bfs.faults);
-    let inv = bfs.invariant;
-    let (bfs_reach, bfs_iterations) = bfs.cx.forward_reachable_keep(inv, &[combined], &[]);
-    let bfs_time = t0.elapsed();
+    let (mut bfs, bfs_reach, bfs_iterations, bfs_time) = on_fresh_thread(|| {
+        let mut bfs = fresh();
+        let t0 = Instant::now();
+        let t = bfs.program_trans();
+        let combined = bfs.cx.mgr().or(t, bfs.faults);
+        let inv = bfs.invariant;
+        let (reach, iterations) = bfs.cx.forward_reachable_keep(inv, &[combined], &[]);
+        (bfs, reach, iterations, t0.elapsed())
+    });
 
-    let mut chained = fresh();
-    let t0 = Instant::now();
-    let fix = chained_reach(&mut chained);
-    let chained_time = t0.elapsed();
+    let (chained, fix, chained_time) = on_fresh_thread(|| {
+        let mut chained = fresh();
+        let t0 = Instant::now();
+        let fix = chained_reach(&mut chained);
+        (chained, fix, t0.elapsed())
+    });
 
     let exported = chained.cx.mgr_ref().export(fix.reach);
     ReachRow {

@@ -41,11 +41,13 @@ pub(crate) fn configure(prog: &mut DistributedProgram, token: &Token) {
 /// Then the run's tally goes out, once, as counters —
 /// `repair.outer_iterations` and `step2.{picks, groups_kept,
 /// groups_dropped, expansions}` — and the manager's live-node high-water
-/// mark and table sizes as gauges — `bdd.peak_live_nodes`,
-/// `bdd.cache_entries`, `bdd.cache_slots` and `bdd.unique_slots` — on
-/// success, declared failure or abort alike, so every run report,
-/// `/jobs/<id>` record and `/metrics` scrape carries the same numbers as
-/// `RepairStats` and `ManagerStats` (and the run report's `bdd` object).
+/// mark, table sizes and table doublings as gauges — `bdd.peak_live_nodes`,
+/// `bdd.cache_entries`, `bdd.cache_slots`, `bdd.unique_slots` and
+/// `bdd.table_growths` (near 0 when the job started from the tables of an
+/// earlier job on its thread) — on success, declared failure or abort
+/// alike, so every run report, `/jobs/<id>` record and `/metrics` scrape
+/// carries the same numbers as `RepairStats` and `ManagerStats` (and the
+/// run report's `bdd` object).
 pub(crate) fn finish(
     prog: &mut DistributedProgram,
     tele: &Telemetry,
@@ -69,6 +71,7 @@ pub(crate) fn finish(
         tele.max_gauge("bdd.cache_entries", s.cache_entries as u64);
         tele.max_gauge("bdd.cache_slots", s.cache_slots as u64);
         tele.max_gauge("bdd.unique_slots", s.unique_slots as u64);
+        tele.max_gauge("bdd.table_growths", s.table_growths as u64);
     }
     r
 }

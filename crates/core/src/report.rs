@@ -36,9 +36,11 @@ pub fn build_run_report(
 
 /// Node-count and table statistics from the manager: live nodes, their
 /// high-water mark, the garbage collections that bounded it, the computed
-/// table's resident entries and slots (its bound), and the unique tables'
-/// total slots (each holding one live node at most half full). Each field
-/// has the same number as the `bdd.<field>` gauge where one exists.
+/// table's resident entries and slots (its bound), the unique tables'
+/// total slots (each holding one live node at most half full), and how
+/// often the tables doubled (0 once a thread's earlier jobs sized them).
+/// Each field has the same number as the `bdd.<field>` gauge where one
+/// exists.
 pub fn bdd_stats_json(cx: &SymbolicContext) -> Json {
     let s = cx.mgr_ref().stats();
     let mut o = Json::obj();
@@ -48,6 +50,7 @@ pub fn bdd_stats_json(cx: &SymbolicContext) -> Json {
     o.set("cache_entries", (s.cache_entries as u64).into());
     o.set("cache_slots", (s.cache_slots as u64).into());
     o.set("unique_slots", (s.unique_slots as u64).into());
+    o.set("table_growths", (s.table_growths as u64).into());
     o
 }
 
@@ -170,13 +173,35 @@ mod tests {
         let bdd = j.get("bdd").unwrap();
         let field = |name: &str| bdd.get(name).and_then(Json::as_u64).unwrap();
         assert_eq!(peak, field("peak_live_nodes"));
-        for name in ["cache_entries", "cache_slots", "unique_slots"] {
+        for name in ["cache_entries", "cache_slots", "unique_slots", "table_growths"] {
             let gauge = gauges.get(&format!("bdd.{name}")).and_then(Json::as_u64);
             assert_eq!(gauge, Some(field(name)), "{name}");
         }
         // Each table's load is readable against its bound.
         assert!(field("cache_entries") <= field("cache_slots"));
         assert!(2 * field("live_nodes") <= field("unique_slots"));
+    }
+
+    #[test]
+    fn a_second_repair_on_one_thread_grows_no_table() {
+        let growths = std::thread::spawn(|| {
+            [(); 2].map(|()| {
+                let mut p = needs_recovery();
+                let tele = Telemetry::new();
+                let opts = RepairOptions::default();
+                let out = lazy_repair_traced(&mut p, &opts, &tele).unwrap();
+                let r = build_run_report("toy", "lazy", &opts, &out.stats, false, &tele, &p.cx);
+                let j = Json::parse(&r.to_json_line()).unwrap();
+                let field = j.get("bdd").and_then(|b| b.get("table_growths"));
+                let gauge = j.get("gauges").and_then(|g| g.get("bdd.table_growths"));
+                assert_eq!(field, gauge);
+                field.and_then(Json::as_u64).unwrap()
+            })
+        })
+        .join()
+        .unwrap();
+        assert!(growths[0] > 0, "setup: the first repair grows its tables");
+        assert_eq!(growths[1], 0, "the second starts from the first one's tables");
     }
 
     #[test]

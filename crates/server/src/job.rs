@@ -1000,6 +1000,37 @@ mod tests {
         assert_eq!(over(&rebuild_sim_bundle(&ast, &[])), None);
     }
 
+    /// A worker runs jobs back to back, and each starts from the kernel
+    /// tables the one before left on its thread. The answer and the
+    /// exported roots must still be those of the same job run first on a
+    /// fresh thread.
+    #[test]
+    fn a_job_after_another_on_one_thread_answers_as_if_alone() {
+        use ftrepair_casestudies::{byzantine_spec, tmr_spec};
+        type Answer = (Vec<(String, Json)>, Option<Vec<(String, SerializedBdd)>>, u64);
+        fn answer(text: &str) -> Answer {
+            let spec = prepare(text, Mode::Lazy, RepairOptions::default()).unwrap();
+            let result =
+                execute(&spec, &Telemetry::off(), false, &Token::unbounded(), None, true).unwrap();
+            let response = result.response.as_obj().unwrap();
+            let fields = response.iter().filter(|(k, _)| k != "report").cloned().collect();
+            let bdd = result.report.0.get("bdd").unwrap();
+            (fields, result.artifacts, bdd.get("table_growths").and_then(Json::as_u64).unwrap())
+        }
+        for text in [byzantine_spec(3, false), tmr_spec(3)] {
+            let second = text.clone();
+            let after = std::thread::spawn(move || {
+                answer(&chain_spec(10, 8, None));
+                answer(&second)
+            });
+            let after = after.join().unwrap();
+            let alone = std::thread::spawn(move || answer(&text)).join().unwrap();
+            assert!(after.1.is_some(), "setup: a verified repair exports its roots");
+            assert_eq!((&after.0, &after.1), (&alone.0, &alone.1));
+            assert!(after.2 < alone.2, "setup: the second job inherited the first one's tables");
+        }
+    }
+
     #[test]
     fn sim_refusals_distinguish_their_causes() {
         let overflow = SimStatus::TooLarge { states: None };
